@@ -60,7 +60,6 @@ from .fluctuations import (
     SpacingHistogram,
     UnfoldedSpectrum,
     delta3,
-    goe_delta3,
     goe_delta3_exact,
     nnsd,
     poisson_delta3,
@@ -103,7 +102,6 @@ __all__ = [
     "fit_smooth_model",
     "fqn_cdf",
     "fqn_density",
-    "goe_delta3",
     "goe_delta3_exact",
     "goe_delta_rms",
     "hermite_q",

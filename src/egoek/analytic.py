@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import qhermite
-from .fock import Statistics
+from .fock import Statistics, dimension
 
 TRUNCATION_RTOL = 1e-16
 
@@ -54,6 +55,25 @@ def sn2_boson(n: int, n_sites: int, k: int) -> float:
     return 2.0 * n / math.comb(n_sites, k) ** n
 
 
+def _mode_factors(
+    statistics: Statistics, m: int, n_sites: int, k: int
+) -> tuple[float, Callable[[int], float]]:
+    """Prefactor d^2 C(m,k)^2 / C(N,k)^2 and the mode amplitude n -> a_n of one system."""
+    fermion = statistics is Statistics.FERMION
+    if fermion and not 1 <= k <= m <= n_sites:
+        raise ValueError("require 1 <= k <= m <= N")
+    if not fermion and (not 1 <= k <= n_sites or m < 1):
+        raise ValueError("require m >= 1 and 1 <= k <= N")
+    prefactor = (
+        float(dimension(n_sites, m, statistics)) ** 2
+        * float(math.comb(m, k)) ** 2
+        / float(math.comb(n_sites, k)) ** 2
+    )
+    if fermion:
+        return prefactor, lambda n: 2.0 * n * math.comb(m, k) ** (2 - n)
+    return prefactor, lambda n: 2.0 * n / math.comb(n_sites, k) ** n
+
+
 def _mode_term(e_hat: np.ndarray, n: int, q: float, amplitude: float) -> np.ndarray:
     h = qhermite._hermite_table(max(n - 1, 0), e_hat, q)[n - 1]
     return amplitude / qhermite.qfactorial(n, q) ** 2 * h**2
@@ -91,34 +111,18 @@ def motion_variance_fermion(
     the mode amplitudes, times the squared unit-variance density; zero outside
     the support.
     """
-    if not 1 <= k <= m <= n_sites:
-        raise ValueError("require 1 <= k <= m <= N")
+    prefactor, amplitude = _mode_factors(Statistics.FERMION, m, n_sites, k)
     _check_mode(n_max)
-    prefactor = (
-        float(math.comb(n_sites, m)) ** 2
-        * float(math.comb(m, k)) ** 2
-        / float(math.comb(n_sites, k)) ** 2
-    )
-    return _motion_variance(
-        e_hat, q, n_max, prefactor, lambda n: 2.0 * n * math.comb(m, k) ** (2 - n)
-    )
+    return _motion_variance(e_hat, q, n_max, prefactor, amplitude)
 
 
 def motion_variance_boson(
     e_hat, m: int, n_sites: int, k: int, q: float, n_max: int = 50
 ) -> np.ndarray | float:
     """Scaled level-motion variance profile for dense bosons."""
-    if not 1 <= k <= n_sites or m < 1:
-        raise ValueError("require m >= 1 and 1 <= k <= N")
+    prefactor, amplitude = _mode_factors(Statistics.BOSON, m, n_sites, k)
     _check_mode(n_max)
-    prefactor = (
-        float(math.comb(n_sites + m - 1, m)) ** 2
-        * float(math.comb(m, k)) ** 2
-        / float(math.comb(n_sites, k)) ** 2
-    )
-    return _motion_variance(
-        e_hat, q, n_max, prefactor, lambda n: 2.0 * n / math.comb(n_sites, k) ** n
-    )
+    return _motion_variance(e_hat, q, n_max, prefactor, amplitude)
 
 
 @dataclass(frozen=True)
@@ -161,26 +165,9 @@ def mode_width_curve(
         raise ValueError("grid must be non-empty")
     if n < 1:
         raise ValueError("mode index must be >= 1")
+    prefactor, amplitude = _mode_factors(statistics, m, n_sites, k)
     rho = qhermite.fqn_density(grid, q)
-    if statistics is Statistics.FERMION:
-        if not 1 <= k <= m <= n_sites:
-            raise ValueError("require 1 <= k <= m <= N")
-        prefactor = (
-            float(math.comb(n_sites, m)) ** 2
-            * float(math.comb(m, k)) ** 2
-            / float(math.comb(n_sites, k)) ** 2
-        )
-        amplitude = 2.0 * n * math.comb(m, k) ** (2 - n)
-    else:
-        if not 1 <= k <= n_sites:
-            raise ValueError("require 1 <= k <= N")
-        prefactor = (
-            float(math.comb(n_sites + m - 1, m)) ** 2
-            * float(math.comb(m, k)) ** 2
-            / float(math.comb(n_sites, k)) ** 2
-        )
-        amplitude = 2.0 * n / math.comb(n_sites, k) ** n
-    values = scale * prefactor * rho**2 * _mode_term(grid, n, q, amplitude)
+    values = scale * prefactor * rho**2 * _mode_term(grid, n, q, amplitude(n))
     return ModeWidthCurve(
         statistics=statistics,
         m=m,

@@ -9,6 +9,7 @@ ascending order).  Writing the same data twice produces identical bytes.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .ensemble import EnsembleSpec
-from .fock import Statistics
 
 MAGIC = b"EGOEARC1"
 FORMAT_VERSION = "1"
@@ -46,14 +46,8 @@ class SpectrumArchive:
 
 def _header_dict(spec: EnsembleSpec) -> dict:
     return {
+        **spec.to_dict(),
         "format_version": FORMAT_VERSION,
-        "statistics": spec.statistics.value,
-        "m": spec.m,
-        "N": spec.n_sites,
-        "k": spec.k,
-        "nu2": spec.nu2,
-        "master_seed": spec.master_seed,
-        "members": spec.members,
         "dimension": spec.dimension,
         # Reruns must be byte-identical, so no wall-clock value is recorded.
         "created_at": None,
@@ -84,40 +78,38 @@ def read_archive(path: str | Path) -> SpectrumArchive:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ArchiveFormatError(f"{path}: bad magic {magic!r}")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        spec = EnsembleSpec(
-            statistics=Statistics(header["statistics"]),
-            m=header["m"],
-            n_sites=header["N"],
-            k=header["k"],
-            members=header["members"],
-            master_seed=header["master_seed"],
-            nu2=header["nu2"],
-        )
-        dimension = header["dimension"]
+        length_field = fh.read(4)
+        if len(length_field) != 4:
+            raise ArchiveFormatError(f"{path}: truncated header length")
+        (header_len,) = struct.unpack("<I", length_field)
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+            spec = EnsembleSpec.from_dict(header)
+            format_version = header["format_version"]
+            dimension = header["dimension"]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ArchiveFormatError(
+                f"{path}: malformed header ({type(exc).__name__}: {exc})"
+            ) from exc
         if dimension != spec.dimension:
             raise ArchiveFormatError(
                 f"{path}: header dimension {dimension} inconsistent with spec"
             )
-        records = []
+        # Checked before any record is read, so a crafted header cannot make
+        # the reader allocate more than the file holds.
         record_head = struct.Struct("<IQ")
+        record_bytes = spec.members * (record_head.size + 8 * spec.dimension)
+        available = os.fstat(fh.fileno()).st_size - fh.tell()
+        if available != record_bytes:
+            raise ArchiveFormatError(
+                f"{path}: {available} bytes of records where the header implies {record_bytes}"
+            )
+        records = []
         for _ in range(spec.members):
-            head = fh.read(record_head.size)
-            if len(head) != record_head.size:
-                raise ArchiveFormatError(f"{path}: truncated record header")
-            member, seed = record_head.unpack(head)
-            payload = fh.read(8 * dimension)
-            if len(payload) != 8 * dimension:
-                raise ArchiveFormatError(f"{path}: truncated eigenvalue block")
-            eig = np.frombuffer(payload, dtype="<f8").copy()
+            member, seed = record_head.unpack(fh.read(record_head.size))
+            eig = np.frombuffer(fh.read(8 * spec.dimension), dtype="<f8").copy()
             records.append(MemberRecord(member=member, seed=seed, eigenvalues=eig))
-        trailing = fh.read(1)
-        if trailing:
-            raise ArchiveFormatError(f"{path}: trailing bytes after last record")
-    return SpectrumArchive(
-        spec=spec, records=tuple(records), format_version=header["format_version"]
-    )
+    return SpectrumArchive(spec=spec, records=tuple(records), format_version=format_version)
 
 
 def export_json(archive: SpectrumArchive, path: str | Path) -> None:

@@ -12,12 +12,13 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import analytic, archive as arc, fluctuations as fl, periodogram as pg, pipeline
-from .config import ConfigError, RunConfig, VALID_ORDERS, config_from_dict, load_config
+from .config import ConfigError, RunConfig, config_from_dict, load_config
 from .ensemble import EnsembleSpec
 from .fock import Statistics
 
@@ -45,14 +46,26 @@ def _threads(args) -> int:
     return 1
 
 
-def _parse_orders(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """Comma-separated integers from a command-line flag."""
     try:
-        orders = tuple(int(tok) for tok in text.split(",") if tok.strip())
+        values = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
-        raise ConfigError(f"cannot parse orders {text!r}") from exc
-    if not orders or any(o not in VALID_ORDERS for o in orders):
-        raise ConfigError(f"orders must be a non-empty subset of {VALID_ORDERS}")
-    return orders
+        raise ConfigError(f"cannot parse {what} {text!r}") from exc
+    if not values:
+        raise ConfigError(f"{what} must list at least one integer")
+    return values
+
+
+def _with_overrides(config: RunConfig, args, ensemble: EnsembleSpec) -> RunConfig:
+    """Apply the command-line --orders and --out over a configuration."""
+    orders = getattr(args, "orders", None)
+    return replace(
+        config,
+        ensemble=ensemble,
+        orders=_parse_ints(orders, "orders") if orders else config.orders,
+        out_dir=args.out or config.out_dir,
+    )
 
 
 def _load_run_config(args) -> RunConfig:
@@ -71,28 +84,17 @@ def _load_run_config(args) -> RunConfig:
                 },
             }
         )
-    ens = config.ensemble
-    if args.seed is not None or args.members is not None:
-        ens = EnsembleSpec(
-            statistics=ens.statistics,
-            m=ens.m,
-            n_sites=ens.n_sites,
-            k=ens.k,
-            members=args.members if args.members is not None else ens.members,
-            master_seed=args.seed if args.seed is not None else ens.master_seed,
-            nu2=ens.nu2,
-        )
-    return RunConfig(
-        ensemble=ens,
-        orders=_parse_orders(args.orders) if getattr(args, "orders", None) else config.orders,
-        trim=config.trim,
-        l_max=config.l_max,
-        bin_width=config.bin_width,
-        spacing_max=config.spacing_max,
-        oversample=config.oversample,
-        out_dir=args.out or config.out_dir,
-        format_version=config.format_version,
-    )
+    ensemble = config.ensemble
+    if args.members is not None:
+        ensemble = replace(ensemble, members=args.members)
+    if args.seed is not None:
+        ensemble = replace(ensemble, master_seed=args.seed)
+    return _with_overrides(config, args, ensemble)
+
+
+def _archive_config(args, archive: arc.SpectrumArchive) -> RunConfig:
+    config = load_config(args.config) if args.config else RunConfig(ensemble=archive.spec)
+    return _with_overrides(config, args, archive.spec)
 
 
 def _out_dir(config: RunConfig) -> Path:
@@ -166,7 +168,10 @@ def cmd_fluct(args) -> None:
     out = _out_dir(config)
     spec = archive.spec
 
-    analyses = pipeline.decompose_archive(archive, config.orders, threads=_threads(args))
+    policy_order = fl.unfolding_order(spec.statistics, spec.k)
+    analyses = pipeline.decompose_archive(
+        archive, config.orders + (policy_order,), threads=_threads(args)
+    )
     grouped = pipeline.periodograms_by_order(
         analyses,
         config.orders,
@@ -187,8 +192,7 @@ def cmd_fluct(args) -> None:
         {(spec.k, order): grouped[order] for order in config.orders}
     )
 
-    policy_order = fl.unfolding_order(spec.statistics, spec.k)
-    unfolded = pipeline.unfolded_ensemble(archive, order=policy_order, trim=config.trim)
+    unfolded = pipeline.unfolded_ensemble(archive, analyses, trim=config.trim)
     hist = fl.nnsd(unfolded, bin_width=config.bin_width, s_max=config.spacing_max)
     _write_csv(
         out / "nnsd.csv",
@@ -231,10 +235,10 @@ def cmd_fluct(args) -> None:
 
 def cmd_analytic(args) -> None:
     statistics = Statistics(args.statistics)
-    modes = tuple(int(tok) for tok in args.modes.split(",") if tok.strip())
-    if not modes or any(n < 1 for n in modes):
+    modes = _parse_ints(args.modes, "modes")
+    if any(n < 1 for n in modes):
         raise ConfigError("modes must be positive integers")
-    ks = tuple(int(tok) for tok in args.k_list.split(",") if tok.strip())
+    ks = _parse_ints(args.k_list, "k-list")
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
 
@@ -333,27 +337,6 @@ def cmd_table1(args) -> None:
     }
     (out / "table1.json").write_text(json.dumps(payload, sort_keys=True, indent=2))
     print(f"wrote {out / 'table1.csv'} and table1.json")
-
-
-def _archive_config(args, archive: arc.SpectrumArchive) -> RunConfig:
-    if args.config:
-        config = load_config(args.config)
-        ensemble = archive.spec
-    else:
-        ensemble = archive.spec
-        config = RunConfig(ensemble=ensemble)
-    orders = _parse_orders(args.orders) if getattr(args, "orders", None) else config.orders
-    return RunConfig(
-        ensemble=ensemble,
-        orders=orders,
-        trim=config.trim,
-        l_max=config.l_max,
-        bin_width=config.bin_width,
-        spacing_max=config.spacing_max,
-        oversample=config.oversample,
-        out_dir=args.out or config.out_dir,
-        format_version=config.format_version,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

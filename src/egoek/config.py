@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .ensemble import EnsembleSpec
-from .fock import Statistics
 
 FORMAT_VERSION = "1"
 VALID_ORDERS = (2, 3, 4, 5, 6)
@@ -46,15 +45,7 @@ class RunConfig:
     def to_dict(self) -> dict:
         return {
             "format_version": self.format_version,
-            "ensemble": {
-                "statistics": self.ensemble.statistics.value,
-                "m": self.ensemble.m,
-                "N": self.ensemble.n_sites,
-                "k": self.ensemble.k,
-                "members": self.ensemble.members,
-                "master_seed": self.ensemble.master_seed,
-                "nu2": self.ensemble.nu2,
-            },
+            "ensemble": self.ensemble.to_dict(),
             "analysis": {
                 "orders": list(self.orders),
                 "trim": self.trim,
@@ -67,28 +58,19 @@ class RunConfig:
         }
 
 
-def ensemble_from_dict(data: dict) -> EnsembleSpec:
-    try:
-        return EnsembleSpec(
-            statistics=Statistics(data["statistics"]),
-            m=int(data["m"]),
-            n_sites=int(data["N"]),
-            k=int(data["k"]),
-            members=int(data.get("members", 50)),
-            master_seed=int(data.get("master_seed", 0)),
-            nu2=float(data.get("nu2", 1.0)),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid ensemble block: {exc}") from exc
-
-
 def config_from_dict(data: dict) -> RunConfig:
     if "ensemble" not in data:
         raise ConfigError("config requires an 'ensemble' block")
+    try:
+        ensemble = EnsembleSpec.from_dict(
+            {"members": 50, "master_seed": 0, "nu2": 1.0, **data["ensemble"]}
+        )
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"invalid ensemble block: {exc}") from exc
     analysis = data.get("analysis", {})
     try:
         return RunConfig(
-            ensemble=ensemble_from_dict(data["ensemble"]),
+            ensemble=ensemble,
             orders=tuple(analysis.get("orders", VALID_ORDERS)),
             trim=float(analysis.get("trim", 0.10)),
             l_max=int(analysis.get("l_max", 60)),

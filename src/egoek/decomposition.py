@@ -57,7 +57,6 @@ class LevelMotionSeries:
     e_hat: np.ndarray
     delta: np.ndarray
     delta_rms: float
-    window: str = "full"
 
 
 def staircase(spectrum: Spectrum) -> np.ndarray:
@@ -139,15 +138,22 @@ def fit_smooth_model(spectrum: Spectrum, q: float, order: int) -> SmoothModel:
     return fit_prepared(prepare_spectrum(spectrum, q, max_order=max(order, 3)), order)
 
 
+def _smooth_values(
+    model: SmoothModel, cdf: np.ndarray, corrections: dict[int, np.ndarray]
+) -> np.ndarray:
+    """Smooth distribution function from tabulated cumulative integrals."""
+    values = cdf.copy()
+    for j, n in enumerate(range(3, model.order + 1)):
+        values += model.coefficients[j] / qhermite.qfactorial(n, model.q) * corrections[n]
+    return model.dimension * values
+
+
 def smooth_distribution_values(model: SmoothModel, energies: np.ndarray) -> np.ndarray:
     """Smooth distribution function evaluated at raw energies (vectorized)."""
     e_hat = (np.asarray(energies, dtype=float) - model.centroid) / model.width
     orders = tuple(range(3, model.order + 1))
     cumulative = qhermite.cumulative_weighted_integrals(e_hat, model.q, orders)
-    values = cumulative[0].copy()
-    for j, n in enumerate(orders):
-        values += model.coefficients[j] / qhermite.qfactorial(n, model.q) * cumulative[n]
-    return model.dimension * values
+    return _smooth_values(model, cumulative[0], cumulative)
 
 
 def smooth_F(model: SmoothModel, energy: float) -> float:
@@ -159,22 +165,19 @@ def smooth_F(model: SmoothModel, energy: float) -> float:
     return float(smooth_distribution_values(model, np.asarray([energy]))[0])
 
 
-def level_motion(spectrum: Spectrum, model: SmoothModel) -> LevelMotionSeries:
-    """Deviation of the staircase from the smooth model at every level."""
-    smooth = smooth_distribution_values(model, spectrum.eigenvalues)
-    return _motion_from_smooth(spectrum, model, smooth)
-
-
-def _motion_from_smooth(
-    spectrum: Spectrum, model: SmoothModel, smooth: np.ndarray
+def _motion_series(
+    spectrum: Spectrum, e_hat: np.ndarray, smooth: np.ndarray
 ) -> LevelMotionSeries:
     delta = staircase(spectrum) - smooth
-    e_hat = (spectrum.eigenvalues - model.centroid) / model.width
-    return LevelMotionSeries(
-        e_hat=e_hat,
-        delta=delta,
-        delta_rms=float(np.sqrt(np.mean(delta**2))),
-        window="full",
+    return LevelMotionSeries(e_hat=e_hat, delta=delta, delta_rms=float(np.sqrt(np.mean(delta**2))))
+
+
+def level_motion(spectrum: Spectrum, model: SmoothModel) -> LevelMotionSeries:
+    """Deviation of the staircase from the smooth model at every level."""
+    return _motion_series(
+        spectrum,
+        (spectrum.eigenvalues - model.centroid) / model.width,
+        smooth_distribution_values(model, spectrum.eigenvalues),
     )
 
 
@@ -198,23 +201,11 @@ def decompose_member(
     if any(o < MIN_ORDER for o in orders):
         raise ValueError("orders must be >= 2")
     prep = prepare_spectrum(spectrum, q, max_order=max(max(orders), 3))
-    exact = staircase(spectrum)
-    d = spectrum.dimension
     models, series, smooth_values = {}, {}, {}
     for order in sorted(set(orders)):
         model = fit_prepared(prep, order)
-        smooth = d * prep.cdf.copy()
-        for j, n in enumerate(range(3, order + 1)):
-            smooth += (
-                d * model.coefficients[j] / qhermite.qfactorial(n, prep.q) * prep.corrections[n]
-            )
-        delta = exact - smooth
+        smooth = _smooth_values(model, prep.cdf, prep.corrections)
         models[order] = model
         smooth_values[order] = smooth
-        series[order] = LevelMotionSeries(
-            e_hat=prep.e_hat,
-            delta=delta,
-            delta_rms=float(np.sqrt(np.mean(delta**2))),
-            window="full",
-        )
+        series[order] = _motion_series(spectrum, prep.e_hat, smooth)
     return MemberDecomposition(q=prep.q, models=models, series=series, smooth=smooth_values)

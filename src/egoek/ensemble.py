@@ -15,6 +15,7 @@ import numpy as np
 
 from .fock import (
     Statistics,
+    _boson_attach,
     _fermion_attach,
     dimension,
     enumerate_basis,
@@ -76,6 +77,35 @@ class EnsembleSpec:
     @property
     def kbme_count(self) -> int:
         return kbme_count(self.n_sites, self.k, self.statistics)
+
+    def to_dict(self) -> dict:
+        """JSON-ready form, keyed as in archive headers and run configurations."""
+        return {
+            "statistics": self.statistics.value,
+            "m": self.m,
+            "N": self.n_sites,
+            "k": self.k,
+            "members": self.members,
+            "master_seed": self.master_seed,
+            "nu2": self.nu2,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> EnsembleSpec:
+        """Inverse of ``to_dict``; every key is required.
+
+        Raises KeyError, TypeError, ValueError or OverflowError on a missing,
+        mistyped or out-of-range field.
+        """
+        return cls(
+            statistics=Statistics(data["statistics"]),
+            m=int(data["m"]),
+            n_sites=int(data["N"]),
+            k=int(data["k"]),
+            members=int(data["members"]),
+            master_seed=int(data["master_seed"]),
+            nu2=float(data["nu2"]),
+        )
 
 
 @dataclass(frozen=True)
@@ -172,12 +202,8 @@ def build_embedding_plan(
                 g_idx.append(g)
                 weights.append(float(sign))
             else:
-                occ = list(inter.occupations)
-                norm_sq = 1
-                for v, nu in kcfg.multiplicities().items():
-                    norm_sq *= math.comb(occ[v] + nu, nu)
-                    occ[v] += nu
-                a_idx.append(index[tuple(occ)])
+                norm_sq, occ = _boson_attach(inter.occupations, kcfg)
+                a_idx.append(index[occ])
                 g_idx.append(g)
                 weights.append(math.sqrt(norm_sq))
         if a_idx:

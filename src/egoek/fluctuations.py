@@ -140,16 +140,6 @@ def nnsd(
     )
 
 
-def goe_delta3(lengths) -> np.ndarray:
-    """Large-L asymptote of the GOE rigidity, (ln(2 pi L) + gamma - 5/4 - pi^2/8) / pi^2.
-
-    Only the L -> infinity limit of ``goe_delta3_exact``: it gives 0.0633
-    against the GOE value 0.1024 at L=2, and it is negative below L ~ 1.07.
-    """
-    L = np.asarray(lengths, dtype=float)
-    return (np.log(2.0 * math.pi * L) + np.euler_gamma - 1.25 - math.pi**2 / 8.0) / math.pi**2
-
-
 def _goe_cluster_y2(r: np.ndarray) -> np.ndarray:
     """GOE two-level cluster function Y2(r) = s^2 + s'(1/2 - Si(pi r)/pi), s = sinc."""
     s = np.sinc(r)
@@ -206,8 +196,6 @@ def _delta3_member(levels: np.ndarray, length: float, window_step: float) -> flo
     """
     span = levels[-1] - levels[0]
     n_windows = int(math.floor((span - length) / window_step)) + 1
-    if n_windows < 1:
-        raise ValueError(f"window length {length} exceeds retained span {span:.1f}")
     starts = levels[0] + window_step * np.arange(n_windows)
 
     prefix_e = np.concatenate(([0.0], np.cumsum(levels)))
@@ -245,6 +233,10 @@ def delta3(
     """
     if not ensemble:
         raise ValueError("need at least one unfolded spectrum")
+    longest = float(l_step * (l_max // l_step))
+    span = min(u.levels[-1] - u.levels[0] for u in ensemble)
+    if longest > span:
+        raise ValueError(f"window length {longest} exceeds retained span {span:.1f}")
     lengths = np.arange(l_step, l_max + 1, l_step, dtype=float)
     values = np.empty(len(lengths))
     for i, L in enumerate(lengths):

@@ -194,6 +194,17 @@ def _fermion_attach(mask: int, labels: tuple[int, ...]) -> tuple[int, int] | Non
     return sign, mask
 
 
+def _boson_attach(occupations: tuple[int, ...], kcfg: KConfig) -> tuple[int, tuple[int, ...]]:
+    # Squared amplitude and target occupations of the normalized k-fold
+    # creator: (1/sqrt(nu!)) * sqrt((s+nu)!/s!) == sqrt(C(s+nu, nu)) per site.
+    occ = list(occupations)
+    norm_sq = 1
+    for v, nu in kcfg.multiplicities().items():
+        norm_sq *= math.comb(occ[v] + nu, nu)
+        occ[v] += nu
+    return norm_sq, tuple(occ)
+
+
 def detach_amplitude(
     source: OccupationConfig, kcfg: KConfig
 ) -> tuple[float, OccupationConfig] | None:
@@ -230,13 +241,8 @@ def attach_amplitude(
             return None
         sign, mask = res
         return float(sign), _config_from_mask(mask, base.n_sites)
-    occ = list(base.occupations)
-    norm_sq = 1
-    for v, nu in kcfg.multiplicities().items():
-        # (1/sqrt(nu!)) * sqrt((s+nu)!/s!) == sqrt(C(s+nu, nu))
-        norm_sq *= math.comb(occ[v] + nu, nu)
-        occ[v] += nu
-    return math.sqrt(norm_sq), OccupationConfig(Statistics.BOSON, tuple(occ))
+    norm_sq, occ = _boson_attach(base.occupations, kcfg)
+    return math.sqrt(norm_sq), OccupationConfig(Statistics.BOSON, occ)
 
 
 def transition_amplitude(

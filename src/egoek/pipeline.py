@@ -103,19 +103,20 @@ def periodograms_by_order(
 
 def unfolded_ensemble(
     archive: SpectrumArchive,
-    order: int | None = None,
+    analyses: list[MemberAnalysis],
     trim: float = 0.10,
 ) -> list[fl.UnfoldedSpectrum]:
-    """Unfold every member at the policy order (or an explicit one)."""
+    """Unfold every member with its fitted model at the policy order.
+
+    ``analyses`` come from ``decompose_archive`` and must include the order
+    ``fluctuations.unfolding_order`` picks for the archive's system.
+    """
     spec = archive.spec
-    if order is None:
-        order = fl.unfolding_order(spec.statistics, spec.k)
-    unfolded = []
-    for spectrum in archive_spectra(archive):
-        q = moments(spectrum).q_est
-        model = dc.fit_smooth_model(spectrum, q, order)
-        unfolded.append(fl.unfold(spectrum, model, trim=trim))
-    return unfolded
+    order = fl.unfolding_order(spec.statistics, spec.k)
+    return [
+        fl.unfold(spectrum, analysis.decomposition.models[order], trim=trim)
+        for spectrum, analysis in zip(archive_spectra(archive), analyses, strict=True)
+    ]
 
 
 @dataclass(frozen=True)

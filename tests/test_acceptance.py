@@ -350,10 +350,10 @@ def test_criterion_6_periodogram_thresholds(decompositions):
     assert not failures, "white-noise false-alarm convention cannot meet the thresholds"
 
 
-def test_criterion_7_goe_fluctuations(archives):
+def test_criterion_7_goe_fluctuations(archives, decompositions):
     sigma_ok, l1_ok, every_l_ok, endpoint_ok = True, True, True, True
     for (stat, k), archive in archives.items():
-        unfolded = unfolded_ensemble(archive)
+        unfolded = unfolded_ensemble(archive, decompositions[(stat, k)])
         hist = fl.nnsd(unfolded)
         width = hist.bin_edges[1] - hist.bin_edges[0]
         l1_wigner = float(np.sum(np.abs(hist.density - hist.wigner)) * width)

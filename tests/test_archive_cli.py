@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -68,6 +70,43 @@ class TestArchiveRoundTrip:
         assert len(payload["members"][0]["eigenvalues"]) == 20
 
 
+def _with_header(data: bytes, edit) -> bytes:
+    """Archive bytes with the JSON header replaced by ``edit(header)``."""
+    (length,) = struct.unpack("<I", data[8:12])
+    header = json.dumps(edit(json.loads(data[12 : 12 + length]))).encode()
+    return data[:8] + struct.pack("<I", len(header)) + header + data[12 + length :]
+
+
+HOSTILE_ARCHIVES = {
+    "magic_only": lambda data: data[:8],
+    "short_length_field": lambda data: data[:10],
+    "header_without_nu2": lambda data: _with_header(
+        data, lambda h: {key: v for key, v in h.items() if key != "nu2"}
+    ),
+    "string_m": lambda data: _with_header(data, lambda h: {**h, "m": "2"}),
+    "list_header": lambda data: _with_header(data, lambda h: [h]),
+    "infinite_members": lambda data: _with_header(data, lambda h: {**h, "members": math.inf}),
+    # d = C(60, 30) ~ 1.2e17: reading one record would need ~1 EB.
+    "crafted_dimension": lambda data: _with_header(
+        data, lambda h: {**h, "m": 30, "N": 60, "members": 1, "dimension": math.comb(60, 30)}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_ARCHIVES))
+def test_hostile_archive_ends_in_one_error_line(case, tmp_path, capsys):
+    good = tmp_path / "good.egoearc"
+    write_archive(good, generate_archive(SMALL))
+    path = tmp_path / "hostile.egoearc"
+    path.write_bytes(HOSTILE_ARCHIVES[case](good.read_bytes()))
+    with pytest.raises(ArchiveFormatError):
+        read_archive(path)
+    capsys.readouterr()
+    assert main(["decompose", "--archive", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 class TestRunConfig:
     def test_defaults_and_validation(self):
         config = config_from_dict(
@@ -80,6 +119,9 @@ class TestRunConfig:
                               "analysis": {"orders": [7]}})
         with pytest.raises(ConfigError):
             config_from_dict({})
+        with pytest.raises(ConfigError):
+            config_from_dict({"ensemble": {"statistics": "fermion", "m": 3, "N": 6, "k": 2,
+                                           "members": math.inf}})
 
     def test_load_and_roundtrip(self, tmp_path):
         payload = {
@@ -199,6 +241,13 @@ class TestCliAnalysis:
         lines = (out / "mode_widths.csv").read_text().splitlines()
         assert lines[0] == "statistics,m,N,k,q,n,E_hat,value"
         assert len(lines) == 1 + 2 * 2 * 101
+
+    @pytest.mark.parametrize("k_list, modes", [("2,x", "2,3"), ("2,3", "2,x")],
+                             ids=["k-list", "modes"])
+    def test_analytic_malformed_list_exit_code(self, k_list, modes, tmp_path):
+        code = run_cli("analytic", "--statistics", "fermion", "-m", "10", "-N", "20",
+                       "--k-list", k_list, "--modes", modes, "--out", str(tmp_path))
+        assert code == 2
 
     def test_analytic_requires_preset_or_q(self, tmp_path):
         code = run_cli("analytic", "--statistics", "fermion", "-m", "6", "-N", "12",

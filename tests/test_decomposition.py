@@ -150,10 +150,12 @@ class TestMonotoneResidual:
         result = decompose_member(s, q, (2, 4))
         assert len(result.series[2].delta) == s.dimension
         assert len(result.series[4].e_hat) == s.dimension
-        # decompose_member agrees with the one-shot fit + level_motion path
+        # decompose_member agrees exactly with the one-shot fit + level_motion path
         model = fit_smooth_model(s, q, 4)
         direct = level_motion(s, model)
-        assert np.allclose(direct.delta, result.series[4].delta, atol=1e-9)
+        assert np.array_equal(direct.delta, result.series[4].delta)
+        assert np.array_equal(direct.e_hat, result.series[4].e_hat)
+        assert direct.delta_rms == result.series[4].delta_rms
 
 
 class TestGaussianSwitch:

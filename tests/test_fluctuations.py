@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from egoek.decomposition import SmoothModel, smooth_distribution_values
+from egoek.decomposition import SmoothModel, fit_smooth_model, smooth_distribution_values
+from egoek.ensemble import EnsembleSpec
 from egoek.fluctuations import (
     Delta3Curve,
     UnfoldedSpectrum,
     UnfoldingError,
     _delta3_member,
     delta3,
-    goe_delta3,
     goe_delta3_exact,
     nnsd,
     poisson_delta3,
@@ -20,10 +20,11 @@ from egoek.fluctuations import (
     wigner_pdf,
 )
 from egoek.fock import Statistics
+from egoek.pipeline import archive_spectra, decompose_archive, generate_archive, unfolded_ensemble
 from egoek.qhermite import support_halfwidth
-from egoek.spectra import Spectrum
+from egoek.spectra import Spectrum, moments
 
-from oracles import goe_delta3_quad
+from oracles import goe_delta3, goe_delta3_quad
 
 F = Statistics.FERMION
 B = Statistics.BOSON
@@ -80,6 +81,30 @@ class TestUnfold:
         model, spectrum = model_and_levels(0.5, 50)
         with pytest.raises(ValueError):
             unfold(spectrum, model, trim=1.2)
+
+
+class TestUnfoldedEnsemble:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            EnsembleSpec(F, m=4, n_sites=9, k=2, members=3, master_seed=5),
+            EnsembleSpec(B, m=5, n_sites=4, k=2, members=3, master_seed=6),
+        ],
+        ids=["fermion", "boson"],
+    )
+    def test_reuses_decomposition_bitwise(self, spec):
+        # The policy order (4 for these fermions, 6 for these bosons) is added
+        # to the decomposed orders, as fluct does.
+        archive = generate_archive(spec)
+        policy = unfolding_order(spec.statistics, spec.k)
+        analyses = decompose_archive(archive, (2, 3, policy))
+        unfolded = unfolded_ensemble(archive, analyses)
+        assert len(unfolded) == spec.members
+        for spectrum, got in zip(archive_spectra(archive), unfolded):
+            model = fit_smooth_model(spectrum, moments(spectrum).q_est, policy)
+            want = unfold(spectrum, model)
+            assert got.member == want.member
+            assert np.array_equal(got.levels, want.levels)
 
 
 def wigner_sample(n, rng):
@@ -181,6 +206,9 @@ class TestDelta3:
         ensemble = [UnfoldedSpectrum(levels=levels, trim=0.0)]
         with pytest.raises(ValueError):
             delta3(ensemble, l_max=60)
+        # Rejected before the length grid is allocated (4 PB at this l_max).
+        with pytest.raises(ValueError, match="exceeds retained span"):
+            delta3(ensemble, l_max=10**15)
 
     def test_curve_shape(self):
         rng = np.random.default_rng(23)
