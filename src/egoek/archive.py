@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .ensemble import EnsembleSpec
+from .fock import dimension
 
 MAGIC = b"EGOEARC1"
 FORMAT_VERSION = "1"
@@ -86,28 +87,33 @@ def read_archive(path: str | Path) -> SpectrumArchive:
             header = json.loads(fh.read(header_len).decode("utf-8"))
             spec = EnsembleSpec.from_dict(header)
             format_version = header["format_version"]
-            dimension = header["dimension"]
+            claimed = header["dimension"]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ArchiveFormatError(
                 f"{path}: malformed header ({type(exc).__name__}: {exc})"
             ) from exc
-        if dimension != spec.dimension:
+        if type(claimed) is not int or claimed < 1:
             raise ArchiveFormatError(
-                f"{path}: header dimension {dimension} inconsistent with spec"
+                f"{path}: header dimension {claimed!r} is not a positive integer"
             )
         # Checked before any record is read, so a crafted header cannot make
         # the reader allocate more than the file holds.
         record_head = struct.Struct("<IQ")
-        record_bytes = spec.members * (record_head.size + 8 * spec.dimension)
+        record_bytes = spec.members * (record_head.size + 8 * claimed)
         available = os.fstat(fh.fileno()).st_size - fh.tell()
         if available != record_bytes:
             raise ArchiveFormatError(
                 f"{path}: {available} bytes of records where the header implies {record_bytes}"
             )
+        # Past the size check the claimed dimension is bounded by the file
+        # size, and the limited binomial stops once it exceeds that, so a
+        # header with huge m and N costs about log2(dimension) steps.
+        if dimension(spec.n_sites, spec.m, spec.statistics, limit=claimed) != claimed:
+            raise ArchiveFormatError(f"{path}: header dimension {claimed} inconsistent with spec")
         records = []
         for _ in range(spec.members):
             member, seed = record_head.unpack(fh.read(record_head.size))
-            eig = np.frombuffer(fh.read(8 * spec.dimension), dtype="<f8").copy()
+            eig = np.frombuffer(fh.read(8 * claimed), dtype="<f8").copy()
             records.append(MemberRecord(member=member, seed=seed, eigenvalues=eig))
     return SpectrumArchive(spec=spec, records=tuple(records), format_version=format_version)
 

@@ -84,11 +84,15 @@ def _load_run_config(args) -> RunConfig:
                 },
             }
         )
-    ensemble = config.ensemble
-    if args.members is not None:
-        ensemble = replace(ensemble, members=args.members)
-    if args.seed is not None:
-        ensemble = replace(ensemble, master_seed=args.seed)
+    overrides = {
+        name: value
+        for name, value in (("members", args.members), ("master_seed", args.seed))
+        if value is not None
+    }
+    try:
+        ensemble = replace(config.ensemble, **overrides)
+    except ValueError as exc:
+        raise ConfigError(f"invalid ensemble override: {exc}") from exc
     return _with_overrides(config, args, ensemble)
 
 

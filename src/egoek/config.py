@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .ensemble import EnsembleSpec
+from .periodogram import MAX_OVERSAMPLE
 
 FORMAT_VERSION = "1"
 VALID_ORDERS = (2, 3, 4, 5, 6)
@@ -39,8 +40,8 @@ class RunConfig:
             raise ConfigError("bin_width must be positive")
         if not self.spacing_max > 0:
             raise ConfigError("spacing_max must be positive")
-        if self.oversample < 1:
-            raise ConfigError("oversample must be at least 1")
+        if not 1 <= self.oversample <= MAX_OVERSAMPLE:
+            raise ConfigError(f"oversample must lie in [1, {MAX_OVERSAMPLE}]")
 
     def to_dict(self) -> dict:
         return {
@@ -80,7 +81,7 @@ def config_from_dict(data: dict) -> RunConfig:
             out_dir=str(data.get("out_dir", ".")),
             format_version=str(data.get("format_version", FORMAT_VERSION)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid analysis block: {exc}") from exc

@@ -188,7 +188,6 @@ class MemberDecomposition:
     q: float
     models: dict[int, SmoothModel]
     series: dict[int, LevelMotionSeries]
-    smooth: dict[int, np.ndarray]
 
     def delta_rms(self, order: int) -> float:
         return self.series[order].delta_rms
@@ -201,11 +200,11 @@ def decompose_member(
     if any(o < MIN_ORDER for o in orders):
         raise ValueError("orders must be >= 2")
     prep = prepare_spectrum(spectrum, q, max_order=max(max(orders), 3))
-    models, series, smooth_values = {}, {}, {}
+    models, series = {}, {}
     for order in sorted(set(orders)):
         model = fit_prepared(prep, order)
-        smooth = _smooth_values(model, prep.cdf, prep.corrections)
         models[order] = model
-        smooth_values[order] = smooth
-        series[order] = _motion_series(spectrum, prep.e_hat, smooth)
-    return MemberDecomposition(q=prep.q, models=models, series=series, smooth=smooth_values)
+        series[order] = _motion_series(
+            spectrum, prep.e_hat, _smooth_values(model, prep.cdf, prep.corrections)
+        )
+    return MemberDecomposition(q=prep.q, models=models, series=series)

@@ -90,16 +90,34 @@ class KConfig:
         return mult
 
 
-def dim_fermion(n_sites: int, particles: int) -> int:
+def _binomial(n: int, j: int, limit: int | None) -> int:
+    """C(n, j), or with ``limit`` some value above ``limit`` once C(n, j) exceeds it.
+
+    The partial products C(n - j + i, i), i <= min(j, n - j), grow at least as
+    2^i, so a limited call stops within about log2(limit) steps however large
+    n is.
+    """
+    if limit is None:
+        return math.comb(n, j)
+    j = min(j, n - j)
+    value = 1
+    for i in range(1, j + 1):
+        value = value * (n - j + i) // i
+        if value > limit:
+            break
+    return value
+
+
+def dim_fermion(n_sites: int, particles: int, limit: int | None = None) -> int:
     """Number of m-fermion configurations in N single-particle states, C(N, m)."""
     if particles < 0 or n_sites < 0:
         raise FockDomainError("negative arguments")
     if particles > n_sites:
         raise FockDomainError(f"cannot place {particles} fermions in {n_sites} states")
-    return math.comb(n_sites, particles)
+    return _binomial(n_sites, particles, limit)
 
 
-def dim_boson(n_sites: int, particles: int) -> int:
+def dim_boson(n_sites: int, particles: int, limit: int | None = None) -> int:
     """Number of m-boson configurations in N single-particle states, C(N+m-1, m)."""
     if particles < 0 or n_sites < 0:
         raise FockDomainError("negative arguments")
@@ -107,13 +125,16 @@ def dim_boson(n_sites: int, particles: int) -> int:
         if particles > 0:
             raise FockDomainError("no single-particle states to hold bosons")
         return 1
-    return math.comb(n_sites + particles - 1, particles)
+    return _binomial(n_sites + particles - 1, particles, limit)
 
 
-def dimension(n_sites: int, particles: int, statistics: Statistics) -> int:
+def dimension(
+    n_sites: int, particles: int, statistics: Statistics, limit: int | None = None
+) -> int:
+    """Basis size; with ``limit``, a value above ``limit`` means only "larger than limit"."""
     if statistics is Statistics.FERMION:
-        return dim_fermion(n_sites, particles)
-    return dim_boson(n_sites, particles)
+        return dim_fermion(n_sites, particles, limit)
+    return dim_boson(n_sites, particles, limit)
 
 
 def kbme_count(n_sites: int, k: int, statistics: Statistics) -> int:

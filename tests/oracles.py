@@ -5,7 +5,8 @@ dense Jordan-Wigner matrices on the full 2^N space, boson operators live on
 the total-occupation-truncated product space, and k-body operators are formed
 by literal matrix products.  The GOE rigidity oracle integrates the
 two-level cluster function with adaptive quadrature; its large-L asymptote
-is kept here as a reference too.
+is kept here as a reference too.  The direct Lomb-Scargle form, four trig
+calls per (frequency, sample) pair, is the parity oracle of the recurrence.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import numpy as np
 from scipy import integrate, sparse, special
 
+from egoek import periodogram
 from egoek.fock import Statistics, enumerate_basis
 
 
@@ -209,3 +211,67 @@ def goe_delta3(lengths) -> np.ndarray:
     """
     L = np.asarray(lengths, dtype=float)
     return (np.log(2.0 * math.pi * L) + np.euler_gamma - 1.25 - math.pi**2 / 8.0) / math.pi**2
+
+
+def lomb_scargle_direct(
+    abscissa: np.ndarray,
+    values: np.ndarray,
+    oversample: int = periodogram.DEFAULT_OVERSAMPLE,
+    hifac: float = periodogram.DEFAULT_HIFAC,
+    convention: str = "fap",
+) -> periodogram.PeriodogramResult:
+    """Normalized Lomb-Scargle periodogram with four trig calls per (frequency, sample).
+
+    The direct form of ``periodogram.lomb_scargle`` on the same grid:
+    tan(2 w tau) = sum(sin 2 w t) / sum(cos 2 w t), and the cosine and sine
+    projections and norms are summed from cos(w t - w tau) and sin(w t - w tau).
+    """
+    t = np.asarray(abscissa, dtype=float)
+    y = np.asarray(values, dtype=float)
+    if t.shape != y.shape or t.ndim != 1:
+        raise ValueError("abscissa and values must be equal-length 1-d arrays")
+    n = len(t)
+    if n < periodogram.MIN_SAMPLES:
+        raise ValueError(f"need at least {periodogram.MIN_SAMPLES} samples")
+    if convention not in periodogram.LAMBDA_CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
+    y = y - y.mean()
+    variance = float(np.sum(y**2)) / (n - 1)
+    if variance == 0.0:
+        raise periodogram.DegenerateSeriesError("series is constant")
+
+    span = float(t.max() - t.min())
+    if span <= 0.0:
+        raise ValueError("abscissa has zero span")
+    df = 1.0 / (span * oversample)
+    n_freq = int(math.floor(0.5 * oversample * hifac * n))
+    freqs = df * np.arange(1, n_freq + 1)
+
+    chunk = 256
+    power = np.empty(n_freq)
+    for lo in range(0, n_freq, chunk):
+        omega = 2.0 * math.pi * freqs[lo : lo + chunk, None]
+        two_wt = 2.0 * omega * t[None, :]
+        tau_phase = 0.5 * np.arctan2(np.sum(np.sin(two_wt), axis=1), np.sum(np.cos(two_wt), axis=1))
+        arg = omega * t[None, :] - tau_phase[:, None]
+        cos_arg = np.cos(arg)
+        sin_arg = np.sin(arg)
+        c_proj = cos_arg @ y
+        s_proj = sin_arg @ y
+        c_norm = np.sum(cos_arg**2, axis=1)
+        s_norm = np.sum(sin_arg**2, axis=1)
+        power[lo : lo + chunk] = 0.5 / variance * (
+            c_proj**2 / c_norm + s_proj**2 / s_norm
+        )
+
+    peak_index = int(np.argmax(power))
+    peak_power = float(power[peak_index])
+    return periodogram.PeriodogramResult(
+        frequency=freqs,
+        power=power,
+        peak_frequency=float(freqs[peak_index]),
+        peak_power=peak_power,
+        significance=periodogram.significance(peak_power, n, convention),
+        n_samples=n,
+        convention=convention,
+    )

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from egoek.cli import main
 from egoek.config import ConfigError, RunConfig, config_from_dict, load_config
 from egoek.ensemble import EnsembleSpec
 from egoek.fock import Statistics
+from egoek.periodogram import MAX_OVERSAMPLE
 from egoek.pipeline import generate_archive
 
 F = Statistics.FERMION
@@ -90,6 +92,12 @@ HOSTILE_ARCHIVES = {
     "crafted_dimension": lambda data: _with_header(
         data, lambda h: {**h, "m": 30, "N": 60, "members": 1, "dimension": math.comb(60, 30)}
     ),
+    # Record bytes match the claimed d = 20, but m and N claim C(2e6, 1e6):
+    # computing that binomial in full takes tens of seconds.
+    "huge_binomial": lambda data: _with_header(
+        data, lambda h: {**h, "m": 10**6, "N": 2 * 10**6}
+    ),
+    "float_dimension": lambda data: _with_header(data, lambda h: {**h, "dimension": 20.0}),
 }
 
 
@@ -99,10 +107,12 @@ def test_hostile_archive_ends_in_one_error_line(case, tmp_path, capsys):
     write_archive(good, generate_archive(SMALL))
     path = tmp_path / "hostile.egoearc"
     path.write_bytes(HOSTILE_ARCHIVES[case](good.read_bytes()))
+    start = time.perf_counter()
     with pytest.raises(ArchiveFormatError):
         read_archive(path)
     capsys.readouterr()
     assert main(["decompose", "--archive", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
 
@@ -122,6 +132,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"ensemble": {"statistics": "fermion", "m": 3, "N": 6, "k": 2,
                                            "members": math.inf}})
+
+    @pytest.mark.parametrize("oversample", [0, MAX_OVERSAMPLE + 1, 10**12, math.inf])
+    def test_oversample_bounds(self, oversample):
+        ensemble = {"statistics": "fermion", "m": 3, "N": 6, "k": 2}
+        with pytest.raises(ConfigError):
+            config_from_dict({"ensemble": ensemble, "analysis": {"oversample": oversample}})
+        config = config_from_dict({"ensemble": ensemble,
+                                   "analysis": {"oversample": MAX_OVERSAMPLE}})
+        assert config.oversample == MAX_OVERSAMPLE
 
     def test_load_and_roundtrip(self, tmp_path):
         payload = {
@@ -192,6 +211,14 @@ class TestCliGenerate:
 
     def test_missing_ensemble_flags(self, tmp_path):
         assert run_cli("generate", "--out", str(tmp_path)) == 2
+
+    def test_invalid_member_override_exit_code(self, tmp_path, capsys):
+        # The same domain error as "members": 0 in a config file: exit 2.
+        capsys.readouterr()
+        assert run_cli("generate", "--statistics", "fermion", "-m", "3", "-N", "6",
+                       "-k", "2", "--members", "0", "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
 
 @pytest.fixture(scope="module")

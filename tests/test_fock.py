@@ -14,6 +14,7 @@ from egoek.fock import (
     detach_amplitude,
     dim_boson,
     dim_fermion,
+    dimension,
     enumerate_basis,
     enumerate_kconfigs,
     kbme_count,
@@ -58,6 +59,18 @@ class TestDimensions:
             dim_boson(0, 3)
         with pytest.raises(FockDomainError):
             dim_boson(3, -2)
+
+    @pytest.mark.parametrize("limit", [1, 923, 924, 10**6])
+    def test_limited_dimension(self, limit):
+        # Exact up to the limit; above it, only "larger than limit".
+        for stat, (n, m) in ((F, (12, 6)), (B, (7, 6))):
+            exact = dimension(n, m, stat)
+            limited = dimension(n, m, stat, limit=limit)
+            if exact <= limit:
+                assert limited == exact
+            else:
+                assert limited > limit
+        assert dim_fermion(2 * 10**6, 10**6, limit=10**6) > 10**6
 
 
 class TestKbmeCount:

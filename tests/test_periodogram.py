@@ -1,7 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from egoek.periodogram import (
+    MAX_OVERSAMPLE,
     DegenerateSeriesError,
     PeriodogramResult,
     lomb_scargle,
@@ -9,9 +15,87 @@ from egoek.periodogram import (
     significance,
 )
 
+from oracles import lomb_scargle_direct
+
 
 def sample_abscissa(n, rng, span=3.4):
     return np.sort(rng.uniform(-span / 2, span / 2, n))
+
+
+def red_series(n, seed):
+    """Uneven abscissa and a random-walk series, long-wavelength like level motion."""
+    rng = np.random.default_rng(seed)
+    return sample_abscissa(n, rng), np.cumsum(rng.standard_normal(n))
+
+
+@functools.lru_cache(maxsize=None)
+def direct_full_grid(n, oversample):
+    return lomb_scargle_direct(*red_series(n, n), oversample=oversample, hifac=1.0)
+
+
+class TestDirectFormParity:
+    @pytest.mark.parametrize("hifac", [0.5, 1.0])
+    @pytest.mark.parametrize("oversample", [1, 4, MAX_OVERSAMPLE])
+    @pytest.mark.parametrize("n", [16, 832, 4096])
+    def test_matches_direct_form(self, n, oversample, hifac):
+        got = lomb_scargle(*red_series(n, n), oversample=oversample, hifac=hifac)
+        # The hifac=0.5 grid is the first half of the hifac=1 grid, and the
+        # direct form treats each frequency on its own, so one oracle call
+        # per (n, oversample) serves both.
+        ref = direct_full_grid(n, oversample)
+        size = len(got.frequency)
+        assert size == int(0.5 * oversample * hifac * n)
+        assert np.array_equal(got.frequency, ref.frequency[:size])
+        ref_power = ref.power[:size]
+        peak = int(np.argmax(ref_power))
+        assert np.max(np.abs(got.power - ref_power)) <= 1e-9 * ref_power[peak]
+        assert int(np.argmax(got.power)) == peak
+        assert got.peak_frequency == ref.frequency[peak]
+        ref_significance = significance(float(ref_power[peak]), n)
+        assert f"{got.significance:6.2f}" == f"{ref_significance:6.2f}"
+        assert got.significance == pytest.approx(ref_significance, rel=1e-9)
+
+    def test_even_sampling_nyquist_is_finite(self):
+        # At the Nyquist frequency of an even sampling every sample sits on a
+        # node of the sine, so its norm vanishes; the sine term then adds 0.
+        rng = np.random.default_rng(8)
+        for n, oversample in ((16, 4), (64, 4), (65, 1)):
+            r = lomb_scargle(np.linspace(-1.0, 1.0, n), rng.standard_normal(n), oversample)
+            assert np.all(np.isfinite(r.power)) and np.all(r.power >= 0.0)
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(16, 400),
+        scale=st.floats(0.01, 100.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        offset=st.floats(-100.0, 100.0),
+        shift=st.floats(-10.0, 10.0),
+    )
+    def test_affine_invariance(self, seed, n, scale, sign, offset, shift):
+        t, y = red_series(n, seed)
+        base = lomb_scargle(t, y)
+        moved = lomb_scargle(t + shift, sign * scale * y + offset)
+        np.testing.assert_allclose(moved.frequency, base.frequency, rtol=1e-12, atol=0.0)
+        assert np.max(np.abs(moved.power - base.power)) <= 1e-9 * base.peak_power
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.integers(16, 80).flatmap(
+            lambda n: st.tuples(
+                arrays(np.float64, n, elements=st.floats(-10.0, 10.0)),
+                arrays(np.float64, n, elements=st.floats(-1e3, 1e3)),
+            )
+        ),
+        oversample=st.integers(1, 8),
+    )
+    def test_power_nonnegative_and_finite(self, data, oversample):
+        t, y = data
+        assume(np.ptp(t) > 1e-3 and np.std(y) > 1e-3)
+        r = lomb_scargle(t, y, oversample=oversample)
+        assert np.all(np.isfinite(r.power)) and np.all(r.power >= 0.0)
 
 
 class TestLombScargle:
@@ -85,6 +169,10 @@ class TestSignificance:
             assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_fap_limits(self):
+        assert significance(0.0, 832, "fap") == 0.0
+        assert significance(1e-60, 16, "fap") == 0.0
+        assert significance(0.5, 1, "fap") == pytest.approx(100.0 * (1.0 - np.exp(-0.5)))
+        assert significance(0.8, 1, "fap") == pytest.approx(100.0 * (1.0 - np.exp(-0.8)))
         assert significance(0.01, 832, "fap") < 1.0
         assert significance(60.0, 832, "fap") > 99.999
         assert significance(1000.0, 832, "fap") == pytest.approx(100.0, abs=1e-9)
