@@ -8,18 +8,18 @@ byte-identical regardless of --threads.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import analytic, archive as arc, fluctuations as fl, periodogram as pg, pipeline
 from .config import ConfigError, RunConfig, config_from_dict, load_config
-from .ensemble import EnsembleSpec
+from .ensemble import DenseMemoryError, EnsembleSpec, check_dense_size
 from .fock import Statistics
 
 ARCHIVE_NAME = "spectra.egoearc"
@@ -107,11 +107,24 @@ def _out_dir(config: RunConfig) -> Path:
     return out
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def write_table(path: Path, header: list[str], blocks, fmt: str = "%.12g") -> None:
+    """Write a CSV table with ``\r\n`` line ends, one block of rows at a time.
+
+    Each block is ``(fixed, columns)``: its rows start with the constant
+    ``fixed`` fields, then hold one value of each column in the %-format
+    ``fmt``.  A block is formatted by a single ``%`` operation.  No field
+    needs quoting: the fixed fields are integers, names and formatted numbers.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(_block_text(fixed, columns, fmt) for fixed, columns in blocks)
+
+
+def _block_text(fixed, columns, fmt: str) -> str:
+    lead = "".join(f"{field}," for field in fixed).replace("%", "%%")
+    values = [np.asarray(column).tolist() for column in columns]
+    row = lead + ",".join([fmt] * len(values)) + "\r\n"
+    return (row * len(values[0])) % tuple(chain.from_iterable(zip(*values)))
 
 
 def _write_json(path: Path, payload: dict, config: RunConfig) -> None:
@@ -142,13 +155,12 @@ def cmd_decompose(args) -> None:
     out = _out_dir(config)
     analyses = pipeline.decompose_archive(archive, config.orders, threads=_threads(args))
 
-    rows = []
-    for analysis in analyses:
-        for order in config.orders:
-            series = analysis.decomposition.series[order]
-            for e_hat, delta in zip(series.e_hat, series.delta):
-                rows.append([analysis.member, order, f"{e_hat:.12g}", f"{delta:.12g}"])
-    _write_csv(out / "delta_series.csv", ["member", "order", "E_hat", "delta"], rows)
+    series = ((a.member, o, a.decomposition.series[o]) for a in analyses for o in config.orders)
+    write_table(
+        out / "delta_series.csv",
+        ["member", "order", "E_hat", "delta"],
+        (((member, order), (s.e_hat, s.delta)) for member, order, s in series),
+    )
 
     summary = {
         "mean_delta_rms": {
@@ -184,13 +196,17 @@ def cmd_fluct(args) -> None:
         convention=args.convention,
     )
 
-    rows = []
-    for order in config.orders:
-        mean_power = np.mean([r.power for r in grouped[order]], axis=0)
-        freqs = grouped[order][0].frequency
-        for f, p in zip(freqs, mean_power):
-            rows.append([spec.k, order, f"{f:.12g}", f"{p:.12g}"])
-    _write_csv(out / "periodogram.csv", ["k", "order", "f", "P_mean"], rows)
+    write_table(
+        out / "periodogram.csv",
+        ["k", "order", "f", "P_mean"],
+        (
+            (
+                (spec.k, order),
+                (grouped[order][0].frequency, np.mean([r.power for r in grouped[order]], axis=0)),
+            )
+            for order in config.orders
+        ),
+    )
 
     report = pg.separation_report(
         {(spec.k, order): grouped[order] for order in config.orders}
@@ -198,25 +214,17 @@ def cmd_fluct(args) -> None:
 
     unfolded = pipeline.unfolded_ensemble(archive, analyses, trim=config.trim)
     hist = fl.nnsd(unfolded, bin_width=config.bin_width, s_max=config.spacing_max)
-    _write_csv(
+    write_table(
         out / "nnsd.csv",
         ["s_low", "s_high", "density", "wigner", "poisson"],
-        [
-            [f"{lo:.12g}", f"{hi:.12g}", f"{d:.12g}", f"{w:.12g}", f"{p:.12g}"]
-            for lo, hi, d, w, p in zip(
-                hist.bin_edges[:-1], hist.bin_edges[1:], hist.density, hist.wigner, hist.poisson
-            )
-        ],
+        [((), (hist.bin_edges[:-1], hist.bin_edges[1:], hist.density, hist.wigner, hist.poisson))],
     )
 
     curve = fl.delta3(unfolded, l_max=config.l_max)
-    _write_csv(
+    write_table(
         out / "delta3.csv",
         ["L", "delta3", "goe", "poisson"],
-        [
-            [f"{L:.12g}", f"{v:.12g}", f"{g:.12g}", f"{p:.12g}"]
-            for L, v, g, p in zip(curve.lengths, curve.values, curve.goe, curve.poisson)
-        ],
+        [((), (curve.lengths, curve.values, curve.goe, curve.poisson))],
     )
 
     summary = {
@@ -246,7 +254,7 @@ def cmd_analytic(args) -> None:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
 
-    rows = []
+    blocks = []
     for k in ks:
         if args.q is not None:
             q = args.q
@@ -261,23 +269,12 @@ def cmd_analytic(args) -> None:
         grid = np.linspace(-half, half, args.grid_points)
         for n in modes:
             curve = analytic.mode_width_curve(statistics, args.m, args.N, k, q, n, grid)
-            for e_hat, value in zip(curve.grid, curve.values):
-                rows.append(
-                    [
-                        statistics.value,
-                        args.m,
-                        args.N,
-                        k,
-                        f"{q:.12g}",
-                        n,
-                        f"{e_hat:.12g}",
-                        f"{value:.12g}",
-                    ]
-                )
-    _write_csv(
+            fixed = (statistics.value, args.m, args.N, k, f"{q:.12g}", n)
+            blocks.append((fixed, (curve.grid, curve.values)))
+    write_table(
         out / "mode_widths.csv",
         ["statistics", "m", "N", "k", "q", "n", "E_hat", "value"],
-        rows,
+        blocks,
     )
     print(f"wrote {out / 'mode_widths.csv'}")
 
@@ -296,42 +293,30 @@ def cmd_table1(args) -> None:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
 
-    rows = []
-    summaries = []
-    for statistics, m, n_sites, k in grid:
-        spec = EnsembleSpec(
-            statistics=Statistics(statistics),
-            m=m,
-            n_sites=n_sites,
-            k=k,
-            members=members,
-            master_seed=seed,
-        )
-        archive = pipeline.generate_archive(spec, threads=_threads(args))
-        summary = pipeline.moment_summary(archive)
+    specs = [
+        EnsembleSpec(Statistics(stat), m, n_sites, k, members=members, master_seed=seed)
+        for stat, m, n_sites, k in grid
+    ]
+    for spec in specs:  # reject an oversized system before any is generated
+        check_dense_size(spec)
+
+    blocks, summaries = [], []
+    for spec in specs:
+        summary = pipeline.moment_summary(pipeline.generate_archive(spec, threads=_threads(args)))
         summaries.append(summary.__dict__)
-        rows.append(
-            [
-                summary.statistics,
-                summary.m,
-                summary.n_sites,
-                summary.k,
-                summary.members,
-                f"{summary.gamma1_mean:.6f}",
-                f"{summary.gamma1_se:.6f}",
-                f"{summary.gamma2_mean:.6f}",
-                f"{summary.gamma2_se:.6f}",
-                f"{summary.q_mean:.6f}",
-            ]
-        )
+        fixed = (summary.statistics, summary.m, summary.n_sites, summary.k, summary.members)
+        shape = (summary.gamma1_mean, summary.gamma1_se, summary.gamma2_mean,
+                 summary.gamma2_se, summary.q_mean)
+        blocks.append((fixed, [[value] for value in shape]))
         print(
-            f"{summary.statistics} m={m} N={n_sites} k={k}: "
+            f"{summary.statistics} m={summary.m} N={summary.n_sites} k={summary.k}: "
             f"gamma1={summary.gamma1_mean:+.4f} gamma2={summary.gamma2_mean:+.4f}"
         )
-    _write_csv(
+    write_table(
         out / "table1.csv",
         ["statistics", "m", "N", "k", "members", "gamma1", "gamma1_se", "gamma2", "gamma2_se", "q"],
-        rows,
+        blocks,
+        fmt="%.6f",
     )
     payload = {
         "format_version": "1",
@@ -411,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DenseMemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, OSError) as exc:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .ensemble import EnsembleSpec
-from .periodogram import MAX_OVERSAMPLE
+from .periodogram import MIN_SAMPLES, grid_size
 
 FORMAT_VERSION = "1"
 VALID_ORDERS = (2, 3, 4, 5, 6)
@@ -40,8 +40,10 @@ class RunConfig:
             raise ConfigError("bin_width must be positive")
         if not self.spacing_max > 0:
             raise ConfigError("spacing_max must be positive")
-        if not 1 <= self.oversample <= MAX_OVERSAMPLE:
-            raise ConfigError(f"oversample must lie in [1, {MAX_OVERSAMPLE}]")
+        try:
+            grid_size(MIN_SAMPLES, self.oversample)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
         return {

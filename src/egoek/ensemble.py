@@ -23,8 +23,15 @@ from .fock import (
     kbme_count,
 )
 
+#: Largest basis whose dense float64 Hamiltonian is built (d x d: 2 GiB here).
+MAX_DENSE_DIMENSION = 16_384
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+
+class DenseMemoryError(ValueError):
+    """The m-particle basis is too large for a dense Hamiltonian."""
 
 
 def splitmix64(value: int) -> int:
@@ -244,6 +251,21 @@ def embed(kmat: KBodyMatrix, spec: EnsembleSpec) -> EmbeddedHamiltonian:
         block = v[np.ix_(g_idx, g_idx)] * w[:, None] * w[None, :]
         ham[np.ix_(a_idx, a_idx)] += block
     return EmbeddedHamiltonian(matrix=ham, spec=spec, member=kmat.member)
+
+
+def check_dense_size(spec: EnsembleSpec) -> None:
+    """Reject a system whose dense Hamiltonian exceeds MAX_DENSE_DIMENSION rows.
+
+    Only the dimension is computed, stopping early once it passes the bound,
+    so the check costs nothing however large the system is.
+    """
+    limit = MAX_DENSE_DIMENSION
+    if dimension(spec.n_sites, spec.m, spec.statistics, limit=limit) > limit:
+        gib = limit * limit * 8 / 2**30
+        raise DenseMemoryError(
+            f"{spec.statistics.value} m={spec.m} N={spec.n_sites} has more than {limit} "
+            f"basis states; its dense Hamiltonian would need over {gib:g} GiB"
+        )
 
 
 def build_member(spec: EnsembleSpec, member: int) -> EmbeddedHamiltonian:

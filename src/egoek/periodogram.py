@@ -8,6 +8,7 @@ the peak power and a percentage significance parameter.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -82,6 +83,7 @@ def lomb_scargle(
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
     if convention not in LAMBDA_CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
+    n_freq = grid_size(n, oversample, hifac)
     y = y - y.mean()
     variance = float(np.sum(y**2)) / (n - 1)
     if variance == 0.0:
@@ -91,7 +93,6 @@ def lomb_scargle(
     if span <= 0.0:
         raise ValueError("abscissa has zero span")
     df = 1.0 / (span * oversample)
-    n_freq = int(math.floor(0.5 * oversample * hifac * n))
     freqs = df * np.arange(1, n_freq + 1)
 
     # On the uniform grid the phasor exp(i w t) at w = w_lo + j dw is the table
@@ -136,6 +137,29 @@ def lomb_scargle(
         n_samples=n,
         convention=convention,
     )
+
+
+def grid_size(
+    n_samples: int, oversample: int = DEFAULT_OVERSAMPLE, hifac: float = DEFAULT_HIFAC
+) -> int:
+    """Number of frequencies on the grid; ValueError unless the grid is usable.
+
+    ``oversample`` must be an integer in [1, MAX_OVERSAMPLE] and ``hifac``
+    finite and positive, and together they must leave at least one frequency.
+    """
+    if not isinstance(oversample, numbers.Integral) or not 1 <= oversample <= MAX_OVERSAMPLE:
+        raise ValueError(
+            f"oversample must be an integer in [1, {MAX_OVERSAMPLE}], got {oversample!r}"
+        )
+    if not (math.isfinite(hifac) and hifac > 0.0):
+        raise ValueError(f"hifac must be finite and positive, got {hifac!r}")
+    n_freq = int(math.floor(0.5 * oversample * hifac * n_samples))
+    if n_freq < 1:
+        raise ValueError(
+            f"oversample={oversample} and hifac={hifac!r} leave no frequency "
+            f"for {n_samples} samples"
+        )
+    return n_freq
 
 
 def significance(peak_power: float, n_samples: int, convention: str = "fap") -> float:

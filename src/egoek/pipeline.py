@@ -16,7 +16,7 @@ from . import decomposition as dc
 from . import fluctuations as fl
 from . import periodogram as pg
 from .archive import MemberRecord, SpectrumArchive
-from .ensemble import EnsembleSpec, build_member, member_seed
+from .ensemble import EnsembleSpec, build_member, check_dense_size, member_seed
 from .spectra import Spectrum, eigenvalues, moments
 
 
@@ -33,6 +33,7 @@ def generate_archive(spec: EnsembleSpec, threads: int = 1) -> SpectrumArchive:
     """Build and diagonalize every member, in member order regardless of threads."""
     if threads < 1:
         raise ValueError("threads must be at least 1")
+    check_dense_size(spec)
     indices = range(spec.members)
     if threads == 1:
         records = [_member_record(spec, i) for i in indices]

@@ -7,10 +7,14 @@ by literal matrix products.  The GOE rigidity oracle integrates the
 two-level cluster function with adaptive quadrature; its large-L asymptote
 is kept here as a reference too.  The direct Lomb-Scargle form, four trig
 calls per (frequency, sample) pair, is the parity oracle of the recurrence.
+The per-row CSV writer (``csv.writer`` over f-string fields) and the row
+builders of every table are the byte-parity oracle of the block writer.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -275,3 +279,85 @@ def lomb_scargle_direct(
         n_samples=n,
         convention=convention,
     )
+
+
+def csv_table(header, rows) -> bytes:
+    """Bytes of a header and rows written by ``csv.writer`` (excel dialect)."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode()
+
+
+def delta_series_rows(analyses, orders) -> list[list]:
+    rows = []
+    for analysis in analyses:
+        for order in orders:
+            series = analysis.decomposition.series[order]
+            for e_hat, delta in zip(series.e_hat, series.delta):
+                rows.append([analysis.member, order, f"{e_hat:.12g}", f"{delta:.12g}"])
+    return rows
+
+
+def periodogram_rows(k, grouped, orders) -> list[list]:
+    rows = []
+    for order in orders:
+        mean_power = np.mean([r.power for r in grouped[order]], axis=0)
+        freqs = grouped[order][0].frequency
+        for f, p in zip(freqs, mean_power):
+            rows.append([k, order, f"{f:.12g}", f"{p:.12g}"])
+    return rows
+
+
+def nnsd_rows(hist) -> list[list]:
+    return [
+        [f"{lo:.12g}", f"{hi:.12g}", f"{d:.12g}", f"{w:.12g}", f"{p:.12g}"]
+        for lo, hi, d, w, p in zip(
+            hist.bin_edges[:-1], hist.bin_edges[1:], hist.density, hist.wigner, hist.poisson
+        )
+    ]
+
+
+def delta3_rows(curve) -> list[list]:
+    return [
+        [f"{L:.12g}", f"{v:.12g}", f"{g:.12g}", f"{p:.12g}"]
+        for L, v, g, p in zip(curve.lengths, curve.values, curve.goe, curve.poisson)
+    ]
+
+
+def mode_width_rows(curves) -> list[list]:
+    rows = []
+    for curve in curves:
+        for e_hat, value in zip(curve.grid, curve.values):
+            rows.append(
+                [
+                    curve.statistics.value,
+                    curve.m,
+                    curve.n_sites,
+                    curve.k,
+                    f"{curve.q:.12g}",
+                    curve.n,
+                    f"{e_hat:.12g}",
+                    f"{value:.12g}",
+                ]
+            )
+    return rows
+
+
+def table1_rows(summaries) -> list[list]:
+    return [
+        [
+            summary.statistics,
+            summary.m,
+            summary.n_sites,
+            summary.k,
+            summary.members,
+            f"{summary.gamma1_mean:.6f}",
+            f"{summary.gamma1_se:.6f}",
+            f"{summary.gamma2_mean:.6f}",
+            f"{summary.gamma2_se:.6f}",
+            f"{summary.q_mean:.6f}",
+        ]
+        for summary in summaries
+    ]

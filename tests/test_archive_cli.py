@@ -3,6 +3,7 @@ import math
 import os
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +16,15 @@ from egoek.archive import (
     read_archive,
     write_archive,
 )
+from egoek.analytic import PRESET_SYSTEMS
 from egoek.cli import main
 from egoek.config import ConfigError, RunConfig, config_from_dict, load_config
-from egoek.ensemble import EnsembleSpec
+from egoek.ensemble import (
+    MAX_DENSE_DIMENSION,
+    DenseMemoryError,
+    EnsembleSpec,
+    check_dense_size,
+)
 from egoek.fock import Statistics
 from egoek.periodogram import MAX_OVERSAMPLE
 from egoek.pipeline import generate_archive
@@ -133,7 +140,7 @@ class TestRunConfig:
             config_from_dict({"ensemble": {"statistics": "fermion", "m": 3, "N": 6, "k": 2,
                                            "members": math.inf}})
 
-    @pytest.mark.parametrize("oversample", [0, MAX_OVERSAMPLE + 1, 10**12, math.inf])
+    @pytest.mark.parametrize("oversample", [0, -1, MAX_OVERSAMPLE + 1, 10**12, math.inf])
     def test_oversample_bounds(self, oversample):
         ensemble = {"statistics": "fermion", "m": 3, "N": 6, "k": 2}
         with pytest.raises(ConfigError):
@@ -302,3 +309,54 @@ class TestDelta3WindowGuard:
         write_archive(path, generate_archive(spec))
         code = run_cli("fluct", "--archive", str(path), "--out", str(tmp_path / "out"))
         assert code == 1  # d=15 cannot host L=60 windows
+
+
+class TestDenseMemoryGuard:
+    """Systems whose d x d float64 Hamiltonian would not fit are refused up front."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the size check")
+
+    @pytest.fixture(autouse=True)
+    def no_basis(self, monkeypatch):
+        monkeypatch.setattr("egoek.ensemble.enumerate_basis", self.refuse)
+
+    @pytest.mark.parametrize("statistics", [F, Statistics.BOSON], ids=["fermion", "boson"])
+    def test_preset_systems_rejected_without_allocation(self, statistics, tmp_path, capsys):
+        m, n_sites, _ = PRESET_SYSTEMS[statistics]
+        spec = EnsembleSpec(statistics, m=m, n_sites=n_sites, k=2, members=2)
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseMemoryError, match=str(MAX_DENSE_DIMENSION)):
+                generate_archive(spec, threads=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        capsys.readouterr()
+        argv = ["generate", "--statistics", statistics.value, "-m", str(m), "-N", str(n_sites),
+                "-k", "2", "--members", "2", "--threads", "2", "--out", str(tmp_path)]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert time.perf_counter() - start < 1.0
+
+    def test_table1_checks_every_system_first(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("egoek.pipeline.generate_archive", self.refuse)
+        grid = [{"statistics": "fermion", "m": 3, "N": 6, "k": 2},
+                {"statistics": "fermion", "m": 10, "N": 20, "k": 2}]
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        capsys.readouterr()
+        assert run_cli("table1", "--grid", str(grid_path), "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "table1.csv").exists()
+
+    def test_largest_dense_system_accepted(self):
+        # Fermions m=1 in N=MAX_DENSE_DIMENSION states sit exactly on the bound.
+        check_dense_size(EnsembleSpec(F, m=1, n_sites=MAX_DENSE_DIMENSION, k=1))
+        with pytest.raises(DenseMemoryError):
+            check_dense_size(EnsembleSpec(F, m=1, n_sites=MAX_DENSE_DIMENSION + 1, k=1))

@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from egoek.periodogram import (
     MAX_OVERSAMPLE,
     DegenerateSeriesError,
     PeriodogramResult,
+    grid_size,
     lomb_scargle,
     separation_report,
     significance,
@@ -159,6 +161,31 @@ class TestLombScargle:
         t = sample_abscissa(64, rng)
         with pytest.raises(ValueError):
             lomb_scargle(t, rng.standard_normal(64), convention="bogus")
+
+
+class TestGridValidation:
+    @pytest.mark.parametrize("oversample", [0, -1, MAX_OVERSAMPLE + 1, math.nan, math.inf, 4.0])
+    def test_bad_oversample(self, oversample):
+        t = sample_abscissa(64, np.random.default_rng(8))
+        with pytest.raises(ValueError, match="oversample must be an integer"):
+            lomb_scargle(t, np.cos(3.0 * t), oversample=oversample)
+
+    @pytest.mark.parametrize("hifac", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_hifac(self, hifac):
+        t = sample_abscissa(64, np.random.default_rng(8))
+        with pytest.raises(ValueError, match="hifac must be finite and positive"):
+            lomb_scargle(t, np.cos(3.0 * t), hifac=hifac)
+
+    def test_grid_without_frequency(self):
+        t = sample_abscissa(16, np.random.default_rng(8))
+        # 0.5 * 1 * 0.1 * 16 = 0.8 rounds down to no frequency at all.
+        with pytest.raises(ValueError, match="leave no frequency"):
+            lomb_scargle(t, np.cos(3.0 * t), oversample=1, hifac=0.1)
+        assert grid_size(16, 1, 0.125) == 1
+
+    @pytest.mark.parametrize("oversample", [1, np.int64(4), MAX_OVERSAMPLE])
+    def test_valid_grid_sizes(self, oversample):
+        assert grid_size(832, oversample) == int(0.5 * oversample * 832)
 
 
 class TestSignificance:
