@@ -31,7 +31,6 @@ from .qhermite import (
     fqn_cdf,
     fqn_density,
     hermite_q,
-    orthogonality_integral,
     qfactorial,
     qnumber,
     support_halfwidth,
@@ -115,7 +114,6 @@ __all__ = [
     "motion_variance_boson",
     "motion_variance_fermion",
     "nnsd",
-    "orthogonality_integral",
     "poisson_delta3",
     "preset_q",
     "qfactorial",

@@ -19,14 +19,16 @@ import numpy as np
 
 from . import analytic, archive as arc, fluctuations as fl, periodogram as pg, pipeline
 from .config import ConfigError, RunConfig, config_from_dict, load_config
+from .decomposition import goe_delta_rms
 from .ensemble import DenseMemoryError, EnsembleSpec, check_dense_size
 from .fock import Statistics
+from .qhermite import support_halfwidth
 
 ARCHIVE_NAME = "spectra.egoearc"
 
 DEFAULT_TABLE_GRID = (
-    [("fermion", 6, 12, k) for k in range(2, 7)]
-    + [("boson", 10, 5, k) for k in range(2, 11)]
+    [{"statistics": "fermion", "m": 6, "N": 12, "k": k} for k in range(2, 7)]
+    + [{"statistics": "boson", "m": 10, "N": 5, "k": k} for k in range(2, 11)]
 )
 
 
@@ -35,15 +37,20 @@ class CliError(RuntimeError):
 
 
 def _threads(args) -> int:
+    """Worker threads from --threads, else EGOE_THREADS, else 1; at least 1."""
     if args.threads is not None:
-        return args.threads
-    env = os.environ.get("EGOE_THREADS")
-    if env:
+        source, threads = "--threads", args.threads
+    else:
+        source, env = "EGOE_THREADS", os.environ.get("EGOE_THREADS")
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError as exc:
             raise ConfigError(f"EGOE_THREADS must be an integer, got {env!r}") from exc
-    return 1
+    if threads < 1:
+        raise ConfigError(f"{source} must be at least 1, got {threads}")
+    return threads
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -170,9 +177,7 @@ def cmd_decompose(args) -> None:
             for order in config.orders
         },
         "member_q": {str(a.member): a.q for a in analyses},
-        "goe_delta_rms": float(
-            np.sqrt(np.log(2.0 * archive.dimension)) / np.pi
-        ),
+        "goe_delta_rms": goe_delta_rms(archive.dimension),
     }
     _write_json(out / "decompose_summary.json", summary, config)
     print(f"wrote {out / 'delta_series.csv'} and decompose_summary.json")
@@ -251,6 +256,8 @@ def cmd_analytic(args) -> None:
     if any(n < 1 for n in modes):
         raise ConfigError("modes must be positive integers")
     ks = _parse_ints(args.k_list, "k-list")
+    if args.grid_points < 1:
+        raise ConfigError("--grid-points must be at least 1")
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
 
@@ -265,7 +272,7 @@ def cmd_analytic(args) -> None:
                 raise ConfigError(
                     f"no preset shape parameter for this system; pass --q ({exc})"
                 ) from exc
-        half = 2.0 / np.sqrt(1.0 - q) if q < 1.0 else 6.0
+        half = support_halfwidth(q) if q < 1.0 else 6.0
         grid = np.linspace(-half, half, args.grid_points)
         for n in modes:
             curve = analytic.mode_width_curve(statistics, args.m, args.N, k, q, n, grid)
@@ -280,23 +287,27 @@ def cmd_analytic(args) -> None:
 
 
 def cmd_table1(args) -> None:
+    grid = DEFAULT_TABLE_GRID
     if args.grid:
         try:
-            grid_spec = json.loads(Path(args.grid).read_text())
+            grid = json.loads(Path(args.grid).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read grid file: {exc}") from exc
-        grid = [(g["statistics"], g["m"], g["N"], g["k"]) for g in grid_spec]
-    else:
-        grid = DEFAULT_TABLE_GRID
     members = args.members if args.members is not None else 50
     seed = args.seed if args.seed is not None else 0
     out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
 
-    specs = [
-        EnsembleSpec(Statistics(stat), m, n_sites, k, members=members, master_seed=seed)
-        for stat, m, n_sites, k in grid
-    ]
+    try:
+        specs = [
+            EnsembleSpec(Statistics(g["statistics"]), g["m"], g["N"], g["k"],
+                         members=members, master_seed=seed)
+            for g in grid
+        ]
+    except KeyError as exc:
+        raise ConfigError(f"grid entry is missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid table1 system: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
     for spec in specs:  # reject an oversized system before any is generated
         check_dense_size(spec)
 

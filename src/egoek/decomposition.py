@@ -18,9 +18,9 @@ from .spectra import Spectrum
 MIN_ORDER = 2
 
 # Members whose estimated shape parameter lands above this are fitted with the
-# exact Gaussian-limit weight: the bounded-support product form needs of order
-# 1/(1-q) factors, while the shape difference O(1-q) is far below the
-# correction terms the fit determines anyway.
+# exact Gaussian-limit weight.  The shape difference, O(1-q), is far below the
+# correction terms the fit determines anyway; the threshold stays fixed
+# because moving it would change the fits of the members it moves by that much.
 Q_GAUSSIAN_SWITCH = 0.995
 
 

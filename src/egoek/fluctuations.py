@@ -97,8 +97,9 @@ def unfold(
             f"smooth distribution not increasing between retained levels "
             f"{cut + where} and {cut + where + 1}"
         )
-    mean_spacing = (mapped[-1] - mapped[0]) / (len(mapped) - 1)
-    levels = (mapped - mapped[0]) / mean_spacing
+    # Unit mean spacing with the end points exactly 0 and len - 1, so that
+    # delta3's window count does not hinge on the last bit of the span.
+    levels = (len(mapped) - 1) * ((mapped - mapped[0]) / (mapped[-1] - mapped[0]))
     return UnfoldedSpectrum(levels=levels, trim=trim, member=spectrum.member)
 
 

@@ -3,7 +3,10 @@
 The weight interpolates between the Gaussian (q = 1) and the semicircle
 (q = 0).  All integrals are evaluated after the substitution x = x0 sin(theta),
 which removes the inverse-square-root behaviour at the support edges and turns
-every integrand into a smooth function on [-pi/2, pi/2].
+every integrand into a smooth function on [-pi/2, pi/2].  In theta the weight
+is a Jacobi theta series with Gaussian-decaying coefficients (the triple
+product of its infinite-product form), and its term-by-term integral is the
+distribution function in closed form.
 """
 
 from __future__ import annotations
@@ -12,10 +15,17 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
+# Truncation floor of the weight's theta series.
 PRODUCT_FLOOR = 1e-16
-_MAX_PRODUCT_FACTORS = 400_000
+# Largest q of the bounded-support weight, about 1 - 9.2e-5 (where its
+# infinite-product form needs 400,000 factors down to the floor); the q = 1
+# closed form applies above.
+_Q_MAX = PRODUCT_FLOOR ** (1.0 / 400_000)
+# Above this q the weight is summed in its transformed (Gaussian) form, whose
+# terms keep its relative accuracy in the tails; at or below it the direct
+# series has at most 10 terms and an edge value prod (1 - q^n)^3 >= 0.02.
+_TRANSFORM_Q = 0.5
 
 
 def qnumber(n: int, q: float) -> float:
@@ -74,30 +84,57 @@ def _hermite_table(nmax: int, x: np.ndarray, q: float) -> np.ndarray:
     return table.reshape((nmax + 1,) + x.shape) if x.shape else table[:, 0]
 
 
-def _product_factor_count(q: float) -> int:
-    if q == 0.0:
-        return 0
-    count = int(math.ceil(math.log(PRODUCT_FLOOR) / math.log(q)))
-    if count > _MAX_PRODUCT_FACTORS:
+def _check_bounded(q: float) -> None:
+    if q > _Q_MAX:
         raise ValueError(
-            f"q={q} too close to 1 for the product form; use the q=1 closed form"
+            f"q={q} too close to 1 for the bounded-support weight; use the q=1 closed form"
         )
-    return count
 
 
-def _tail_product(u: np.ndarray, q: float) -> np.ndarray:
-    """Factors i >= 1 of the weight's infinite product, truncated at 1e-16.
+def _theta_coefficients(q: float) -> np.ndarray:
+    """Theta-series coefficients t_j = q^(j(j+1)/2), j >= 0, down to PRODUCT_FLOOR."""
+    _check_bounded(q)
+    count = 1
+    while q ** (count * (count + 1) // 2) >= PRODUCT_FLOOR:
+        count += 1
+    j = np.arange(count)
+    return q ** (j * (j + 1) // 2)
 
-    ``u`` is the scaled squared coordinate 4 x^2 / x0^2, in [0, 4] on support.
-    The i = 0 factor is handled analytically by the callers.
+
+def _theta_weight(theta: np.ndarray, q: float) -> np.ndarray:
+    """Density transported to theta = arcsin(x / x0); smooth on [-pi/2, pi/2].
+
+    By the Jacobi triple product the weight's infinite product is the theta
+    series (2/pi) cos(theta) sum_j t_j cos((2j+1) theta), j >= 0.  Up to
+    _TRANSFORM_Q it is summed as (2/pi) cos^2(theta) sum_j t_j P_j with
+    P_j = cos((2j+1) theta) / cos(theta), from the Chebyshev recurrence in
+    cos(2 theta) carried in Reinsch's difference form
+    D_(j+1) = D_j - 4 sin^2(theta) P_j, whose rounding stays small near
+    theta = 0.  Above it, Poisson summation (tau = -ln q) gives
+    e^(tau/8) sqrt(2/(pi tau)) cos(theta) sum_k (-1)^k exp(-2 (theta - k pi)^2 / tau),
+    summed in pairs k = -m, m + 1 through expm1 so that each pair keeps its
+    relative accuracy up to the support edge; one or two pairs suffice.
     """
-    out = np.ones_like(u)
-    _product_factor_count(q)  # domain guard
-    qi = q
-    while qi >= PRODUCT_FLOOR:
-        out *= (1.0 - qi * q) * ((1.0 + qi) ** 2 - qi * u)
-        qi *= q
-    return out
+    theta = np.abs(np.asarray(theta, dtype=float))
+    if q <= _TRANSFORM_Q:
+        t = _theta_coefficients(q)
+        step = -4.0 * np.sin(theta) ** 2
+        diff, current = step, 1.0 + step
+        total = np.ones_like(theta)
+        for tj in t[1:]:
+            total += tj * current
+            diff = diff + step * current
+            current = current + diff
+        return 2.0 / math.pi * np.cos(theta) ** 2 * total
+    _check_bounded(q)
+    tau = -math.log(q)
+    pairs = 1 + int(math.sqrt(-math.log(PRODUCT_FLOOR) * tau / 2.0) / math.pi)
+    total = np.zeros_like(theta)
+    for m in range(pairs):
+        total -= (-1) ** m * np.exp(-2.0 * (theta + m * math.pi) ** 2 / tau) * np.expm1(
+            2.0 * math.pi * (2 * m + 1) * (2.0 * theta - math.pi) / tau
+        )
+    return math.exp(tau / 8.0) * math.sqrt(2.0 / (math.pi * tau)) * np.cos(theta) * total
 
 
 def fqn_density(x, q: float):
@@ -112,108 +149,37 @@ def fqn_density(x, q: float):
         x0 = support_halfwidth(q)
         out = np.zeros_like(arr)
         inside = np.abs(arr) < x0
-        xi = arr[inside]
-        # i = 0 factor folded in analytically: (1-q)(4-u) = (1-q)^2 (x0^2-x^2)
-        out[inside] = (
-            (1.0 - q) ** 2
-            / (2.0 * math.pi)
-            * np.sqrt(x0**2 - xi**2)
-            * _tail_product(4.0 * xi**2 / x0**2, q)
-        )
+        theta = np.arcsin(arr[inside] / x0)
+        out[inside] = _theta_weight(theta, q) / (x0 * np.cos(theta))
     return float(out[0]) if scalar else out
-
-
-def _theta_weight(theta: np.ndarray, q: float) -> np.ndarray:
-    """Density transported to theta = arcsin(x / x0); smooth on [-pi/2, pi/2]."""
-    return (
-        2.0
-        * (1.0 - q)
-        / math.pi
-        * np.cos(theta) ** 2
-        * _tail_product(4.0 * np.sin(theta) ** 2, q)
-    )
 
 
 def fqn_cdf(x: float, q: float) -> float:
     """Distribution function of the q-normal density.
 
-    Adaptive quadrature in the edge-removing angular variable, refined to an
-    absolute error estimate below 1e-9.
+    The theta series, as pi w = 1 + sum_j c_j cos(2 j theta) with
+    c_j = t_(j-1) + t_j, integrated term by term:
+    (theta + pi/2 + sum_j c_j sin(2 j theta) / (2 j)) / pi.
     """
     _check_q(q)
     if q == 1.0:
         return 0.5 * math.erfc(-x / math.sqrt(2.0))
+    t = _theta_coefficients(q)
     x0 = support_halfwidth(q)
     if x <= -x0:
         return 0.0
     if x >= x0:
         return 1.0
     theta = math.asin(x / x0)
-    val, _err = integrate.quad(
-        lambda t: float(_theta_weight(np.asarray([t]), q)[0]),
-        -math.pi / 2.0,
-        theta,
-        epsabs=1e-12,
-        epsrel=1e-12,
-        limit=200,
-    )
+    c = t + np.append(t[1:], 0.0)
+    two_j = 2.0 * np.arange(1, len(c) + 1)
+    val = (theta + 0.5 * math.pi + float(np.sum(c * np.sin(two_j * theta) / two_j))) / math.pi
     return min(max(val, 0.0), 1.0)
 
 
 @lru_cache(maxsize=8)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
-
-
-def _integrate_weighted(values, q: float) -> float:
-    """Integral of values(x) against the weight, by node-doubling Gauss-Legendre."""
-    x0 = support_halfwidth(q)
-    previous = None
-    for n_nodes in (128, 256, 512, 1024, 2048, 4096):
-        nodes, weights = _leggauss(n_nodes)
-        theta = 0.5 * math.pi * nodes
-        x = x0 * np.sin(theta)
-        total = float(
-            np.sum(weights * 0.5 * math.pi * _theta_weight(theta, q) * values(x))
-        )
-        if previous is not None and abs(total - previous) <= max(1e-13, 1e-14 * abs(total)):
-            return total
-        previous = total
-    return previous
-
-
-def orthogonality_integral(n: int, m: int, q: float) -> float:
-    """Integral of H_n H_m against the weight over its support.
-
-    Equals [n]_q! when n == m and vanishes otherwise (to quadrature accuracy).
-    Restricted to q <= 1 - 1e-3 so the support stays bounded.
-    """
-    if n < 0 or m < 0:
-        raise ValueError("orders must be non-negative")
-    if not 0.0 <= q <= 1.0 - 1e-3:
-        raise ValueError("orthogonality integrals require q in [0, 1 - 1e-3]")
-    nmax = max(n, m)
-
-    def values(x: np.ndarray) -> np.ndarray:
-        table = _hermite_table(nmax, x, q)
-        return table[n] * table[m]
-
-    return _integrate_weighted(values, q)
-
-
-def density_moment(power: int, q: float) -> float:
-    """Raw moment of the density; odd moments vanish, the fourth equals q + 2."""
-    if power < 0:
-        raise ValueError("power must be non-negative")
-    _check_q(q)
-    if q == 1.0:
-        if power % 2 == 1:
-            return 0.0
-        out = 1.0
-        for j in range(1, power, 2):
-            out *= j
-        return out
-    return _integrate_weighted(lambda x: x**power, q)
 
 
 def cumulative_weighted_integrals(

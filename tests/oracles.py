@@ -9,18 +9,25 @@ is kept here as a reference too.  The direct Lomb-Scargle form, four trig
 calls per (frequency, sample) pair, is the parity oracle of the recurrence.
 The per-row CSV writer (``csv.writer`` over f-string fields) and the row
 builders of every table are the byte-parity oracle of the block writer.
+The q-normal weight's truncated infinite product is the parity oracle of its
+theta series, and the same product at 40 digits (mpmath) is the accuracy
+oracle of the series and of its closed-form distribution function.  The
+node-doubling quadrature of moments and orthogonality integrals against the
+weight serves the q-Hermite tests.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate, sparse, special
 
-from egoek import periodogram
+from egoek import periodogram, qhermite
 from egoek.fock import Statistics, enumerate_basis
 
 
@@ -361,3 +368,161 @@ def table1_rows(summaries) -> list[list]:
         ]
         for summary in summaries
     ]
+
+
+def tail_product(u: np.ndarray, q: float) -> np.ndarray:
+    """Factors i >= 1 of the weight's infinite product, truncated at q^i < 1e-16.
+
+    ``u`` is the scaled squared coordinate 4 x^2 / x0^2, in [0, 4] on support.
+    """
+    out = np.ones_like(u)
+    qi = q
+    while qi >= 1e-16:
+        out *= (1.0 - qi * q) * ((1.0 + qi) ** 2 - qi * u)
+        qi *= q
+    return out
+
+
+def theta_weight_product(theta: np.ndarray, q: float) -> np.ndarray:
+    """Weight in theta = arcsin(x / x0) from the truncated infinite product."""
+    return (
+        2.0
+        * (1.0 - q)
+        / math.pi
+        * np.cos(theta) ** 2
+        * tail_product(4.0 * np.sin(theta) ** 2, q)
+    )
+
+
+_MP_DPS = 40
+_MP_FLOOR = mpmath.mpf("1e-45")
+
+
+def theta_weight_mp(theta, q: float) -> mpmath.mpf:
+    """Weight in theta from the explicit finite product at 40 digits.
+
+    2 (1-q)/pi cos^2(theta) prod_{i>=1} (1 - q^(i+1)) (1 + 2 q^i cos(2 theta) + q^(2i)),
+    stopped once q^i < 1e-45.  (``mpmath.qp`` does not converge on |z| = 1.)
+    """
+    with mpmath.workdps(_MP_DPS):
+        return _mp_constant_factor(q) * _mp_theta_factor(mpmath.mpf(theta), q)
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_constant_factor(q: float) -> mpmath.mpf:
+    with mpmath.workdps(_MP_DPS):
+        qm = mpmath.mpf(q)
+        out = 2 * (1 - qm) / mpmath.pi
+        qi = qm
+        while qi >= _MP_FLOOR:
+            out *= 1 - qi * qm
+            qi *= qm
+        return out
+
+
+def _mp_theta_factor(theta: mpmath.mpf, q: float) -> mpmath.mpf:
+    qm = mpmath.mpf(q)
+    two_cos = 2 * mpmath.cos(2 * theta)
+    out = mpmath.cos(theta) ** 2
+    qi = qm
+    while qi >= _MP_FLOOR:
+        out *= 1 + qi * (two_cos + qi)
+        qi *= qm
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def theta_weight_mp_fourier(q: float):
+    """The 40-digit weight on an equispaced grid and its cosine coefficients.
+
+    The weight is even and pi-periodic in theta, so the trapezoidal rule on
+    M nodes theta_k = k pi / M gives its coefficients b_j (w = sum_j b_j
+    cos 2 j theta) up to aliasing by b_(M-j).  M = 2 J + 2, where q^(j(j-1)/2)
+    falls below 1e-18 after J terms, keeps that below 1e-18.  The weight
+    decreases on [0, pi/2], since every factor of the product grows with
+    cos 2 theta, so once one node is below 1e-40 the later ones are set to 0.
+    Returns the nodes k = 0..M/2 (as mpf), the weight there, and b_0..b_(M/2-1).
+    """
+    with mpmath.workdps(_MP_DPS):
+        qm, terms = mpmath.mpf(q), 1
+        while qm ** (terms * (terms - 1) // 2) >= mpmath.mpf("1e-18"):
+            terms += 1
+        m = 2 * terms + 2
+        nodes = [mpmath.pi * k / m for k in range(m // 2 + 1)]
+        weights = []
+        for t in nodes:
+            below = weights and weights[-1] < mpmath.mpf("1e-40")
+            weights.append(mpmath.mpf(0) if below else theta_weight_mp(t, q))
+        cosines = [mpmath.cos(2 * mpmath.pi * r / m) for r in range(m)]
+        coefficients = []
+        for j in range(m // 2):
+            total = weights[0] + weights[m // 2] * cosines[(j * m // 2) % m]
+            total += 2 * mpmath.fsum(weights[k] * cosines[(j * k) % m] for k in range(1, m // 2))
+            coefficients.append(total / m * (1 if j == 0 else 2))
+        return nodes, weights, coefficients
+
+
+def fqn_cdf_mp(x: float, q: float) -> float:
+    """Distribution function by term-by-term integration of the 40-digit weight's coefficients."""
+    _nodes, _weights, b = theta_weight_mp_fourier(q)
+    with mpmath.workdps(_MP_DPS):
+        x0 = 2 / mpmath.sqrt(1 - mpmath.mpf(q))
+        theta = mpmath.asin(mpmath.mpf(x) / x0)
+        total = b[0] * (theta + mpmath.pi / 2)
+        total += mpmath.fsum(b[j] * mpmath.sin(2 * j * theta) / (2 * j) for j in range(1, len(b)))
+        return float(total)
+
+
+def _integrate_weighted(values, q: float) -> float:
+    """Integral of values(x) against the weight, by node-doubling Gauss-Legendre.
+
+    Successive rules must agree within 1e-14 of the integrand's absolute mass
+    (about the rounding level of the sum; for an orthogonal pair the total
+    itself is near 0) or within 1e-13.
+    """
+    x0 = qhermite.support_halfwidth(q)
+    previous = None
+    for n_nodes in (128, 256, 512, 1024, 2048, 4096):
+        nodes, weights = qhermite._leggauss(n_nodes)
+        theta = 0.5 * math.pi * nodes
+        terms = weights * 0.5 * math.pi * qhermite._theta_weight(theta, q) * values(x0 * np.sin(theta))
+        total = float(np.sum(terms))
+        if previous is not None and abs(total - previous) <= max(1e-13, 1e-14 * float(np.sum(np.abs(terms)))):
+            return total
+        previous = total
+    raise AssertionError(f"weighted quadrature did not converge by 4096 nodes at q={q}")
+
+
+def orthogonality_integral(n: int, m: int, q: float) -> float:
+    """Integral of H_n H_m against the weight over its support.
+
+    Equals [n]_q! when n == m and vanishes otherwise (to quadrature accuracy).
+    Restricted to q <= 1 - 1e-3 so the support stays bounded.
+    """
+    if n < 0 or m < 0:
+        raise ValueError("orders must be non-negative")
+    if not 0.0 <= q <= 1.0 - 1e-3:
+        raise ValueError("orthogonality integrals require q in [0, 1 - 1e-3]")
+    nmax = max(n, m)
+
+    def values(x: np.ndarray) -> np.ndarray:
+        table = qhermite._hermite_table(nmax, x, q)
+        return table[n] * table[m]
+
+    return _integrate_weighted(values, q)
+
+
+def density_moment(power: int, q: float) -> float:
+    """Raw moment of the density; odd moments vanish, the fourth equals q + 2."""
+    if power < 0:
+        raise ValueError("power must be non-negative")
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q must lie in [0, 1]")
+    if q == 1.0:
+        if power % 2 == 1:
+            return 0.0
+        out = 1.0
+        for j in range(1, power, 2):
+            out *= j
+        return out
+    return _integrate_weighted(lambda x: x**power, q)

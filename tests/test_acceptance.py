@@ -31,15 +31,15 @@ from egoek.pipeline import (
     trimmed_motion,
     unfolded_ensemble,
 )
-from egoek.qhermite import (
-    density_moment,
-    orthogonality_integral,
-    qfactorial,
-    support_halfwidth,
-)
+from egoek.qhermite import qfactorial, support_halfwidth
 from egoek.spectra import moments
 
-from oracles import identity_embedding_oracle, sector_indices
+from oracles import (
+    density_moment,
+    identity_embedding_oracle,
+    orthogonality_integral,
+    sector_indices,
+)
 
 F = Statistics.FERMION
 B = Statistics.BOSON

@@ -302,6 +302,42 @@ class TestCliAnalysis:
         assert len(payload["rows"]) == 2
 
 
+def _table1(tmp_path, entries, members="2"):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(entries))
+    return ["table1", "--grid", str(grid), "--members", members, "--out", str(tmp_path / "tab")]
+
+
+SYSTEM = {"statistics": "fermion", "m": 3, "N": 6, "k": 2}
+GENERATE = ["generate", "--statistics", "fermion", "-m", "3", "-N", "6", "-k", "2", "--members", "2"]
+
+# Each case maps an output directory to (argv, environment overrides).
+INVALID_COMMAND_LINES = {
+    "table1_grid_missing_key": lambda p: (_table1(p, [{"statistics": "fermion", "m": 3, "N": 6}]), {}),
+    "table1_grid_non_object": lambda p: (_table1(p, [3]), {}),
+    "table1_grid_unknown_statistics": lambda p: (_table1(p, [{**SYSTEM, "statistics": "quark"}]), {}),
+    "table1_zero_members": lambda p: (_table1(p, [SYSTEM], members="0"), {}),
+    "generate_zero_threads": lambda p: (GENERATE + ["--threads", "0", "--out", str(p)], {}),
+    "generate_env_zero_threads": lambda p: (GENERATE + ["--out", str(p)], {"EGOE_THREADS": "0"}),
+    "analytic_zero_grid_points": lambda p: (
+        ["analytic", "--statistics", "fermion", "-m", "10", "-N", "20", "--k-list", "2",
+         "--grid-points", "0", "--out", str(p)],
+        {},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_COMMAND_LINES))
+def test_invalid_command_line_exits_2_with_one_error_line(case, tmp_path, capsys, monkeypatch):
+    argv, env = INVALID_COMMAND_LINES[case](tmp_path)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 class TestDelta3WindowGuard:
     def test_fluct_on_tiny_archive_reports_runtime_error(self, tmp_path):
         spec = EnsembleSpec(F, m=2, n_sites=6, k=2, members=2, master_seed=3)

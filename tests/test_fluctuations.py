@@ -70,6 +70,16 @@ class TestUnfold:
         assert np.mean(unfolded.spacings) == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(unfolded.levels) > 0)
 
+    def test_end_points_are_exact(self):
+        # delta3 counts floor((span - L) / step) + 1 windows, so a span one ulp
+        # short of len - 1 would drop the last window at every even L.
+        model, spectrum = model_and_levels(0.5, 1001)
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            jitter = np.sort(spectrum.eigenvalues + 1e-3 * rng.standard_normal(1001))
+            levels = unfold(Spectrum(jitter), model).levels
+            assert levels[0] == 0.0 and levels[-1] == len(levels) - 1
+
     def test_non_monotone_model_raises(self):
         model, spectrum = model_and_levels(0.5, 120)
         # Enormous third-order correction drives the mapped density negative.

@@ -4,17 +4,28 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from egoek import qhermite
 from egoek.qhermite import (
     cumulative_weighted_integrals,
-    density_moment,
     fqn_cdf,
     fqn_density,
     hermite_q,
-    orthogonality_integral,
     qfactorial,
     qnumber,
     support_halfwidth,
 )
+
+from oracles import (
+    density_moment,
+    fqn_cdf_mp,
+    orthogonality_integral,
+    theta_weight_mp,
+    theta_weight_mp_fourier,
+    theta_weight_product,
+)
+
+# Both sides of the weight's switch to its transformed form at q = 0.5.
+SERIES_QS = [0.0, 0.3, 0.5, 0.7, 0.93, 0.98, 0.995]
 
 
 class TestQNumbers:
@@ -124,6 +135,21 @@ class TestDensity:
         with pytest.raises(ValueError):
             fqn_density(0.0, 1.5)
 
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda q: fqn_density(0.5, q),
+            lambda q: fqn_cdf(0.5, q),
+            lambda q: cumulative_weighted_integrals(np.array([-0.5, 0.5]), q, (3,)),
+        ],
+        ids=["density", "cdf", "cumulative"],
+    )
+    def test_near_gaussian_domain_guard(self, evaluate):
+        # The bounded-support weight stops at q ~ 1 - 9.2e-5; q = 1 is the closed form.
+        with pytest.raises(ValueError, match="too close to 1"):
+            evaluate(0.99995)
+        evaluate(0.9999)
+
     @pytest.mark.parametrize("q", [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
     def test_moments_by_independent_quadrature(self, q):
         # Independent oracle: adaptive quadrature of the public density after
@@ -151,6 +177,62 @@ class TestDensity:
         assert raw_moment(4) == pytest.approx(q + 2.0, abs=1e-6)
         # module quadrature agrees with the independent one
         assert density_moment(4, q) == pytest.approx(raw_moment(4), abs=1e-9)
+
+
+def _peak_weight(q):
+    """w(0) = (1 + sum_j c_j) / pi, the largest value of the theta weight."""
+    return float(qhermite._theta_weight(np.array([0.0]), q)[0])
+
+
+class TestThetaSeries:
+    @pytest.mark.parametrize("q", SERIES_QS)
+    def test_matches_mpmath_product(self, q):
+        nodes, weights, _coefficients = theta_weight_mp_fourier(q)
+        got = qhermite._theta_weight(np.array([float(t) for t in nodes]), q)
+        want = np.array([float(w) for w in weights])
+        assert np.max(np.abs(got - want)) <= 1e-14 * _peak_weight(q)
+
+    @pytest.mark.parametrize("q", SERIES_QS)
+    def test_relative_accuracy_in_the_tails(self, q):
+        # Deep tails down to ~1e-250 of the peak, and 1e-3 from the support edge.
+        top = 1.57 if q <= 0.5 else min(1.57, math.sqrt(-300.0 * math.log(q)))
+        for theta in (0.6 * top, 0.85 * top, top):
+            want = float(theta_weight_mp(theta, q))
+            got = float(qhermite._theta_weight(np.array([theta]), q)[0])
+            assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("q", SERIES_QS)
+    def test_never_negative(self, q):
+        theta = np.concatenate(
+            [np.linspace(-math.pi / 2, math.pi / 2, 20001), math.pi / 2 - np.logspace(-12, 0, 200)]
+        )
+        assert np.all(qhermite._theta_weight(theta, q) >= 0.0)
+        x0 = support_halfwidth(q)
+        assert np.all(fqn_density(np.linspace(-x0, x0, 20001), q) >= 0.0)
+
+    @pytest.mark.parametrize("q", SERIES_QS)
+    def test_cdf_matches_mpmath_integral(self, q):
+        x0 = support_halfwidth(q)
+        for theta in (-1.2, -0.5, -0.12, -0.03, 0.0, 0.02, 0.08, 0.35, 1.0):
+            x = x0 * math.sin(theta)
+            assert fqn_cdf(x, q) == pytest.approx(fqn_cdf_mp(x, q), abs=1e-13)
+
+    @pytest.mark.parametrize("q", SERIES_QS)
+    def test_matches_product_form(self, q):
+        theta = np.linspace(-math.pi / 2, math.pi / 2, 4001)
+        got = qhermite._theta_weight(theta, q)
+        # the truncated product itself is off by up to 2.5e-13 w(0) at q = 0.995
+        assert np.max(np.abs(got - theta_weight_product(theta, q))) <= 1e-12 * _peak_weight(q)
+
+    @pytest.mark.parametrize("q", [0.3, 0.93, 0.995])
+    def test_cumulative_channels_match_product_form(self, q, monkeypatch):
+        points = np.sort(np.random.default_rng(3).standard_normal(300)) * 1.1
+        orders = (3, 4, 5, 6)
+        got = cumulative_weighted_integrals(points, q, orders)
+        monkeypatch.setattr(qhermite, "_theta_weight", theta_weight_product)
+        want = cumulative_weighted_integrals(points, q, orders)
+        for n in (0, *orders):
+            assert np.max(np.abs(got[n] - want[n])) <= 1e-12 * np.max(np.abs(want[n]))
 
 
 class TestCdf:
