@@ -6,15 +6,12 @@ quantifies the separation of spectral averages from GOE-type fluctuations.
 """
 
 from .fock import (
-    KConfig,
     OccupationConfig,
     Statistics,
     dim_boson,
     dim_fermion,
     enumerate_basis,
-    enumerate_kconfigs,
     kbme_count,
-    transition_amplitude,
 )
 from .ensemble import (
     EmbeddedHamiltonian,
@@ -76,7 +73,6 @@ __all__ = [
     "EmbeddedHamiltonian",
     "EnsembleSpec",
     "KBodyMatrix",
-    "KConfig",
     "LevelMotionSeries",
     "ModeWidthCurve",
     "OccupationConfig",
@@ -97,7 +93,6 @@ __all__ = [
     "embed",
     "eigenvalues",
     "enumerate_basis",
-    "enumerate_kconfigs",
     "fit_smooth_model",
     "fqn_cdf",
     "fqn_density",
@@ -128,7 +123,6 @@ __all__ = [
     "staircase",
     "standardize",
     "support_halfwidth",
-    "transition_amplitude",
     "unfold",
     "unfolding_order",
     "write_archive",

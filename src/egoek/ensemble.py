@@ -13,15 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import (
-    Statistics,
-    _boson_attach,
-    _fermion_attach,
-    dimension,
-    enumerate_basis,
-    enumerate_kconfigs,
-    kbme_count,
-)
+from .fock import Statistics, dimension, enumerate_basis, kbme_count
 
 #: Largest basis whose dense float64 Hamiltonian is built (d x d: 2 GiB here).
 MAX_DENSE_DIMENSION = 16_384
@@ -185,49 +177,99 @@ class EmbeddingPlan:
     groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = field(repr=False)
 
 
+def _occupations(n_sites: int, particles: int, statistics: Statistics, dtype) -> np.ndarray:
+    """(dimension, N) occupation table of ``enumerate_basis``, in its order."""
+    basis = enumerate_basis(n_sites, particles, statistics)
+    return np.array([cfg.occupations for cfg in basis], dtype=dtype).reshape(len(basis), n_sites)
+
+
+def _above(occupations: np.ndarray) -> np.ndarray:
+    """Particles on the sites above each site (exclusive suffix sums)."""
+    return np.cumsum(occupations[:, ::-1], axis=1)[:, ::-1] - occupations
+
+
+def _target_ranks(inter: np.ndarray, kocc: np.ndarray, statistics: Statistics, m: int) -> np.ndarray:
+    """Basis index of every state inter[i] + kocc[g], as an (n_inter, d_k) array.
+
+    ``enumerate_basis`` lists occupation vectors in decreasing lexicographic
+    order, so the index of a state counts the states that agree with it below
+    site v and hold more particles at v.  With S particles above v that count
+    is C(N-1-v, S-1) for an empty fermion site, and C(S+N-v-2, N-v-1) (all
+    compositions of the S-1 or fewer particles left over) for a boson site.
+    Every count is at most the basis size, so the sum stays exact in int64.
+    """
+    n_sites = inter.shape[1]
+    fermionic = statistics is Statistics.FERMION
+    counts = np.zeros((n_sites, m + 1), dtype=np.int64)
+    for v in range(n_sites):
+        for s in range(1, m + 1):
+            if fermionic:
+                counts[v, s] = math.comb(n_sites - 1 - v, s - 1)
+            elif v < n_sites - 1:
+                counts[v, s] = math.comb(s + n_sites - v - 2, n_sites - v - 1)
+    above_i, above_k = _above(inter), _above(kocc)
+    ranks = np.zeros((len(inter), len(kocc)), dtype=np.int64)
+    for v in range(n_sites):
+        count = counts[v, above_i[:, v, None] + above_k[None, :, v]]
+        if fermionic:
+            count[(inter[:, v, None] + kocc[None, :, v]) != 0] = 0
+        ranks += count
+    return ranks
+
+
+def _boson_norm_sq(inter: np.ndarray, kocc: np.ndarray, m: int, k: int) -> np.ndarray:
+    """Squared amplitudes prod_v C(s_v + nu_v, nu_v) of the normalized k-fold creators.
+
+    (1/sqrt(nu!)) sqrt((s+nu)!/s!) == sqrt(C(s+nu, nu)) per site.  By
+    Vandermonde's identity each product is at most C(m, k), which decides
+    whether int64 holds it exactly; beyond that the integers stay Python ints.
+    """
+    dtype = np.int64 if math.comb(m, k) < 2**63 else object
+    norm_sq = np.ones((len(inter), len(kocc)), dtype=dtype)
+    for s, nu in zip(inter.T, kocc.T):
+        s_values, s_at = np.unique(s, return_inverse=True)
+        nu_values, nu_at = np.unique(nu, return_inverse=True)
+        factors = [[math.comb(int(a) + int(b), int(b)) for b in nu_values] for a in s_values]
+        norm_sq *= np.array(factors, dtype=dtype)[np.ix_(s_at, nu_at)]
+    return norm_sq
+
+
 @lru_cache(maxsize=32)
 def build_embedding_plan(
     statistics: Statistics, m: int, n_sites: int, k: int
 ) -> EmbeddingPlan:
-    basis = enumerate_basis(n_sites, m, statistics)
-    index = {cfg.occupations: i for i, cfg in enumerate(basis)}
-    kconfigs = enumerate_kconfigs(n_sites, k, statistics)
-    intermediates = enumerate_basis(n_sites, m - k, statistics)
-    fermionic = statistics is Statistics.FERMION
+    """Attachment plan of all k-configs to all (m-k)-particle intermediates.
 
-    groups = []
-    for inter in intermediates:
-        a_idx, g_idx, weights = [], [], []
-        for g, kcfg in enumerate(kconfigs):
-            if fermionic:
-                res = _fermion_attach(inter.bitmask, kcfg.indices)
-                if res is None:
-                    continue
-                sign, mask = res
-                occ = tuple((mask >> i) & 1 for i in range(n_sites))
-                a_idx.append(index[occ])
-                g_idx.append(g)
-                weights.append(float(sign))
-            else:
-                norm_sq, occ = _boson_attach(inter.occupations, kcfg)
-                a_idx.append(index[occ])
-                g_idx.append(g)
-                weights.append(math.sqrt(norm_sq))
-        if a_idx:
-            groups.append(
-                (
-                    np.asarray(a_idx, dtype=np.intp),
-                    np.asarray(g_idx, dtype=np.intp),
-                    np.asarray(weights),
-                )
-            )
+    Built at once over the integer occupation tables of the intermediates
+    and of the k-configs (the k-particle basis, in k-config order).  A fermion
+    k-config attaches where it shares no site with the intermediate; creating
+    its labels in increasing order gives the sign
+    (-1)^(sum_v occupied-below(v) + k(k-1)/2).  Every boson k-config attaches.
+    Each intermediate attaches the same number s of k-configs, C(N-m+k, k) for
+    fermions and d(N, k) for bosons, so the plan is three (n_inter, s) arrays
+    read row by row; ``groups`` holds their rows.
+    """
+    dtype = np.min_scalar_type(-m)  # smallest signed type holding 0..m
+    inter = _occupations(n_sites, m - k, statistics, dtype)
+    kocc = _occupations(n_sites, k, statistics, dtype)
+    if statistics is Statistics.FERMION:
+        attaches = inter.astype(np.int32) @ kocc.T == 0
+        below = np.cumsum(inter, axis=1, dtype=np.int32) - inter
+        weights = 1.0 - 2.0 * ((below @ kocc.T + k * (k - 1) // 2) & 1)
+    else:
+        attaches = np.ones((len(inter), len(kocc)), dtype=bool)
+        weights = np.sqrt(_boson_norm_sq(inter, kocc, m, k).astype(float))
+    rows, cols = np.nonzero(attaches)
+    shape = (len(inter), -1)
+    a_idx = _target_ranks(inter, kocc, statistics, m)[rows, cols].astype(np.intp).reshape(shape)
+    g_idx = cols.astype(np.intp).reshape(shape)
     return EmbeddingPlan(
         statistics=statistics,
         m=m,
         n_sites=n_sites,
         k=k,
-        dimension=len(basis),
-        groups=tuple(groups),
+        dimension=dimension(n_sites, m, statistics),
+        groups=tuple(zip(a_idx, g_idx, weights[rows, cols].reshape(shape))),
     )
 
 

@@ -1,6 +1,10 @@
 """Brute-force second-quantization oracles built from explicit operator matrices.
 
-Independent of the package's amplitude bookkeeping: fermion operators are
+The per-object amplitude layer (k-configs, attach/detach/transition
+amplitudes on ``OccupationConfig`` states, with fermion states as N-bit
+masks) and the per-state double loop over it that built the embedding plan
+are the parity oracle of the vectorized plan build.
+Independent of that bookkeeping: fermion operators are
 dense Jordan-Wigner matrices on the full 2^N space, boson operators live on
 the total-occupation-truncated product space, and k-body operators are formed
 by literal matrix products.  The GOE rigidity oracle integrates the
@@ -22,13 +26,226 @@ import csv
 import functools
 import io
 import math
+from dataclasses import dataclass
+from itertools import combinations, combinations_with_replacement
 
 import mpmath
 import numpy as np
 from scipy import integrate, sparse, special
 
 from egoek import periodogram, qhermite
-from egoek.fock import Statistics, enumerate_basis
+from egoek.ensemble import EmbeddingPlan
+from egoek.fock import FockDomainError, OccupationConfig, Statistics, enumerate_basis
+
+
+def bitmask(config: OccupationConfig) -> int:
+    """Bit i set when site i is occupied (fermions only)."""
+    if config.statistics is not Statistics.FERMION:
+        raise FockDomainError("bitmask is defined for fermion configs only")
+    mask = 0
+    for i, n in enumerate(config.occupations):
+        mask |= n << i
+    return mask
+
+
+@dataclass(frozen=True)
+class KConfig:
+    """A k-particle configuration: sorted site labels, repeats allowed for bosons."""
+
+    statistics: Statistics
+    indices: tuple[int, ...]
+
+    def __post_init__(self):
+        if any(i < 0 for i in self.indices):
+            raise FockDomainError("site labels must be non-negative")
+        pairs = zip(self.indices, self.indices[1:])
+        if self.statistics is Statistics.FERMION:
+            if not all(a < b for a, b in pairs):
+                raise FockDomainError("fermion k-config labels must be strictly increasing")
+        elif not all(a <= b for a, b in pairs):
+            raise FockDomainError("boson k-config labels must be non-decreasing")
+
+    @property
+    def k(self) -> int:
+        return len(self.indices)
+
+    def multiplicities(self) -> dict[int, int]:
+        """Occupation multiplicity per site label."""
+        mult: dict[int, int] = {}
+        for v in self.indices:
+            mult[v] = mult.get(v, 0) + 1
+        return mult
+
+
+def enumerate_kconfigs(n_sites: int, k: int, statistics: Statistics) -> list[KConfig]:
+    """All k-particle configurations, in the same deterministic order as the basis."""
+    if k < 0:
+        raise FockDomainError("k must be non-negative")
+    if statistics is Statistics.FERMION:
+        return [KConfig(statistics, c) for c in combinations(range(n_sites), k)]
+    if n_sites == 0 and k > 0:
+        raise FockDomainError("no single-particle states")
+    return [KConfig(statistics, c) for c in combinations_with_replacement(range(n_sites), k)]
+
+
+def _fermion_detach(mask: int, labels: tuple[int, ...]) -> tuple[int, int] | None:
+    # Annihilate in decreasing label order; each step picks up the parity of
+    # the occupied sites below the acted label.
+    sign = 1
+    for v in reversed(labels):
+        bit = 1 << v
+        if not mask & bit:
+            return None
+        if bin(mask & (bit - 1)).count("1") & 1:
+            sign = -sign
+        mask ^= bit
+    return sign, mask
+
+
+def _fermion_attach(mask: int, labels: tuple[int, ...]) -> tuple[int, int] | None:
+    # Create in increasing label order, mirror image of _fermion_detach.
+    sign = 1
+    for v in labels:
+        bit = 1 << v
+        if mask & bit:
+            return None
+        if bin(mask & (bit - 1)).count("1") & 1:
+            sign = -sign
+        mask |= bit
+    return sign, mask
+
+
+def _boson_attach(occupations: tuple[int, ...], kcfg: KConfig) -> tuple[int, tuple[int, ...]]:
+    # Squared amplitude and target occupations of the normalized k-fold
+    # creator: (1/sqrt(nu!)) * sqrt((s+nu)!/s!) == sqrt(C(s+nu, nu)) per site.
+    occ = list(occupations)
+    norm_sq = 1
+    for v, nu in kcfg.multiplicities().items():
+        norm_sq *= math.comb(occ[v] + nu, nu)
+        occ[v] += nu
+    return norm_sq, tuple(occ)
+
+
+def detach_amplitude(
+    source: OccupationConfig, kcfg: KConfig
+) -> tuple[float, OccupationConfig] | None:
+    """Amplitude and target of the normalized k-fold annihilator acting on ``source``.
+
+    Returns ``None`` when the operator destroys the state.
+    """
+    _check_compatible(source, kcfg)
+    if source.statistics is Statistics.FERMION:
+        res = _fermion_detach(bitmask(source), kcfg.indices)
+        if res is None:
+            return None
+        sign, mask = res
+        return float(sign), _config_from_mask(mask, source.n_sites)
+    occ = list(source.occupations)
+    norm_sq = 1
+    for v, nu in kcfg.multiplicities().items():
+        if occ[v] < nu:
+            return None
+        # (1/sqrt(nu!)) * sqrt(s!/(s-nu)!) == sqrt(C(s, nu))
+        norm_sq *= math.comb(occ[v], nu)
+        occ[v] -= nu
+    return math.sqrt(norm_sq), OccupationConfig(Statistics.BOSON, tuple(occ))
+
+
+def attach_amplitude(
+    base: OccupationConfig, kcfg: KConfig
+) -> tuple[float, OccupationConfig] | None:
+    """Amplitude and target of the normalized k-fold creator acting on ``base``."""
+    _check_compatible(base, kcfg)
+    if base.statistics is Statistics.FERMION:
+        res = _fermion_attach(bitmask(base), kcfg.indices)
+        if res is None:
+            return None
+        sign, mask = res
+        return float(sign), _config_from_mask(mask, base.n_sites)
+    norm_sq, occ = _boson_attach(base.occupations, kcfg)
+    return math.sqrt(norm_sq), OccupationConfig(Statistics.BOSON, occ)
+
+
+def transition_amplitude(
+    source: OccupationConfig, create: KConfig, annihilate: KConfig
+) -> tuple[float, OccupationConfig] | None:
+    """Matrix element of a normalized pair-transfer operator between basis states.
+
+    Applies the k annihilators of ``annihilate`` (largest label first) and then
+    the k creators of ``create`` (smallest label first) to ``source``.  Returns
+    ``None`` when the operator annihilates the state.  For fermions the
+    amplitude is +-1; for bosons it is the product of square roots of binomial
+    factors implied by normalized k-boson configurations.
+    """
+    if create.k != annihilate.k:
+        raise FockDomainError("create and annihilate must transfer the same k")
+    step = detach_amplitude(source, annihilate)
+    if step is None:
+        return None
+    amp_down, intermediate = step
+    step = attach_amplitude(intermediate, create)
+    if step is None:
+        return None
+    amp_up, target = step
+    return amp_down * amp_up, target
+
+
+def _config_from_mask(mask: int, n_sites: int) -> OccupationConfig:
+    occ = tuple((mask >> i) & 1 for i in range(n_sites))
+    return OccupationConfig(Statistics.FERMION, occ)
+
+
+def _check_compatible(config: OccupationConfig, kcfg: KConfig) -> None:
+    if config.statistics is not kcfg.statistics:
+        raise FockDomainError("statistics mismatch between config and k-config")
+    if kcfg.indices and max(kcfg.indices) >= config.n_sites:
+        raise FockDomainError("k-config label outside the single-particle space")
+
+
+def embedding_plan_oracle(
+    statistics: Statistics, m: int, n_sites: int, k: int
+) -> EmbeddingPlan:
+    """The embedding plan by a per-state double loop over intermediates and k-configs."""
+    basis = enumerate_basis(n_sites, m, statistics)
+    index = {cfg.occupations: i for i, cfg in enumerate(basis)}
+    kconfigs = enumerate_kconfigs(n_sites, k, statistics)
+    intermediates = enumerate_basis(n_sites, m - k, statistics)
+    fermionic = statistics is Statistics.FERMION
+
+    groups = []
+    for inter in intermediates:
+        a_idx, g_idx, weights = [], [], []
+        for g, kcfg in enumerate(kconfigs):
+            if fermionic:
+                res = _fermion_attach(bitmask(inter), kcfg.indices)
+                if res is None:
+                    continue
+                sign, mask = res
+                occ = tuple((mask >> i) & 1 for i in range(n_sites))
+                a_idx.append(index[occ])
+                g_idx.append(g)
+                weights.append(float(sign))
+            else:
+                norm_sq, occ = _boson_attach(inter.occupations, kcfg)
+                a_idx.append(index[occ])
+                g_idx.append(g)
+                weights.append(math.sqrt(norm_sq))
+        if a_idx:
+            groups.append(
+                (
+                    np.asarray(a_idx, dtype=np.intp),
+                    np.asarray(g_idx, dtype=np.intp),
+                    np.asarray(weights),
+                )
+            )
+    return EmbeddingPlan(
+        statistics=statistics,
+        m=m,
+        n_sites=n_sites,
+        k=k,
+        dimension=len(basis),
+        groups=tuple(groups),
+    )
 
 
 def fermion_operators(n_sites: int):
@@ -133,7 +350,7 @@ def sector_indices(n_sites: int, m: int, statistics: Statistics, index=None):
     """Full-space indices of the m-particle sector, in enumerate_basis order."""
     basis = enumerate_basis(n_sites, m, statistics)
     if statistics is Statistics.FERMION:
-        return [cfg.bitmask for cfg in basis]
+        return [bitmask(cfg) for cfg in basis]
     return [index[cfg.occupations] for cfg in basis]
 
 
@@ -143,8 +360,6 @@ def identity_embedding_oracle(n_sites: int, k: int, statistics: Statistics, max_
     Restricted to an m-particle sector this must equal C(m, k) times the
     identity for every m.
     """
-    from egoek.fock import enumerate_kconfigs
-
     kconfigs = enumerate_kconfigs(n_sites, k, statistics)
     if statistics is Statistics.FERMION:
         cre, ann = fermion_operators(n_sites)
@@ -170,8 +385,6 @@ def identity_embedding_oracle(n_sites: int, k: int, statistics: Statistics, max_
 
 def embed_oracle(v_matrix: np.ndarray, n_sites: int, m: int, k: int, statistics: Statistics):
     """m-sector matrix of sum_{alpha,gamma} V[alpha,gamma] A+_alpha A_gamma."""
-    from egoek.fock import enumerate_kconfigs
-
     kconfigs = enumerate_kconfigs(n_sites, k, statistics)
     if statistics is Statistics.FERMION:
         cre, ann = fermion_operators(n_sites)

@@ -23,7 +23,7 @@ from egoek.ensemble import (
     embed,
     spectral_variance,
 )
-from egoek.fock import Statistics, dimension, enumerate_basis, enumerate_kconfigs
+from egoek.fock import Statistics, dimension, enumerate_basis
 from egoek.pipeline import (
     decompose_archive,
     generate_archive,

@@ -15,10 +15,10 @@ from egoek.ensemble import (
     spectral_variance_fermion,
     splitmix64,
 )
-from egoek.fock import KConfig, Statistics, enumerate_basis, enumerate_kconfigs, transition_amplitude
+from egoek.fock import Statistics, enumerate_basis
 from egoek.spectra import eigenvalues, moments
 
-from oracles import embed_oracle
+from oracles import embed_oracle, enumerate_kconfigs, transition_amplitude
 
 F = Statistics.FERMION
 B = Statistics.BOSON
