@@ -278,7 +278,8 @@ def embed(kmat: KBodyMatrix, spec: EnsembleSpec) -> EmbeddedHamiltonian:
 
     Implements H[B, A] = sum over (alpha, gamma) of V[alpha, gamma] times the
     pair-transfer amplitude <B|A+(alpha) A(gamma)|A>.  The congruence-update
-    form guarantees an exactly symmetric result, and for k = m the map is the
+    form, with the symmetric weight product w_i w_j formed before it scales V,
+    guarantees an exactly symmetric result, and for k = m the map is the
     identity on matrices.
     """
     dk = spec.k_dimension
@@ -290,7 +291,7 @@ def embed(kmat: KBodyMatrix, spec: EnsembleSpec) -> EmbeddedHamiltonian:
     ham = np.zeros((plan.dimension, plan.dimension))
     v = kmat.matrix
     for a_idx, g_idx, w in plan.groups:
-        block = v[np.ix_(g_idx, g_idx)] * w[:, None] * w[None, :]
+        block = v[np.ix_(g_idx, g_idx)] * (w[:, None] * w[None, :])
         ham[np.ix_(a_idx, a_idx)] += block
     return EmbeddedHamiltonian(matrix=ham, spec=spec, member=kmat.member)
 

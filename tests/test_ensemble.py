@@ -152,6 +152,13 @@ class TestEmbedding:
         ham = build_member(spec, 0).matrix
         assert np.array_equal(ham, ham.T)
 
+    @pytest.mark.parametrize("k", [2, 6])
+    def test_exact_symmetry_boson(self, k):
+        spec = EnsembleSpec(B, m=10, n_sites=5, k=k, members=3, master_seed=42)
+        for member in range(spec.members):
+            ham = build_member(spec, member).matrix
+            assert np.array_equal(ham, ham.T)
+
     def test_dimension_mismatch(self):
         spec = fermion_spec()
         with pytest.raises(ValueError):
