@@ -258,6 +258,8 @@ def cmd_analytic(args) -> None:
     ks = _parse_ints(args.k_list, "k-list")
     if args.grid_points < 1:
         raise ConfigError("--grid-points must be at least 1")
+    if args.q is not None and not 0.0 <= args.q <= 1.0:
+        raise ConfigError("--q must lie in [0, 1]")
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
 

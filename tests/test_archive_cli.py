@@ -311,6 +311,8 @@ def _table1(tmp_path, entries, members="2"):
 SYSTEM = {"statistics": "fermion", "m": 3, "N": 6, "k": 2}
 GENERATE = ["generate", "--statistics", "fermion", "-m", "3", "-N", "6", "-k", "2", "--members", "2"]
 
+ANALYTIC = ["analytic", "--statistics", "fermion", "-m", "10", "-N", "20", "--k-list", "2"]
+
 # Each case maps an output directory to (argv, environment overrides).
 INVALID_COMMAND_LINES = {
     "table1_grid_missing_key": lambda p: (_table1(p, [{"statistics": "fermion", "m": 3, "N": 6}]), {}),
@@ -319,11 +321,10 @@ INVALID_COMMAND_LINES = {
     "table1_zero_members": lambda p: (_table1(p, [SYSTEM], members="0"), {}),
     "generate_zero_threads": lambda p: (GENERATE + ["--threads", "0", "--out", str(p)], {}),
     "generate_env_zero_threads": lambda p: (GENERATE + ["--out", str(p)], {"EGOE_THREADS": "0"}),
-    "analytic_zero_grid_points": lambda p: (
-        ["analytic", "--statistics", "fermion", "-m", "10", "-N", "20", "--k-list", "2",
-         "--grid-points", "0", "--out", str(p)],
-        {},
-    ),
+    "analytic_zero_grid_points": lambda p: (ANALYTIC + ["--grid-points", "0", "--out", str(p)], {}),
+    "analytic_q_above_one": lambda p: (ANALYTIC + ["--q", "1.5", "--out", str(p)], {}),
+    "analytic_q_negative": lambda p: (ANALYTIC + ["--q", "-0.5", "--out", str(p)], {}),
+    "analytic_q_nan": lambda p: (ANALYTIC + ["--q", "nan", "--out", str(p)], {}),
 }
 
 
