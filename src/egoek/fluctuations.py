@@ -23,6 +23,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # (L - r)^3 (2L^2 - 9Lr - 3r^2) = sum_j coeff_j L^(5 - j) r^j
 _KERNEL_POWERS = np.array([0, 1, 2, 3, 5])
 _KERNEL_COEFFS = np.array([2.0, -15.0, 30.0, -20.0, 3.0])
+# Largest block (window starts x widest window) of Delta3's local prefix table.
+_WINDOW_TABLE_ENTRIES = 1 << 18
 
 
 class UnfoldingError(RuntimeError):
@@ -186,39 +188,42 @@ def poisson_delta3(lengths) -> np.ndarray:
     return np.asarray(lengths, dtype=float) / 15.0
 
 
-def _delta3_member(levels: np.ndarray, length: float, window_step: float) -> float:
-    """Mean least-squares staircase deviation over overlapping windows.
+def _delta3_member(levels: np.ndarray, lengths: np.ndarray, window_step: float) -> np.ndarray:
+    """Mean least-squares staircase deviation over overlapping windows, per length.
 
-    Exact per-window evaluation through prefix sums: with local positions
-    t_j = e_g - x inside [x, x + L], the optimal-line residual reduces to
+    Windows start at levels[0] + window_step * w, and those truncated by the
+    spectrum end are dropped.  With local positions t_j = e_g - x inside
+    [x, x + L), j = 1..n, the optimal-line residual reduces to
     A/L - 4 I0^2/L^2 + 12 I0 I1 / L^3 - 12 I1^2 / L^4 where
     A = sum (2j - 1)(L - t_j), I0 = integral of the staircase and I1 its
-    first moment over the window.
+    first moment over the window.  The sums over t_j are prefix sums taken
+    inside each window (a table of window starts x widest window, shared by
+    all lengths), so they round like the window's own levels wherever it sits
+    in the spectrum.  Windows are taken in blocks that keep every table below
+    _WINDOW_TABLE_ENTRIES entries.
     """
-    span = levels[-1] - levels[0]
-    n_windows = int(math.floor((span - length) / window_step)) + 1
-    starts = levels[0] + window_step * np.arange(n_windows)
-
-    prefix_e = np.concatenate(([0.0], np.cumsum(levels)))
-    prefix_e2 = np.concatenate(([0.0], np.cumsum(levels**2)))
-    prefix_ge = np.concatenate(([0.0], np.cumsum(np.arange(len(levels)) * levels)))
-
+    n_windows = np.floor((levels[-1] - levels[0] - lengths) / window_step).astype(np.intp) + 1
+    starts = levels[0] + window_step * np.arange(n_windows.max())
     lo = np.searchsorted(levels, starts, side="left")
-    hi = np.searchsorted(levels, starts + length, side="left")
-    nw = (hi - lo).astype(float)
-
-    sum_e = prefix_e[hi] - prefix_e[lo]
-    sum_t = sum_e - nw * starts
-    sum_t2 = prefix_e2[hi] - prefix_e2[lo] - 2.0 * starts * sum_e + nw * starts**2
-    sum_ge = prefix_ge[hi] - prefix_ge[lo]
-    sum_jt = sum_ge + (1.0 - lo) * sum_e - starts * nw * (nw + 1.0) / 2.0
-
-    L = length
-    a_term = nw**2 * L - 2.0 * sum_jt + sum_t
-    i0 = nw * L - sum_t
-    i1 = 0.5 * (nw * L**2 - sum_t2)
-    d3 = a_term / L - 4.0 * i0**2 / L**2 + 12.0 * i0 * i1 / L**3 - 12.0 * i1**2 / L**4
-    return float(np.mean(d3))
+    width = int(np.max(np.searchsorted(levels, starts + lengths.max(), side="left") - lo))
+    local = np.arange(width)
+    L = lengths[:, None]
+    totals = np.zeros(len(lengths))
+    block = max(1, _WINDOW_TABLE_ENTRIES // max(width, len(lengths)))
+    for first in range(0, len(starts), block):
+        x, lo_x = starts[first : first + block], lo[first : first + block]
+        t = levels[np.minimum(lo_x[:, None] + local, len(levels) - 1)] - x[:, None]
+        prefix = np.zeros((3, len(x), width + 1))
+        np.cumsum(np.stack((t, t * t, (local + 1) * t)), axis=2, out=prefix[:, :, 1:])
+        n = np.searchsorted(levels, x + L, side="left") - lo_x
+        sum_t, sum_t2, sum_jt = prefix[:, np.arange(len(x)), n]
+        a_term = n**2 * L - 2.0 * sum_jt + sum_t
+        i0 = n * L - sum_t
+        i1 = 0.5 * (n * L**2 - sum_t2)
+        d3 = a_term / L - 4.0 * i0**2 / L**2 + 12.0 * i0 * i1 / L**3 - 12.0 * i1**2 / L**4
+        kept = first + np.arange(len(x)) < n_windows[:, None]
+        totals += np.sum(d3, axis=1, where=kept)
+    return totals / n_windows
 
 
 def delta3(
@@ -239,11 +244,7 @@ def delta3(
     if longest > span:
         raise ValueError(f"window length {longest} exceeds retained span {span:.1f}")
     lengths = np.arange(l_step, l_max + 1, l_step, dtype=float)
-    values = np.empty(len(lengths))
-    for i, L in enumerate(lengths):
-        values[i] = float(
-            np.mean([_delta3_member(u.levels, float(L), window_step) for u in ensemble])
-        )
+    values = np.mean([_delta3_member(u.levels, lengths, window_step) for u in ensemble], axis=0)
     return Delta3Curve(
         lengths=lengths,
         values=values,

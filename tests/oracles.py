@@ -9,7 +9,8 @@ dense Jordan-Wigner matrices on the full 2^N space, boson operators live on
 the total-occupation-truncated product space, and k-body operators are formed
 by literal matrix products.  The GOE rigidity oracle integrates the
 two-level cluster function with adaptive quadrature; its large-L asymptote
-is kept here as a reference too.  The direct Lomb-Scargle form, four trig
+is kept here as a reference too, and a long-double window-by-window
+Delta3 is the accuracy oracle of the prefix-sum form.  The direct Lomb-Scargle form, four trig
 calls per (frequency, sample) pair, is the parity oracle of the recurrence.
 The per-row CSV writer (``csv.writer`` over f-string fields) and the row
 builders of every table are the byte-parity oracle of the block writer.
@@ -425,6 +426,31 @@ def goe_delta3_quad(length: float) -> float:
         epsrel=1e-13,
     )
     return L / 15.0 - integral / (15.0 * L**4)
+
+
+def delta3_long_double(levels: np.ndarray, lengths, window_step: float = 2.0) -> np.ndarray:
+    """Delta3 of one spectrum per window length, window by window in long double.
+
+    Windows start at levels[0] + window_step * w and hold the levels in
+    [x, x + L); each window's least-squares residual is summed directly from
+    its local positions t = e - x.
+    """
+    e = np.asarray(levels, dtype=np.longdouble)
+    out = []
+    for length in lengths:
+        L = np.longdouble(length)
+        n_windows = int(math.floor((float(levels[-1] - levels[0]) - length) / window_step)) + 1
+        values = []
+        for w in range(n_windows):
+            x = e[0] + np.longdouble(window_step) * w
+            t = e[(e >= x) & (e < x + L)] - x
+            j = np.arange(1, len(t) + 1, dtype=np.longdouble)
+            a_term = np.sum((2 * j - 1) * (L - t))
+            i0 = np.sum(L - t)
+            i1 = np.sum(L * L - t * t) / 2
+            values.append(a_term / L - 4 * i0**2 / L**2 + 12 * i0 * i1 / L**3 - 12 * i1**2 / L**4)
+        out.append(float(np.mean(np.array(values, dtype=np.longdouble))))
+    return np.array(out)
 
 
 def goe_delta3(lengths) -> np.ndarray:

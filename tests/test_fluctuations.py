@@ -24,7 +24,7 @@ from egoek.pipeline import archive_spectra, decompose_archive, generate_archive,
 from egoek.qhermite import support_halfwidth
 from egoek.spectra import Spectrum, moments
 
-from oracles import goe_delta3, goe_delta3_quad
+from oracles import delta3_long_double, goe_delta3, goe_delta3_quad
 
 F = Statistics.FERMION
 B = Statistics.BOSON
@@ -188,13 +188,33 @@ class TestDelta3:
             levels = np.cumsum(rng.exponential(1.0, 400))
             levels -= levels[0]
             for L in (4.0, 11.0, 30.0):
-                fast = _delta3_member(levels, L, 2.0)
+                fast = _delta3_member(levels, np.array([L]), 2.0)[0]
                 brute = delta3_brute(levels, L)
                 assert fast == pytest.approx(brute, rel=1e-9, abs=1e-12)
 
     def test_rigid_lattice_approaches_one_twelfth(self):
         levels = np.arange(1200, dtype=float) + 0.5
-        assert _delta3_member(levels, 50.0, 2.0) == pytest.approx(1.0 / 12.0, abs=5e-3)
+        assert _delta3_member(levels, np.array([50.0]), 2.0)[0] == pytest.approx(1.0 / 12.0, abs=5e-3)
+
+    @staticmethod
+    def unfolded_levels(seed=24, n=900):
+        """Wigner-surmise spacings, pinned to 0 and n - 1 as unfold pins them."""
+        spacings = np.sqrt(-4.0 / math.pi * np.log(np.random.default_rng(seed).random(n - 1)))
+        levels = np.concatenate(([0.0], np.cumsum(spacings)))
+        return (n - 1) * (levels / levels[-1])
+
+    def test_matches_long_double_windows(self):
+        levels = self.unfolded_levels()
+        curve = delta3([UnfoldedSpectrum(levels=levels, trim=0.1)], l_max=60)
+        picked = [0, 4, 14, 29]  # L = 2, 10, 30, 60
+        reference = delta3_long_double(levels, curve.lengths[picked])
+        assert np.allclose(curve.values[picked], reference, rtol=1e-12, atol=0.0)
+
+    def test_invariant_under_level_shift(self):
+        levels = self.unfolded_levels()
+        plain = delta3([UnfoldedSpectrum(levels=levels, trim=0.1)], l_max=60)
+        shifted = delta3([UnfoldedSpectrum(levels=levels + 1e4, trim=0.1)], l_max=60)
+        assert np.allclose(shifted.values, plain.values, rtol=1e-12, atol=0.0)
 
     def test_poisson_ensemble_mean(self):
         rng = np.random.default_rng(22)
