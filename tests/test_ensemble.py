@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egoek.ensemble import (
     EnsembleSpec,
     KBodyMatrix,
+    build_embedding_plan,
     build_member,
     embed,
     member_seed,
@@ -18,7 +21,7 @@ from egoek.ensemble import (
 from egoek.fock import Statistics, enumerate_basis
 from egoek.spectra import eigenvalues, moments
 
-from oracles import embed_oracle, enumerate_kconfigs, transition_amplitude
+from oracles import embed_oracle, embedding_plan_oracle, enumerate_kconfigs, transition_amplitude
 
 F = Statistics.FERMION
 B = Statistics.BOSON
@@ -191,6 +194,78 @@ class TestEmbedding:
                         amp, target = res
                         ham[index[target.occupations], a] += kmat.matrix[ia, ig] * amp
         assert np.allclose(embed(kmat, spec).matrix, ham, atol=1e-11)
+
+
+def assert_same_plan(plan, reference):
+    """Equal indices, order, dtypes and weight bytes, group by group."""
+    for name in ("statistics", "m", "n_sites", "k", "dimension"):
+        assert getattr(plan, name) == getattr(reference, name)
+    assert len(plan.groups) == len(reference.groups)
+    for ours, theirs in zip(plan.groups, reference.groups):
+        for x, y in zip(ours, theirs):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("stat,m,n_sites,k", [(F, 6, 12, 2), (B, 10, 5, 2), (B, 10, 5, 6)])
+def test_plan_matches_double_loop_on_reference_systems(stat, m, n_sites, k):
+    assert_same_plan(build_embedding_plan(stat, m, n_sites, k), embedding_plan_oracle(stat, m, n_sites, k))
+
+
+@st.composite
+def small_systems(draw):
+    """Fermions with N <= 7, bosons with N <= 4 and m <= 5, and 1 <= k <= m."""
+    stat = draw(st.sampled_from([F, B]))
+    n_sites = draw(st.integers(1, 7 if stat is F else 4))
+    m = draw(st.integers(1, n_sites if stat is F else 5))
+    k = draw(st.integers(1, m))
+    return EnsembleSpec(stat, m=m, n_sites=n_sites, k=k, members=1)
+
+
+def random_symmetric(dk, seed):
+    v = np.random.default_rng(seed).standard_normal((dk, dk))
+    return v + v.T
+
+
+class TestEmbeddingProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=small_systems())
+    def test_plan_matches_double_loop_and_is_rectangular(self, spec):
+        plan = build_embedding_plan(spec.statistics, spec.m, spec.n_sites, spec.k)
+        assert_same_plan(plan, embedding_plan_oracle(spec.statistics, spec.m, spec.n_sites, spec.k))
+        assert len({len(a_idx) for a_idx, _g, _w in plan.groups}) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=small_systems(), seed=st.integers(0, 2**32 - 1))
+    def test_embed_is_exactly_symmetric(self, spec, seed):
+        ham = embed(KBodyMatrix(random_symmetric(spec.k_dimension, seed), 0, 0), spec).matrix
+        assert np.array_equal(ham, ham.T)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=small_systems(),
+        seed=st.integers(0, 2**32 - 1),
+        a=st.floats(-4.0, 4.0),
+        b=st.floats(-4.0, 4.0),
+    )
+    def test_embed_is_linear(self, spec, seed, a, b):
+        v1 = random_symmetric(spec.k_dimension, seed)
+        v2 = random_symmetric(spec.k_dimension, seed + 1)
+        combo = embed(KBodyMatrix(a * v1 + b * v2, 0, 0), spec).matrix
+        h1 = embed(KBodyMatrix(v1, 0, 0), spec).matrix
+        h2 = embed(KBodyMatrix(v2, 0, 0), spec).matrix
+        scale = (abs(a) * np.abs(h1).max() + abs(b) * np.abs(h2).max()) or 1.0
+        assert np.allclose(combo, a * h1 + b * h2, rtol=0.0, atol=1e-12 * scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=small_systems(), seed=st.integers(0, 2**32 - 1))
+    def test_trace_from_plan_weights(self, spec, seed):
+        v = random_symmetric(spec.k_dimension, seed)
+        ham = embed(KBodyMatrix(v, 0, 0), spec).matrix
+        plan = build_embedding_plan(spec.statistics, spec.m, spec.n_sites, spec.k)
+        g_idx = np.concatenate([g for _a, g, _w in plan.groups])
+        w_sq = np.concatenate([w for _a, _g, w in plan.groups]) ** 2
+        expected = np.diag(v) @ np.bincount(g_idx, weights=w_sq, minlength=spec.k_dimension)
+        assert np.trace(ham) == pytest.approx(expected, rel=1e-12, abs=1e-12 * np.abs(v).max())
 
 
 def exact_second_moment(stat, m, n_sites, k, central=False):
