@@ -180,7 +180,7 @@ class EmbeddingPlan:
 def _occupations(n_sites: int, particles: int, statistics: Statistics, dtype) -> np.ndarray:
     """(dimension, N) occupation table of ``enumerate_basis``, in its order."""
     basis = enumerate_basis(n_sites, particles, statistics)
-    return np.array([cfg.occupations for cfg in basis], dtype=dtype).reshape(len(basis), n_sites)
+    return np.array([cfg.occupations for cfg in basis], dtype=dtype)
 
 
 def _above(occupations: np.ndarray) -> np.ndarray:
@@ -193,24 +193,23 @@ def _target_ranks(inter: np.ndarray, kocc: np.ndarray, statistics: Statistics, m
 
     ``enumerate_basis`` lists occupation vectors in decreasing lexicographic
     order, so the index of a state counts the states that agree with it below
-    site v and hold more particles at v.  With S particles above v that count
-    is C(N-1-v, S-1) for an empty fermion site, and C(S+N-v-2, N-v-1) (all
-    compositions of the S-1 or fewer particles left over) for a boson site.
-    Every count is at most the basis size, so the sum stays exact in int64.
+    site v and hold more particles at v.  With S particles on the r = N-1-v
+    sites above v that count is C(r, S-1) for an empty fermion site, and
+    C(S-1+r, r) (all placements of at most S-1 particles there) for a boson
+    site.  The counts of a state sum to its index, below the basis size, and
+    every table entry fits int64 (fermion bases have N <= 64).
     """
-    n_sites = inter.shape[1]
     fermionic = statistics is Statistics.FERMION
-    counts = np.zeros((n_sites, m + 1), dtype=np.int64)
-    for v in range(n_sites):
-        for s in range(1, m + 1):
-            if fermionic:
-                counts[v, s] = math.comb(n_sites - 1 - v, s - 1)
-            elif v < n_sites - 1:
-                counts[v, s] = math.comb(s + n_sites - v - 2, n_sites - v - 1)
     above_i, above_k = _above(inter), _above(kocc)
     ranks = np.zeros((len(inter), len(kocc)), dtype=np.int64)
-    for v in range(n_sites):
-        count = counts[v, above_i[:, v, None] + above_k[None, :, v]]
+    for v in range(inter.shape[1]):
+        rest = inter.shape[1] - 1 - v
+        counts = np.array(
+            [0] + [math.comb(rest, s - 1) if fermionic else math.comb(s - 1 + rest, rest)
+                   for s in range(1, m + 1)],
+            dtype=np.int64,
+        )
+        count = counts[above_i[:, v, None] + above_k[None, :, v]]
         if fermionic:
             count[(inter[:, v, None] + kocc[None, :, v]) != 0] = 0
         ranks += count
