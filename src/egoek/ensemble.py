@@ -13,7 +13,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import Statistics, dimension, enumerate_basis, kbme_count
+from .fock import (
+    DEFAULT_BASIS_CAP,
+    BasisSizeError,
+    Statistics,
+    dimension,
+    enumerate_basis,
+    kbme_count,
+)
 
 #: Largest basis whose dense float64 Hamiltonian is built (d x d: 2 GiB here).
 MAX_DENSE_DIMENSION = 16_384
@@ -246,8 +253,13 @@ def build_embedding_plan(
     (-1)^(sum_v occupied-below(v) + k(k-1)/2).  Every boson k-config attaches.
     Each intermediate attaches the same number s of k-configs, C(N-m+k, k) for
     fermions and d(N, k) for bosons, so the plan is three (n_inter, s) arrays
-    read row by row; ``groups`` holds their rows.
+    read row by row; ``groups`` holds their rows.  Raises
+    :class:`BasisSizeError` when the m-particle basis exceeds the basis cap,
+    before any table is built.
     """
+    dim = dimension(n_sites, m, statistics)
+    if dim > DEFAULT_BASIS_CAP:
+        raise BasisSizeError(f"basis dimension {dim} exceeds cap {DEFAULT_BASIS_CAP}")
     dtype = np.min_scalar_type(-m)  # smallest signed type holding 0..m
     inter = _occupations(n_sites, m - k, statistics, dtype)
     kocc = _occupations(n_sites, k, statistics, dtype)
@@ -267,7 +279,7 @@ def build_embedding_plan(
         m=m,
         n_sites=n_sites,
         k=k,
-        dimension=dimension(n_sites, m, statistics),
+        dimension=dim,
         groups=tuple(zip(a_idx, g_idx, weights[rows, cols].reshape(shape))),
     )
 

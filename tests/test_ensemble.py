@@ -18,7 +18,7 @@ from egoek.ensemble import (
     spectral_variance_fermion,
     splitmix64,
 )
-from egoek.fock import Statistics, enumerate_basis
+from egoek.fock import BasisSizeError, Statistics, enumerate_basis
 from egoek.spectra import eigenvalues, moments
 
 from oracles import embed_oracle, embedding_plan_oracle, enumerate_kconfigs, transition_amplitude
@@ -211,6 +211,12 @@ def assert_same_plan(plan, reference):
 @pytest.mark.parametrize("stat,m,n_sites,k", [(F, 6, 12, 2), (B, 10, 5, 2), (B, 10, 5, 6)])
 def test_plan_matches_double_loop_on_reference_systems(stat, m, n_sites, k):
     assert_same_plan(build_embedding_plan(stat, m, n_sites, k), embedding_plan_oracle(stat, m, n_sites, k))
+
+
+def test_plan_refuses_basis_above_cap_before_building_tables():
+    # d = C(64, 6) = 74,974,368; the (C(64,3) x C(64,3)) tables would need ~14 GB.
+    with pytest.raises(BasisSizeError):
+        build_embedding_plan(F, 6, 64, 3)
 
 
 @st.composite
