@@ -3,15 +3,15 @@
 The per-object amplitude layer (k-configs, attach/detach/transition
 amplitudes on ``OccupationConfig`` states, with fermion states as N-bit
 masks) and the per-state double loop over it that built the embedding plan
-are the parity oracle of the vectorized plan build.
-Independent of that bookkeeping: fermion operators are
-dense Jordan-Wigner matrices on the full 2^N space, boson operators live on
-the total-occupation-truncated product space, and k-body operators are formed
-by literal matrix products.  The GOE rigidity oracle integrates the
-two-level cluster function with adaptive quadrature; its large-L asymptote
-is kept here as a reference too, and a long-double window-by-window
-Delta3 is the accuracy oracle of the prefix-sum form.  The direct Lomb-Scargle form, four trig
-calls per (frequency, sample) pair, is the parity oracle of the recurrence.
+are the parity oracle of the vectorized plan build.  Independent of that
+bookkeeping: fermion operators are dense Jordan-Wigner matrices on the full
+2^N space, boson operators live on the total-occupation-truncated product
+space, and k-body operators are formed by literal matrix products.  The GOE
+rigidity oracle integrates the two-level cluster function with adaptive
+quadrature; its large-L asymptote is kept here as a reference too, and a
+long-double window-by-window Delta3 is the accuracy oracle of the prefix-sum
+form.  The direct Lomb-Scargle form, four trig calls per (frequency, sample)
+pair, is the parity oracle of the recurrence.
 The per-row CSV writer (``csv.writer`` over f-string fields) and the row
 builders of every table are the byte-parity oracle of the block writer.
 The q-normal weight's truncated infinite product is the parity oracle of its
