@@ -235,7 +235,7 @@ def _boson_norm_sq(inter: np.ndarray, kocc: np.ndarray, m: int, k: int) -> np.nd
     for s, nu in zip(inter.T, kocc.T):
         s_values, s_at = np.unique(s, return_inverse=True)
         nu_values, nu_at = np.unique(nu, return_inverse=True)
-        factors = [[math.comb(int(a) + int(b), int(b)) for b in nu_values] for a in s_values]
+        factors = [[math.comb(a + b, b) for b in nu_values.tolist()] for a in s_values.tolist()]
         norm_sq *= np.array(factors, dtype=dtype)[np.ix_(s_at, nu_at)]
     return norm_sq
 

@@ -160,7 +160,7 @@ class TestEmbedding:
         ids=["fermion-k2", "boson-k2", "boson-k6"],
     )
     def test_exact_symmetry(self, spec):
-        for member in range(min(spec.members, 3)):
+        for member in range(3):
             ham = build_member(spec, member).matrix
             assert np.array_equal(ham, ham.T)
 
