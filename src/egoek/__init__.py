@@ -23,7 +23,7 @@ from .ensemble import (
     sample_kbody,
     spectral_variance,
 )
-from .spectra import Spectrum, SpectralMoments, eigenvalues, moments, standardize
+from .spectra import Spectrum, SpectralMoments, eigenvalues, moments
 from .qhermite import (
     fqn_cdf,
     fqn_density,
@@ -39,7 +39,6 @@ from .decomposition import (
     fit_smooth_model,
     goe_delta_rms,
     level_motion,
-    smooth_F,
     staircase,
 )
 from .analytic import (
@@ -116,12 +115,10 @@ __all__ = [
     "read_archive",
     "sample_kbody",
     "separation_report",
-    "smooth_F",
     "sn2_boson",
     "sn2_fermion",
     "spectral_variance",
     "staircase",
-    "standardize",
     "support_halfwidth",
     "unfold",
     "unfolding_order",

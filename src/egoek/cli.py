@@ -301,13 +301,12 @@ def cmd_table1(args) -> None:
 
     try:
         specs = [
-            EnsembleSpec(Statistics(g["statistics"]), g["m"], g["N"], g["k"],
-                         members=members, master_seed=seed)
+            EnsembleSpec.from_dict({**g, "members": members, "master_seed": seed, "nu2": 1.0})
             for g in grid
         ]
     except KeyError as exc:
         raise ConfigError(f"grid entry is missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid table1 system: {exc}") from exc
     out.mkdir(parents=True, exist_ok=True)
     for spec in specs:  # reject an oversized system before any is generated

@@ -32,6 +32,8 @@ class RunConfig:
     def __post_init__(self):
         if not self.orders or any(o not in VALID_ORDERS for o in self.orders):
             raise ConfigError(f"orders must be a non-empty subset of {VALID_ORDERS}")
+        if len(set(self.orders)) != len(self.orders):
+            raise ConfigError(f"orders must not repeat, got {list(self.orders)}")
         if not 0.0 <= self.trim < 1.0:
             raise ConfigError("trim must lie in [0, 1)")
         if self.l_max < 2:

@@ -71,98 +71,23 @@ def goe_delta_rms(dimension: int) -> float:
     return math.sqrt(math.log(2.0 * dimension)) / math.pi
 
 
-@dataclass(frozen=True)
-class PreparedSpectrum:
-    """Standardized energies with cached cumulative weight integrals."""
-
-    spectrum: Spectrum
-    q: float
-    centroid: float
-    width: float
-    e_hat: np.ndarray
-    cdf: np.ndarray
-    corrections: dict[int, np.ndarray]
-    max_order: int
-
-
-def prepare_spectrum(spectrum: Spectrum, q: float, max_order: int = 6) -> PreparedSpectrum:
-    """Standardize a spectrum and tabulate the integrals every fit order reuses."""
-    e = spectrum.eigenvalues
-    centroid = float(np.mean(e))
-    width = float(np.sqrt(np.mean((e - centroid) ** 2)))
-    if width == 0.0:
-        raise ValueError("spectrum has zero width")
-    if q > Q_GAUSSIAN_SWITCH:
-        q = 1.0
-    e_hat = (e - centroid) / width
-    orders = tuple(range(3, max_order + 1))
-    cumulative = qhermite.cumulative_weighted_integrals(e_hat, q, orders)
-    return PreparedSpectrum(
-        spectrum=spectrum,
-        q=q,
-        centroid=centroid,
-        width=width,
-        e_hat=e_hat,
-        cdf=cumulative[0],
-        corrections={n: cumulative[n] for n in orders},
-        max_order=max_order,
-    )
-
-
-def fit_prepared(prep: PreparedSpectrum, order: int) -> SmoothModel:
-    """Least-squares correction coefficients for one order on a prepared spectrum."""
-    if not MIN_ORDER <= order <= prep.max_order:
-        raise ValueError(f"order must lie in [{MIN_ORDER}, {prep.max_order}]")
-    d = prep.spectrum.dimension
-    base = dict(
-        q=prep.q,
-        order=order,
-        dimension=d,
-        centroid=prep.centroid,
-        width=prep.width,
-    )
-    if order == MIN_ORDER:
-        return SmoothModel(coefficients=np.empty(0), **base)
-    target = staircase(prep.spectrum) - d * prep.cdf
-    design = np.column_stack(
-        [d / qhermite.qfactorial(n, prep.q) * prep.corrections[n] for n in range(3, order + 1)]
-    )
-    solution, _res, rank, _sv = np.linalg.lstsq(design, target, rcond=None)
-    if rank < design.shape[1]:
-        raise SingularFitError(f"design matrix rank {rank} < {design.shape[1]}")
-    return SmoothModel(coefficients=solution, **base)
-
-
-def fit_smooth_model(spectrum: Spectrum, q: float, order: int) -> SmoothModel:
-    """Fit correction coefficients of one order by minimizing the level motion."""
-    return fit_prepared(prepare_spectrum(spectrum, q, max_order=max(order, 3)), order)
-
-
-def _smooth_values(
-    model: SmoothModel, cdf: np.ndarray, corrections: dict[int, np.ndarray]
-) -> np.ndarray:
+def _smooth_values(model: SmoothModel, cumulative: dict[int, np.ndarray]) -> np.ndarray:
     """Smooth distribution function from tabulated cumulative integrals."""
-    values = cdf.copy()
+    values = cumulative[0].copy()
     for j, n in enumerate(range(3, model.order + 1)):
-        values += model.coefficients[j] / qhermite.qfactorial(n, model.q) * corrections[n]
+        values += model.coefficients[j] / qhermite.qfactorial(n, model.q) * cumulative[n]
     return model.dimension * values
 
 
 def smooth_distribution_values(model: SmoothModel, energies: np.ndarray) -> np.ndarray:
-    """Smooth distribution function evaluated at raw energies (vectorized)."""
-    e_hat = (np.asarray(energies, dtype=float) - model.centroid) / model.width
-    orders = tuple(range(3, model.order + 1))
-    cumulative = qhermite.cumulative_weighted_integrals(e_hat, model.q, orders)
-    return _smooth_values(model, cumulative[0], cumulative)
-
-
-def smooth_F(model: SmoothModel, energy: float) -> float:
-    """Smooth distribution function at a single energy.
+    """Smooth distribution function evaluated at raw energies (vectorized).
 
     Clamps to 0 below and to the model dimension above the support, where the
     weight vanishes.
     """
-    return float(smooth_distribution_values(model, np.asarray([energy]))[0])
+    e_hat = (np.asarray(energies, dtype=float) - model.centroid) / model.width
+    orders = tuple(range(3, model.order + 1))
+    return _smooth_values(model, qhermite.cumulative_weighted_integrals(e_hat, model.q, orders))
 
 
 def _motion_series(
@@ -196,15 +121,42 @@ class MemberDecomposition:
 def decompose_member(
     spectrum: Spectrum, q: float, orders: tuple[int, ...]
 ) -> MemberDecomposition:
-    """Fit every requested order of one member, sharing the integral tables."""
+    """Fit every requested order of one member and its level motion at each.
+
+    The spectrum is standardized once and the cumulative weight integrals up
+    to the highest order are tabulated once at its levels; every order's fit
+    and smooth values reuse that table.  Above ``Q_GAUSSIAN_SWITCH`` the
+    Gaussian-limit weight (q = 1) is used.
+    """
     if any(o < MIN_ORDER for o in orders):
         raise ValueError("orders must be >= 2")
-    prep = prepare_spectrum(spectrum, q, max_order=max(max(orders), 3))
+    e = spectrum.eigenvalues
+    d = spectrum.dimension
+    centroid = float(np.mean(e))
+    width = float(np.sqrt(np.mean((e - centroid) ** 2)))
+    if width == 0.0:
+        raise ValueError("spectrum has zero width")
+    if q > Q_GAUSSIAN_SWITCH:
+        q = 1.0
+    e_hat = (e - centroid) / width
+    corrections = tuple(range(3, max(max(orders), 3) + 1))
+    cumulative = qhermite.cumulative_weighted_integrals(e_hat, q, corrections)
+    target = staircase(spectrum) - d * cumulative[0]
+    columns = [d / qhermite.qfactorial(n, q) * cumulative[n] for n in corrections]
     models, series = {}, {}
     for order in sorted(set(orders)):
-        model = fit_prepared(prep, order)
+        coefficients = np.empty(0)
+        if order > MIN_ORDER:
+            design = np.column_stack(columns[: order - MIN_ORDER])
+            coefficients, _res, rank, _sv = np.linalg.lstsq(design, target, rcond=None)
+            if rank < design.shape[1]:
+                raise SingularFitError(f"design matrix rank {rank} < {design.shape[1]}")
+        model = SmoothModel(q, order, coefficients, d, centroid, width)
         models[order] = model
-        series[order] = _motion_series(
-            spectrum, prep.e_hat, _smooth_values(model, prep.cdf, prep.corrections)
-        )
-    return MemberDecomposition(q=prep.q, models=models, series=series)
+        series[order] = _motion_series(spectrum, e_hat, _smooth_values(model, cumulative))
+    return MemberDecomposition(q=q, models=models, series=series)
+
+
+def fit_smooth_model(spectrum: Spectrum, q: float, order: int) -> SmoothModel:
+    """Fit correction coefficients of one order by minimizing the level motion."""
+    return decompose_member(spectrum, q, (order,)).models[order]

@@ -101,15 +101,22 @@ class EnsembleSpec:
         """Inverse of ``to_dict``; every key is required.
 
         Raises KeyError, TypeError, ValueError or OverflowError on a missing,
-        mistyped or out-of-range field.
+        mistyped, fractional or out-of-range field.
         """
+
+        def whole(key: str) -> int:
+            value = data[key]
+            if isinstance(value, float) and not value.is_integer():
+                raise ValueError(f"{key} must be a whole number, got {value!r}")
+            return int(value)
+
         return cls(
             statistics=Statistics(data["statistics"]),
-            m=int(data["m"]),
-            n_sites=int(data["N"]),
-            k=int(data["k"]),
-            members=int(data["members"]),
-            master_seed=int(data["master_seed"]),
+            m=whole("m"),
+            n_sites=whole("N"),
+            k=whole("k"),
+            members=whole("members"),
+            master_seed=whole("master_seed"),
             nu2=float(data["nu2"]),
         )
 

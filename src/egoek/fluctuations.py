@@ -1,8 +1,9 @@
 """Spectral unfolding and GOE-type fluctuation measures.
 
-Levels are mapped through the fitted smooth distribution function so the mean
-spacing is one, then compared with the Wigner/Poisson spacing laws and the
-Dyson–Mehta rigidity references.
+Levels are mapped through the fitted smooth distribution function, read from
+the decomposition's level-motion series, so the mean spacing is one, then
+compared with the Wigner/Poisson spacing laws and the Dyson–Mehta rigidity
+references.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-from .decomposition import SmoothModel, smooth_distribution_values
+from .decomposition import LevelMotionSeries, staircase
+from .decomposition import smooth_distribution_values  # noqa: F401  patched by perfbench/tracer.py
 from .fock import Statistics
 from .spectra import Spectrum
 
@@ -76,28 +78,33 @@ def unfolding_order(statistics: Statistics, k: int) -> int:
     return 6 if k <= 7 else 2
 
 
+def central_window(n: int, trim: float) -> slice:
+    """The central (1 - trim) fraction of n levels: floor(trim/2 * n) cut per end."""
+    if not 0.0 <= trim < 1.0:
+        raise ValueError("trim fraction must lie in [0, 1)")
+    cut = int(math.floor(0.5 * trim * n))
+    return slice(cut, n - cut)
+
+
 def unfold(
-    spectrum: Spectrum, model: SmoothModel, trim: float = DEFAULT_TRIM
+    spectrum: Spectrum, series: LevelMotionSeries, trim: float = DEFAULT_TRIM
 ) -> UnfoldedSpectrum:
     """Map levels through the smooth distribution function and normalize spacings.
 
-    The central (1 - trim) fraction is retained (floor(trim/2 * d) levels cut
-    per end) before rescaling to unit mean spacing.
+    The smooth values are read back from the member's level-motion series as
+    staircase - delta, over the ``central_window`` of the levels, before
+    rescaling to unit mean spacing.
     """
-    if not 0.0 <= trim < 1.0:
-        raise ValueError("trim fraction must lie in [0, 1)")
-    d = spectrum.dimension
-    cut = int(math.floor(0.5 * trim * d))
-    kept = spectrum.eigenvalues[cut : d - cut]
-    if len(kept) < 2:
+    window = central_window(spectrum.dimension, trim)
+    mapped = (staircase(spectrum) - series.delta)[window]
+    if len(mapped) < 2:
         raise ValueError("trim leaves fewer than two levels")
-    mapped = smooth_distribution_values(model, kept)
     steps = np.diff(mapped)
     if np.any(steps <= 0.0):
-        where = int(np.argmin(steps))
+        where = window.start + int(np.argmin(steps))
         raise UnfoldingError(
             f"smooth distribution not increasing between retained levels "
-            f"{cut + where} and {cut + where + 1}"
+            f"{where} and {where + 1}"
         )
     # Unit mean spacing with the end points exactly 0 and len - 1, so that
     # delta3's window count does not hinge on the last bit of the span.

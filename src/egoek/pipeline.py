@@ -77,13 +77,6 @@ def decompose_archive(
         return list(pool.map(one, spectra_list))
 
 
-def trimmed_motion(series: dc.LevelMotionSeries, trim: float) -> tuple[np.ndarray, np.ndarray]:
-    """Central window of a level-motion series (trim/2 of the levels per end)."""
-    n = len(series.delta)
-    cut = int(math.floor(0.5 * trim * n))
-    return series.e_hat[cut : n - cut], series.delta[cut : n - cut]
-
-
 def periodograms_by_order(
     analyses: list[MemberAnalysis],
     orders: tuple[int, ...],
@@ -95,9 +88,15 @@ def periodograms_by_order(
     out: dict[int, list[pg.PeriodogramResult]] = {o: [] for o in orders}
     for analysis in analyses:
         for order in orders:
-            e_hat, delta = trimmed_motion(analysis.decomposition.series[order], trim)
+            series = analysis.decomposition.series[order]
+            window = fl.central_window(len(series.delta), trim)
             out[order].append(
-                pg.lomb_scargle(e_hat, delta, oversample=oversample, convention=convention)
+                pg.lomb_scargle(
+                    series.e_hat[window],
+                    series.delta[window],
+                    oversample=oversample,
+                    convention=convention,
+                )
             )
     return out
 
@@ -107,7 +106,7 @@ def unfolded_ensemble(
     analyses: list[MemberAnalysis],
     trim: float = 0.10,
 ) -> list[fl.UnfoldedSpectrum]:
-    """Unfold every member with its fitted model at the policy order.
+    """Unfold every member from its level motion at the policy order.
 
     ``analyses`` come from ``decompose_archive`` and must include the order
     ``fluctuations.unfolding_order`` picks for the archive's system.
@@ -115,7 +114,7 @@ def unfolded_ensemble(
     spec = archive.spec
     order = fl.unfolding_order(spec.statistics, spec.k)
     return [
-        fl.unfold(spectrum, analysis.decomposition.models[order], trim=trim)
+        fl.unfold(spectrum, analysis.decomposition.series[order], trim=trim)
         for spectrum, analysis in zip(archive_spectra(archive), analyses, strict=True)
     ]
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,13 +80,3 @@ def moments(spectrum: Spectrum) -> SpectralMoments:
         q_est=q_est,
     )
 
-
-def standardize(spectrum: Spectrum) -> Spectrum:
-    """Shift to zero centroid and scale to unit variance."""
-    e = spectrum.eigenvalues
-    centroid = float(np.mean(e))
-    variance = float(np.mean((e - centroid) ** 2))
-    if variance == 0.0:
-        raise DegenerateSpectrumError("spectrum has zero variance")
-    scaled = (e - centroid) / np.sqrt(variance)
-    return replace(spectrum, eigenvalues=scaled)

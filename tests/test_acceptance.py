@@ -28,7 +28,6 @@ from egoek.pipeline import (
     decompose_archive,
     generate_archive,
     periodograms_by_order,
-    trimmed_motion,
     unfolded_ensemble,
 )
 from egoek.qhermite import qfactorial, support_halfwidth

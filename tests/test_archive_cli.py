@@ -7,7 +7,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import egoek.qhermite
 from egoek.archive import (
     ArchiveFormatError,
     MemberRecord,
@@ -77,6 +80,62 @@ class TestArchiveRoundTrip:
         assert payload["header"]["dimension"] == 20
         assert len(payload["members"]) == 3
         assert len(payload["members"][0]["eigenvalues"]) == 20
+
+
+@st.composite
+def small_archives(draw):
+    """Archives of small systems holding arbitrary float64 levels (nan and inf too)."""
+    stat = draw(st.sampled_from([F, Statistics.BOSON]))
+    n_sites = draw(st.integers(1, 6 if stat is F else 4))
+    m = draw(st.integers(1, n_sites if stat is F else 4))
+    spec = EnsembleSpec(
+        stat,
+        m=m,
+        n_sites=n_sites,
+        k=draw(st.integers(1, m)),
+        members=draw(st.integers(1, 3)),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+        nu2=draw(st.floats(1e-3, 1e3)),
+    )
+    levels = st.lists(st.floats(width=64), min_size=spec.dimension, max_size=spec.dimension)
+    records = tuple(
+        MemberRecord(
+            member=draw(st.integers(0, 2**32 - 1)),
+            seed=draw(st.integers(0, 2**64 - 1)),
+            eigenvalues=np.array(draw(levels), dtype=float),
+        )
+        for _ in range(spec.members)
+    )
+    return SpectrumArchive(spec=spec, records=records)
+
+
+class TestArchiveProperties:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(archive=small_archives())
+    def test_round_trip_is_bitwise(self, archive, tmp_path):
+        path = tmp_path / "a.egoearc"
+        write_archive(path, archive)
+        loaded = read_archive(path)
+        assert loaded.spec == archive.spec
+        for a, b in zip(archive.records, loaded.records, strict=True):
+            assert (a.member, a.seed) == (b.member, b.seed)
+            assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+        again = tmp_path / "b.egoearc"
+        write_archive(again, loaded)
+        assert again.read_bytes() == path.read_bytes()
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(archive=small_archives(), data=st.data())
+    def test_cut_at_any_byte_is_rejected(self, archive, data, tmp_path):
+        path = tmp_path / "a.egoearc"
+        write_archive(path, archive)
+        whole = path.read_bytes()
+        cut = data.draw(st.integers(0, len(whole) - 1), label="cut")
+        path.write_bytes(whole[:cut])
+        with pytest.raises(ArchiveFormatError):
+            read_archive(path)
 
 
 def _with_header(data: bytes, edit) -> bytes:
@@ -166,6 +225,15 @@ class TestRunConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("field", ["m", "N", "k", "members", "master_seed"])
+    def test_fractional_ensemble_field_rejected(self, field):
+        ensemble = {"statistics": "fermion", "m": 3, "N": 6, "k": 2, "members": 2,
+                    "master_seed": 1}
+        with pytest.raises(ConfigError, match="whole number"):
+            config_from_dict({"ensemble": {**ensemble, field: ensemble[field] + 0.5}})
+        whole = config_from_dict({"ensemble": {**ensemble, field: float(ensemble[field])}})
+        assert whole.ensemble == config_from_dict({"ensemble": ensemble}).ensemble
 
 
 def run_cli(*argv):
@@ -263,6 +331,30 @@ class TestCliAnalysis:
         with open(out / "delta3.csv") as fh:
             assert fh.readline().strip() == "L,delta3,goe,poisson"
 
+    def test_fluct_tabulates_integrals_once_per_member(self, small_archive, tmp_path,
+                                                       monkeypatch):
+        calls = []
+        original = egoek.qhermite.cumulative_weighted_integrals
+
+        def counted(points, q, orders):
+            calls.append(len(points))
+            return original(points, q, orders)
+
+        monkeypatch.setattr(egoek.qhermite, "cumulative_weighted_integrals", counted)
+        assert run_cli("fluct", "--archive", str(small_archive), "--orders", "2,3",
+                       "--out", str(tmp_path)) == 0
+        assert calls == [read_archive(small_archive).dimension] * 4
+
+    @pytest.mark.parametrize("command", ["decompose", "fluct"])
+    def test_repeated_orders_in_config_exit_2(self, command, small_archive, tmp_path, capsys):
+        config = _config(tmp_path, {"ensemble": SYSTEM, "analysis": {"orders": [2, 2, 3]}})
+        capsys.readouterr()
+        assert run_cli(command, "--archive", str(small_archive), "--config", config,
+                       "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "repeat" in err[0]
+        assert not (tmp_path / "out").exists()
+
     def test_missing_archive_exit_code(self, tmp_path):
         assert run_cli("fluct", "--archive", str(tmp_path / "absent.egoearc"),
                        "--out", str(tmp_path)) == 1
@@ -308,6 +400,12 @@ def _table1(tmp_path, entries, members="2"):
     return ["table1", "--grid", str(grid), "--members", members, "--out", str(tmp_path / "tab")]
 
 
+def _config(tmp_path, payload):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
 SYSTEM = {"statistics": "fermion", "m": 3, "N": 6, "k": 2}
 GENERATE = ["generate", "--statistics", "fermion", "-m", "3", "-N", "6", "-k", "2", "--members", "2"]
 
@@ -319,6 +417,14 @@ INVALID_COMMAND_LINES = {
     "table1_grid_non_object": lambda p: (_table1(p, [3]), {}),
     "table1_grid_unknown_statistics": lambda p: (_table1(p, [{**SYSTEM, "statistics": "quark"}]), {}),
     "table1_zero_members": lambda p: (_table1(p, [SYSTEM], members="0"), {}),
+    "table1_fractional_m": lambda p: (_table1(p, [{"statistics": "fermion", "m": 6.5, "N": 12,
+                                                   "k": 2}]), {}),
+    "table1_fractional_N": lambda p: (_table1(p, [{**SYSTEM, "N": 6.5}]), {}),
+    "table1_fractional_k": lambda p: (_table1(p, [{**SYSTEM, "k": 1.5}]), {}),
+    "config_fractional_m": lambda p: (
+        ["generate", "--config", _config(p, {"ensemble": {**SYSTEM, "m": 2.5}}), "--out", str(p)],
+        {},
+    ),
     "generate_zero_threads": lambda p: (GENERATE + ["--threads", "0", "--out", str(p)], {}),
     "generate_env_zero_threads": lambda p: (GENERATE + ["--out", str(p)], {"EGOE_THREADS": "0"}),
     "analytic_zero_grid_points": lambda p: (ANALYTIC + ["--grid-points", "0", "--out", str(p)], {}),

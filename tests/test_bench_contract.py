@@ -65,3 +65,35 @@ def test_plan_groups_unpack_into_equal_length_triples():
     assert plan.groups
     for a_idx, g_idx, w in plan.groups:
         assert len(a_idx) == len(g_idx) == len(w) > 0
+
+
+def test_harness_keyword_calls():
+    """The calls perfbench/run.py and checks.py make, with their keywords."""
+    spec = egoek.ensemble.EnsembleSpec(
+        statistics=Statistics.FERMION, m=3, n_sites=6, k=2, members=2, master_seed=5
+    )
+    config = egoek.config.RunConfig(ensemble=spec)
+    archive = egoek.pipeline.generate_archive(spec, threads=1)
+    assert archive.spec == config.ensemble and len(archive.records) == 2
+
+
+def test_cli_passes_threads_by_keyword(tracer, tmp_path):
+    """tracer._threads_attr reads ``threads`` from the keywords of the pipeline calls."""
+    recorder = tracer.Recorder()
+    archive = str(tmp_path / "spectra.egoearc")
+    common = ["--threads", "2", "--out", str(tmp_path)]
+    with tracer.Tracing(recorder, egoek):
+        assert egoek.cli.main(["generate", "--statistics", "fermion", "-m", "4", "-N", "9",
+                               "-k", "2", "--members", "2"] + common) == 0
+        for stage in ("decompose", "fluct"):
+            assert egoek.cli.main([stage, "--archive", archive, "--orders", "2,3"] + common) == 0
+    threads = [
+        (s.name, s.attrs["threads"])
+        for s in sorted(recorder.spans, key=lambda s: s.start)
+        if s.name in ("pipeline.generate_archive", "pipeline.decompose_archive")
+    ]
+    assert threads == [
+        ("pipeline.generate_archive", 2),
+        ("pipeline.decompose_archive", 2),
+        ("pipeline.decompose_archive", 2),
+    ]

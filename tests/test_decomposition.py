@@ -10,7 +10,6 @@ from egoek.decomposition import (
     fit_smooth_model,
     goe_delta_rms,
     level_motion,
-    smooth_F,
     smooth_distribution_values,
     staircase,
 )
@@ -81,29 +80,31 @@ class TestSmoothDistribution:
         model = SmoothModel(0.4, 2, np.empty(0), 500, centroid=1.0, width=2.0)
         for e in (-3.0, 0.0, 1.0, 4.0):
             e_hat = (e - 1.0) / 2.0
-            assert smooth_F(model, e) == pytest.approx(500 * fqn_cdf(e_hat, 0.4), abs=1e-7)
+            value = smooth_distribution_values(model, [e])[0]
+            assert value == pytest.approx(500 * fqn_cdf(e_hat, 0.4), abs=1e-7)
 
     def test_centroid_maps_to_half(self):
         model = SmoothModel(0.6, 2, np.empty(0), 800, centroid=-2.0, width=0.5)
-        assert smooth_F(model, -2.0) == pytest.approx(400.0, abs=1e-6)
+        assert smooth_distribution_values(model, [-2.0])[0] == pytest.approx(400.0, abs=1e-6)
 
     def test_corrections_vanish_at_edges(self):
         # With only S4 nonzero the upper edge still maps to d (orthogonality).
         model = SmoothModel(0.5, 4, np.array([0.0, 0.2]), 300, centroid=0.0, width=1.0)
         x0 = support_halfwidth(0.5)
-        assert smooth_F(model, x0) == pytest.approx(300.0, abs=1e-6)
-        assert smooth_F(model, -x0) == pytest.approx(0.0, abs=1e-6)
+        assert smooth_distribution_values(model, [x0])[0] == pytest.approx(300.0, abs=1e-6)
+        assert smooth_distribution_values(model, [-x0])[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_clamps_outside_support(self):
         model = SmoothModel(0.5, 3, np.array([0.05]), 100, centroid=0.0, width=1.0)
-        assert smooth_F(model, -99.0) == pytest.approx(0.0, abs=1e-9)
-        assert smooth_F(model, 99.0) == pytest.approx(100.0, abs=1e-7)
+        assert smooth_distribution_values(model, [-99.0])[0] == pytest.approx(0.0, abs=1e-9)
+        assert smooth_distribution_values(model, [99.0])[0] == pytest.approx(100.0, abs=1e-7)
 
     def test_vectorized_consistency(self):
         model = SmoothModel(0.3, 4, np.array([0.02, -0.01]), 64, centroid=0.2, width=1.4)
         energies = np.array([-1.0, 0.0, 0.7, 2.0])
         batch = smooth_distribution_values(model, energies)
-        assert np.allclose(batch, [smooth_F(model, float(e)) for e in energies], atol=1e-9)
+        single = [smooth_distribution_values(model, [e])[0] for e in energies]
+        assert np.allclose(batch, single, atol=1e-9)
 
 
 class TestFitRecovery:

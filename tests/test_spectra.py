@@ -6,7 +6,6 @@ from egoek.spectra import (
     Spectrum,
     eigenvalues,
     moments,
-    standardize,
 )
 
 
@@ -65,29 +64,3 @@ class TestMoments:
         with pytest.raises(DegenerateSpectrumError):
             moments(Spectrum(np.full(6, 2.5)))
 
-
-class TestStandardize:
-    def test_defining_property(self):
-        rng = np.random.default_rng(3)
-        s = Spectrum(np.sort(rng.standard_normal(500) * 7 + 3))
-        out = standardize(s).eigenvalues
-        assert np.mean(out) == pytest.approx(0.0, abs=1e-12)
-        assert np.mean(out**2) == pytest.approx(1.0, abs=1e-12)
-
-    def test_affine_invariance(self):
-        rng = np.random.default_rng(4)
-        e = np.sort(rng.standard_normal(100))
-        a = standardize(Spectrum(e)).eigenvalues
-        b = standardize(Spectrum(5.0 * e - 11.0)).eigenvalues
-        assert np.allclose(a, b, atol=1e-12)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(5)
-        s = Spectrum(np.sort(rng.standard_normal(64)))
-        once = standardize(s)
-        twice = standardize(once)
-        assert np.allclose(once.eigenvalues, twice.eigenvalues, atol=1e-12)
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateSpectrumError):
-            standardize(Spectrum(np.zeros(4)))
