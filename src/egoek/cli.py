@@ -11,16 +11,24 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import analytic, archive as arc, fluctuations as fl, periodogram as pg, pipeline
-from .config import ConfigError, RunConfig, config_from_dict, load_config
+from .config import (
+    ENSEMBLE_KEYS,
+    FORMAT_VERSION,
+    ConfigError,
+    RunConfig,
+    config_from_dict,
+    ensemble_from_dict,
+    merge_layers,
+    read_json,
+)
 from .decomposition import goe_delta_rms
-from .ensemble import DenseMemoryError, EnsembleSpec, check_dense_size
+from .ensemble import DEFAULT_MEMBERS, DEFAULT_SEED, DenseMemoryError, check_dense_size
 from .fock import Statistics
 from .qhermite import support_halfwidth
 
@@ -30,10 +38,6 @@ DEFAULT_TABLE_GRID = (
     [{"statistics": "fermion", "m": 6, "N": 12, "k": k} for k in range(2, 7)]
     + [{"statistics": "boson", "m": 10, "N": 5, "k": k} for k in range(2, 11)]
 )
-
-
-class CliError(RuntimeError):
-    pass
 
 
 def _threads(args) -> int:
@@ -64,48 +68,19 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     return values
 
 
-def _with_overrides(config: RunConfig, args, ensemble: EnsembleSpec) -> RunConfig:
-    """Apply the command-line --orders and --out over a configuration."""
-    orders = getattr(args, "orders", None)
-    return replace(
-        config,
-        ensemble=ensemble,
-        orders=_parse_ints(orders, "orders") if orders else config.orders,
-        out_dir=args.out or config.out_dir,
-    )
-
-
-def _load_run_config(args) -> RunConfig:
-    if args.config:
-        config = load_config(args.config)
-    else:
-        if args.statistics is None or args.m is None or args.N is None or args.k is None:
-            raise ConfigError("either --config or all of --statistics/-m/-N/-k are required")
-        config = config_from_dict(
-            {
-                "ensemble": {
-                    "statistics": args.statistics,
-                    "m": args.m,
-                    "N": args.N,
-                    "k": args.k,
-                },
-            }
-        )
-    overrides = {
-        name: value
-        for name, value in (("members", args.members), ("master_seed", args.seed))
-        if value is not None
-    }
-    try:
-        ensemble = replace(config.ensemble, **overrides)
-    except ValueError as exc:
-        raise ConfigError(f"invalid ensemble override: {exc}") from exc
-    return _with_overrides(config, args, ensemble)
-
-
-def _archive_config(args, archive: arc.SpectrumArchive) -> RunConfig:
-    config = load_config(args.config) if args.config else RunConfig(ensemble=archive.spec)
-    return _with_overrides(config, args, archive.spec)
+def _run_config(args, archive: arc.SpectrumArchive | None = None) -> RunConfig:
+    """Parse, once, the --config file overlaid by the flags, then by the archive's spec."""
+    flags = {"ensemble": {key: getattr(args, key) for key in ENSEMBLE_KEYS
+                          if getattr(args, key, None) is not None}}
+    if getattr(args, "orders", None):
+        flags["analysis"] = {"orders": list(_parse_ints(args.orders, "orders"))}
+    if args.out:
+        flags["out_dir"] = args.out
+    layers = [read_json(args.config, "config")] if args.config else []
+    layers.append(flags)
+    if archive is not None:
+        layers.append({"ensemble": archive.spec.to_dict()})
+    return config_from_dict(merge_layers(*layers))
 
 
 def _out_dir(config: RunConfig) -> Path:
@@ -140,7 +115,7 @@ def _write_json(path: Path, payload: dict, config: RunConfig) -> None:
 
 
 def cmd_generate(args) -> None:
-    config = _load_run_config(args)
+    config = _run_config(args)
     out = _out_dir(config)
     archive = pipeline.generate_archive(config.ensemble, threads=_threads(args))
     target = out / ARCHIVE_NAME
@@ -158,7 +133,7 @@ def _read_archive(args) -> arc.SpectrumArchive:
 
 def cmd_decompose(args) -> None:
     archive = _read_archive(args)
-    config = _archive_config(args, archive)
+    config = _run_config(args, archive)
     out = _out_dir(config)
     analyses = pipeline.decompose_archive(archive, config.orders, threads=_threads(args))
 
@@ -185,7 +160,7 @@ def cmd_decompose(args) -> None:
 
 def cmd_fluct(args) -> None:
     archive = _read_archive(args)
-    config = _archive_config(args, archive)
+    config = _run_config(args, archive)
     out = _out_dir(config)
     spec = archive.spec
 
@@ -289,25 +264,15 @@ def cmd_analytic(args) -> None:
 
 
 def cmd_table1(args) -> None:
-    grid = DEFAULT_TABLE_GRID
-    if args.grid:
-        try:
-            grid = json.loads(Path(args.grid).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read grid file: {exc}") from exc
-    members = args.members if args.members is not None else 50
-    seed = args.seed if args.seed is not None else 0
+    grid = read_json(args.grid, "grid file") if args.grid else DEFAULT_TABLE_GRID
+    if not isinstance(grid, list):
+        raise ConfigError("grid file must hold a JSON list of systems")
+    specs = [
+        ensemble_from_dict(entry, "table1 system", ("statistics", "m", "N", "k"),
+                           members=args.members, master_seed=args.master_seed)
+        for entry in grid
+    ]
     out = Path(args.out or ".")
-
-    try:
-        specs = [
-            EnsembleSpec.from_dict({**g, "members": members, "master_seed": seed, "nu2": 1.0})
-            for g in grid
-        ]
-    except KeyError as exc:
-        raise ConfigError(f"grid entry is missing key {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid table1 system: {exc}") from exc
     out.mkdir(parents=True, exist_ok=True)
     for spec in specs:  # reject an oversized system before any is generated
         check_dense_size(spec)
@@ -331,9 +296,9 @@ def cmd_table1(args) -> None:
         fmt="%.6f",
     )
     payload = {
-        "format_version": "1",
-        "members": members,
-        "master_seed": seed,
+        "format_version": FORMAT_VERSION,
+        "members": args.members,
+        "master_seed": args.master_seed,
         "rows": summaries,
     }
     (out / "table1.json").write_text(json.dumps(payload, sort_keys=True, indent=2))
@@ -349,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, archive=False, ensemble_flags=False):
         p.add_argument("--config", help="JSON run configuration")
-        p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument("--members", type=int, help="member count override")
         p.add_argument("--out", help="output directory")
         p.add_argument("--threads", type=int, help="worker threads (env EGOE_THREADS)")
         if archive:
@@ -361,6 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("-m", type=int, help="particle count")
             p.add_argument("-N", type=int, help="single-particle states")
             p.add_argument("-k", type=int, help="interaction rank")
+            p.add_argument("--members", type=int, help="member count override")
+            p.add_argument("--seed", type=int, dest="master_seed", help="master seed override")
 
     p_gen = sub.add_parser("generate", help="build, diagonalize, and archive an ensemble")
     common(p_gen, ensemble_flags=True)
@@ -394,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tab = sub.add_parser("table1", help="ensemble-averaged shape parameters grid")
     p_tab.add_argument("--grid", help="JSON list of {statistics, m, N, k}")
-    p_tab.add_argument("--members", type=int)
-    p_tab.add_argument("--seed", type=int)
+    p_tab.add_argument("--members", type=int, default=DEFAULT_MEMBERS)
+    p_tab.add_argument("--seed", type=int, dest="master_seed", default=DEFAULT_SEED)
     p_tab.add_argument("--out")
     p_tab.add_argument("--threads", type=int)
     p_tab.set_defaults(func=cmd_table1)

@@ -8,6 +8,7 @@ order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -22,6 +23,10 @@ from .fock import (
     kbme_count,
 )
 
+DEFAULT_MEMBERS = 50
+DEFAULT_SEED = 0
+DEFAULT_NU2 = 1.0
+
 #: Largest basis whose dense float64 Hamiltonian is built (d x d: 2 GiB here).
 MAX_DENSE_DIMENSION = 16_384
 
@@ -31,6 +36,22 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 class DenseMemoryError(ValueError):
     """The m-particle basis is too large for a dense Hamiltonian."""
+
+
+def whole_number(value, name: str) -> int:
+    """An integer field: an int, or a float without fractional part; never a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a whole number, got {value!r}")
+    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def finite_real(value, name: str) -> float:
+    """A real field: a finite int or float; never a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def splitmix64(value: int) -> int:
@@ -54,9 +75,9 @@ class EnsembleSpec:
     m: int
     n_sites: int
     k: int
-    members: int = 50
-    master_seed: int = 0
-    nu2: float = 1.0
+    members: int = DEFAULT_MEMBERS
+    master_seed: int = DEFAULT_SEED
+    nu2: float = DEFAULT_NU2
 
     def __post_init__(self):
         if self.m < 1:
@@ -69,8 +90,8 @@ class EnsembleSpec:
             raise ValueError("need at least one single-particle state")
         if self.members < 1:
             raise ValueError("members must be at least 1")
-        if not self.nu2 > 0:
-            raise ValueError("nu2 must be positive")
+        if not 0 < self.nu2 < math.inf:
+            raise ValueError("nu2 must be finite and positive")
 
     @property
     def dimension(self) -> int:
@@ -101,23 +122,16 @@ class EnsembleSpec:
         """Inverse of ``to_dict``; every key is required.
 
         Raises KeyError, TypeError, ValueError or OverflowError on a missing,
-        mistyped, fractional or out-of-range field.
+        mistyped, boolean, fractional, non-finite or out-of-range field.
         """
-
-        def whole(key: str) -> int:
-            value = data[key]
-            if isinstance(value, float) and not value.is_integer():
-                raise ValueError(f"{key} must be a whole number, got {value!r}")
-            return int(value)
-
         return cls(
             statistics=Statistics(data["statistics"]),
-            m=whole("m"),
-            n_sites=whole("N"),
-            k=whole("k"),
-            members=whole("members"),
-            master_seed=whole("master_seed"),
-            nu2=float(data["nu2"]),
+            m=whole_number(data["m"], "m"),
+            n_sites=whole_number(data["N"], "N"),
+            k=whole_number(data["k"], "k"),
+            members=whole_number(data["members"], "members"),
+            master_seed=whole_number(data["master_seed"], "master_seed"),
+            nu2=finite_real(data["nu2"], "nu2"),
         )
 
 
@@ -334,12 +348,12 @@ def build_member(spec: EnsembleSpec, member: int) -> EmbeddedHamiltonian:
     return embed(sample_kbody(spec, member), spec)
 
 
-def spectral_variance_fermion(m: int, n_sites: int, k: int, nu2: float = 1.0) -> float:
+def spectral_variance_fermion(m: int, n_sites: int, k: int, nu2: float = DEFAULT_NU2) -> float:
     """Ensemble-averaged eigenvalue variance of a fermionic embedded member."""
     return math.comb(m, k) * (math.comb(n_sites - m + k, k) + 1) * nu2
 
 
-def spectral_variance_boson(m: int, n_sites: int, k: int, nu2: float = 1.0) -> float:
+def spectral_variance_boson(m: int, n_sites: int, k: int, nu2: float = DEFAULT_NU2) -> float:
     """Direct term C(m,k) C(N+m-1,k) nu2 of <Tr H^2>/d for a bosonic embedded member.
 
     Not the BEGOE ensemble-averaged variance: the exchange term and the

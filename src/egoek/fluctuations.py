@@ -21,6 +21,9 @@ from .fock import Statistics
 from .spectra import Spectrum
 
 DEFAULT_TRIM = 0.10
+DEFAULT_BIN_WIDTH = 0.1
+DEFAULT_SPACING_MAX = 4.0
+DEFAULT_L_MAX = 60
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # (L - r)^3 (2L^2 - 9Lr - 3r^2) = sum_j coeff_j L^(5 - j) r^j
 _KERNEL_POWERS = np.array([0, 1, 2, 3, 5])
@@ -53,10 +56,6 @@ class SpacingHistogram:
     sigma2: float
     wigner: np.ndarray
     poisson: np.ndarray
-
-    @property
-    def bin_centers(self) -> np.ndarray:
-        return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
 
 @dataclass(frozen=True)
@@ -125,8 +124,8 @@ def poisson_pdf(s) -> np.ndarray:
 
 def nnsd(
     ensemble: Sequence[UnfoldedSpectrum],
-    bin_width: float = 0.1,
-    s_max: float = 4.0,
+    bin_width: float = DEFAULT_BIN_WIDTH,
+    s_max: float = DEFAULT_SPACING_MAX,
 ) -> SpacingHistogram:
     """Pooled nearest-neighbor spacing histogram with reference curves.
 
@@ -235,7 +234,7 @@ def _delta3_member(levels: np.ndarray, lengths: np.ndarray, window_step: float) 
 
 def delta3(
     ensemble: Sequence[UnfoldedSpectrum],
-    l_max: int = 60,
+    l_max: int = DEFAULT_L_MAX,
     l_step: int = 2,
     window_step: float = 2.0,
 ) -> Delta3Curve:

@@ -44,10 +44,6 @@ class PeriodogramResult:
     n_samples: int
     convention: str
 
-    @property
-    def f_p(self) -> float:
-        return self.peak_frequency
-
 
 def lomb_scargle(
     abscissa: np.ndarray,

@@ -20,6 +20,14 @@ from .ensemble import EnsembleSpec, build_member, check_dense_size, member_seed
 from .spectra import Spectrum, eigenvalues, moments
 
 
+def _map_members(function, items, threads: int) -> list:
+    """``function`` over ``items`` in order, on the calling thread when threads == 1."""
+    if threads == 1:
+        return [function(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(function, items))
+
+
 def _member_record(spec: EnsembleSpec, member: int) -> MemberRecord:
     ham = build_member(spec, member)
     return MemberRecord(
@@ -34,12 +42,7 @@ def generate_archive(spec: EnsembleSpec, threads: int = 1) -> SpectrumArchive:
     if threads < 1:
         raise ValueError("threads must be at least 1")
     check_dense_size(spec)
-    indices = range(spec.members)
-    if threads == 1:
-        records = [_member_record(spec, i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda i: _member_record(spec, i), indices))
+    records = _map_members(lambda i: _member_record(spec, i), range(spec.members), threads)
     return SpectrumArchive(spec=spec, records=tuple(records))
 
 
@@ -70,18 +73,14 @@ def decompose_archive(
             decomposition=dc.decompose_member(spectrum, q, orders),
         )
 
-    spectra_list = archive_spectra(archive)
-    if threads == 1:
-        return [one(s) for s in spectra_list]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, spectra_list))
+    return _map_members(one, archive_spectra(archive), threads)
 
 
 def periodograms_by_order(
     analyses: list[MemberAnalysis],
     orders: tuple[int, ...],
-    trim: float = 0.10,
-    oversample: int = 4,
+    trim: float = fl.DEFAULT_TRIM,
+    oversample: int = pg.DEFAULT_OVERSAMPLE,
     convention: str = "fap",
 ) -> dict[int, list[pg.PeriodogramResult]]:
     """Per-order Lomb-Scargle results over the central window of each member."""
@@ -104,7 +103,7 @@ def periodograms_by_order(
 def unfolded_ensemble(
     archive: SpectrumArchive,
     analyses: list[MemberAnalysis],
-    trim: float = 0.10,
+    trim: float = fl.DEFAULT_TRIM,
 ) -> list[fl.UnfoldedSpectrum]:
     """Unfold every member from its level motion at the policy order.
 

@@ -20,8 +20,8 @@ from egoek.archive import (
     write_archive,
 )
 from egoek.analytic import PRESET_SYSTEMS
-from egoek.cli import main
-from egoek.config import ConfigError, RunConfig, config_from_dict, load_config
+from egoek.cli import build_parser, main
+from egoek.config import VALID_ORDERS, ConfigError, RunConfig, config_from_dict, load_config
 from egoek.ensemble import (
     MAX_DENSE_DIMENSION,
     DenseMemoryError,
@@ -164,6 +164,8 @@ HOSTILE_ARCHIVES = {
         data, lambda h: {**h, "m": 10**6, "N": 2 * 10**6}
     ),
     "float_dimension": lambda data: _with_header(data, lambda h: {**h, "dimension": 20.0}),
+    "bool_master_seed": lambda data: _with_header(data, lambda h: {**h, "master_seed": True}),
+    "infinite_nu2": lambda data: _with_header(data, lambda h: {**h, "nu2": math.inf}),
 }
 
 
@@ -181,6 +183,42 @@ def test_hostile_archive_ends_in_one_error_line(case, tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+INTEGER_FIELDS = [("ensemble", key) for key in ("m", "N", "k", "members", "master_seed")] + [
+    ("analysis", key) for key in ("l_max", "oversample", "orders")
+]
+REAL_FIELDS = [("ensemble", "nu2")] + [
+    ("analysis", key) for key in ("trim", "bin_width", "spacing_max")
+]
+
+
+@st.composite
+def run_configs(draw):
+    """Valid run configurations over small systems."""
+    stat = draw(st.sampled_from([F, Statistics.BOSON]))
+    m = draw(st.integers(1, 6))
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    spec = EnsembleSpec(
+        stat,
+        m=m,
+        n_sites=draw(st.integers(m if stat is F else 1, 12)),
+        k=draw(st.integers(1, m)),
+        members=draw(st.integers(1, 10**6)),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+        nu2=draw(positive),
+    )
+    orders = draw(st.permutations(VALID_ORDERS))[: draw(st.integers(1, len(VALID_ORDERS)))]
+    return RunConfig(
+        ensemble=spec,
+        orders=tuple(orders),
+        trim=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        l_max=draw(st.integers(2, 10**6)),
+        bin_width=draw(positive),
+        spacing_max=draw(positive),
+        oversample=draw(st.integers(1, MAX_OVERSAMPLE)),
+        out_dir=draw(st.text(max_size=20)),
+    )
 
 
 class TestRunConfig:
@@ -234,6 +272,35 @@ class TestRunConfig:
             config_from_dict({"ensemble": {**ensemble, field: ensemble[field] + 0.5}})
         whole = config_from_dict({"ensemble": {**ensemble, field: float(ensemble[field])}})
         assert whole.ensemble == config_from_dict({"ensemble": ensemble}).ensemble
+
+    @settings(max_examples=100, deadline=None)
+    @given(config=run_configs())
+    def test_json_round_trip(self, config):
+        assert config_from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+    @settings(max_examples=100, deadline=None)
+    @given(config=run_configs(), data=st.data())
+    def test_bool_or_fractional_integer_rejected(self, config, data):
+        payload = config.to_dict()
+        block, key = data.draw(st.sampled_from(INTEGER_FIELDS), label="field")
+        bad = data.draw(st.booleans() | st.floats().filter(lambda x: not x.is_integer()),
+                        label="value")
+        if key == "orders":
+            payload[block][key][data.draw(st.integers(0, len(config.orders) - 1))] = bad
+        else:
+            payload[block][key] = bad
+        with pytest.raises(ConfigError):
+            config_from_dict(payload)
+
+    @settings(max_examples=100, deadline=None)
+    @given(config=run_configs(), data=st.data())
+    def test_non_finite_or_bool_real_rejected(self, config, data):
+        payload = config.to_dict()
+        block, key = data.draw(st.sampled_from(REAL_FIELDS), label="field")
+        payload[block][key] = data.draw(st.sampled_from([math.inf, -math.inf, math.nan,
+                                                         True, False]), label="value")
+        with pytest.raises(ConfigError):
+            config_from_dict(payload)
 
 
 def run_cli(*argv):
@@ -355,6 +422,23 @@ class TestCliAnalysis:
         assert len(err) == 1 and "repeat" in err[0]
         assert not (tmp_path / "out").exists()
 
+    def test_whole_float_order_runs_as_int(self, small_archive, tmp_path):
+        config = _config(tmp_path, {"ensemble": SYSTEM, "analysis": {"orders": [2, 3.0]}})
+        outs = []
+        for name, extra in (("float", ["--config", config]), ("int", ["--orders", "2,3"])):
+            out = tmp_path / name
+            assert run_cli("decompose", "--archive", str(small_archive), "--out", str(out),
+                           *extra) == 0
+            outs.append((out / "delta_series.csv").read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command", ["decompose", "fluct"])
+    @pytest.mark.parametrize("flag", ["--members", "--seed"])
+    def test_archive_commands_take_no_ensemble_flags(self, command, flag, small_archive):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, "--archive", str(small_archive), flag, "3"])
+        assert exit_info.value.code == 2
+
     def test_missing_archive_exit_code(self, tmp_path):
         assert run_cli("fluct", "--archive", str(tmp_path / "absent.egoearc"),
                        "--out", str(tmp_path)) == 1
@@ -406,6 +490,14 @@ def _config(tmp_path, payload):
     return str(path)
 
 
+def _generate_config(tmp_path, payload):
+    return ["generate", "--config", _config(tmp_path, payload), "--out", str(tmp_path)], {}
+
+
+def _generate_analysis(tmp_path, analysis):
+    return _generate_config(tmp_path, {"ensemble": SYSTEM, "analysis": analysis})
+
+
 SYSTEM = {"statistics": "fermion", "m": 3, "N": 6, "k": 2}
 GENERATE = ["generate", "--statistics", "fermion", "-m", "3", "-N", "6", "-k", "2", "--members", "2"]
 
@@ -425,6 +517,19 @@ INVALID_COMMAND_LINES = {
         ["generate", "--config", _config(p, {"ensemble": {**SYSTEM, "m": 2.5}}), "--out", str(p)],
         {},
     ),
+    "config_bool_m": lambda p: _generate_config(p, {"ensemble": {**SYSTEM, "m": True}}),
+    "config_infinite_nu2": lambda p: _generate_config(p, {"ensemble": {**SYSTEM, "nu2": math.inf}}),
+    "config_fractional_order": lambda p: _generate_analysis(p, {"orders": [2, 3.5]}),
+    "config_analysis_not_object": lambda p: _generate_config(p, {"ensemble": SYSTEM,
+                                                                 "analysis": [1, 2]}),
+    "config_fractional_l_max": lambda p: _generate_analysis(p, {"l_max": 8.7}),
+    "config_fractional_oversample": lambda p: _generate_analysis(p, {"oversample": 4.5}),
+    "config_bool_oversample": lambda p: _generate_analysis(p, {"oversample": True}),
+    "config_format_version": lambda p: _generate_config(p, {"ensemble": SYSTEM,
+                                                            "format_version": "99"}),
+    "config_unknown_analysis_key": lambda p: _generate_analysis(p, {"trimm": 0.2}),
+    "config_unknown_top_key": lambda p: _generate_config(p, {"ensemble": SYSTEM, "ensembel": {}}),
+    "table1_bool_k": lambda p: (_table1(p, [{**SYSTEM, "k": True}]), {}),
     "generate_zero_threads": lambda p: (GENERATE + ["--threads", "0", "--out", str(p)], {}),
     "generate_env_zero_threads": lambda p: (GENERATE + ["--out", str(p)], {"EGOE_THREADS": "0"}),
     "analytic_zero_grid_points": lambda p: (ANALYTIC + ["--grid-points", "0", "--out", str(p)], {}),

@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import egoek.fluctuations
 from egoek.decomposition import (
     SmoothModel,
     fit_smooth_model,
@@ -215,6 +219,31 @@ class TestDelta3:
         picked = [0, 4, 14, 29]  # L = 2, 10, 30, 60
         reference = delta3_long_double(levels, curve.lengths[picked])
         assert np.allclose(curve.values[picked], reference, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(st.integers(4, 192), min_size=2, max_size=150),
+        offset=st.integers(0, 2**20),
+        window_step=st.integers(4, 32),
+        table_entries=st.sampled_from([egoek.fluctuations._WINDOW_TABLE_ENTRIES, 1, 5, 64]),
+        data=st.data(),
+    )
+    def test_matches_long_double_on_drawn_spectra(self, steps, offset, window_step,
+                                                  table_entries, data):
+        """Levels on a 1/64 grid, window steps and lengths on a 1/8 grid.
+
+        Every window edge is then exact in float64 and long double alike, so
+        both sides count the same levels in each window.  Small table sizes
+        make the block loop of ``_delta3_member`` run more than once.
+        """
+        levels = (offset + np.concatenate(([0], np.cumsum(steps)))) / 64.0
+        top = int(8 * (levels[-1] - levels[0]))
+        eighths = data.draw(st.lists(st.integers(1, top), min_size=1, max_size=6, unique=True))
+        lengths = np.sort(np.array(eighths, dtype=float)) / 8.0
+        with mock.patch.object(egoek.fluctuations, "_WINDOW_TABLE_ENTRIES", table_entries):
+            fast = _delta3_member(levels, lengths, window_step / 8.0)
+        reference = delta3_long_double(levels, lengths, window_step / 8.0)
+        assert np.allclose(fast, reference, rtol=1e-9, atol=1e-12)
 
     def test_invariant_under_level_shift(self):
         levels = self.unfolded_levels()
