@@ -41,15 +41,7 @@ from .decomposition import (
     level_motion,
     staircase,
 )
-from .analytic import (
-    ModeWidthCurve,
-    mode_width_curve,
-    motion_variance_boson,
-    motion_variance_fermion,
-    preset_q,
-    sn2_boson,
-    sn2_fermion,
-)
+from .analytic import mode_width_curve, motion_variance, preset_q, sn2
 from .fluctuations import (
     Delta3Curve,
     SpacingHistogram,
@@ -73,7 +65,6 @@ __all__ = [
     "EnsembleSpec",
     "KBodyMatrix",
     "LevelMotionSeries",
-    "ModeWidthCurve",
     "OccupationConfig",
     "PeriodogramResult",
     "RunConfig",
@@ -105,8 +96,7 @@ __all__ = [
     "member_seed",
     "mode_width_curve",
     "moments",
-    "motion_variance_boson",
-    "motion_variance_fermion",
+    "motion_variance",
     "nnsd",
     "poisson_delta3",
     "preset_q",
@@ -115,8 +105,7 @@ __all__ = [
     "read_archive",
     "sample_kbody",
     "separation_report",
-    "sn2_boson",
-    "sn2_fermion",
+    "sn2",
     "spectral_variance",
     "staircase",
     "support_halfwidth",

@@ -38,7 +38,6 @@ class MemberRecord:
 class SpectrumArchive:
     spec: EnsembleSpec
     records: tuple[MemberRecord, ...]
-    format_version: str = FORMAT_VERSION
 
     @property
     def dimension(self) -> int:
@@ -86,12 +85,16 @@ def read_archive(path: str | Path) -> SpectrumArchive:
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
             spec = EnsembleSpec.from_dict(header)
-            format_version = header["format_version"]
+            version = header["format_version"]
             claimed = header["dimension"]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ArchiveFormatError(
                 f"{path}: malformed header ({type(exc).__name__}: {exc})"
             ) from exc
+        if version != FORMAT_VERSION:
+            raise ArchiveFormatError(
+                f"{path}: format_version must be {FORMAT_VERSION!r}, got {version!r}"
+            )
         if type(claimed) is not int or claimed < 1:
             raise ArchiveFormatError(
                 f"{path}: header dimension {claimed!r} is not a positive integer"
@@ -115,7 +118,7 @@ def read_archive(path: str | Path) -> SpectrumArchive:
             member, seed = record_head.unpack(fh.read(record_head.size))
             eig = np.frombuffer(fh.read(8 * claimed), dtype="<f8").copy()
             records.append(MemberRecord(member=member, seed=seed, eigenvalues=eig))
-    return SpectrumArchive(spec=spec, records=tuple(records), format_version=format_version)
+    return SpectrumArchive(spec=spec, records=tuple(records))
 
 
 def export_json(archive: SpectrumArchive, path: str | Path) -> None:

@@ -252,9 +252,9 @@ def cmd_analytic(args) -> None:
         half = support_halfwidth(q) if q < 1.0 else 6.0
         grid = np.linspace(-half, half, args.grid_points)
         for n in modes:
-            curve = analytic.mode_width_curve(statistics, args.m, args.N, k, q, n, grid)
+            values = analytic.mode_width_curve(statistics, args.m, args.N, k, q, n, grid)
             fixed = (statistics.value, args.m, args.N, k, f"{q:.12g}", n)
-            blocks.append((fixed, (curve.grid, curve.values)))
+            blocks.append((fixed, (grid, values)))
     write_table(
         out / "mode_widths.csv",
         ["statistics", "m", "N", "k", "q", "n", "E_hat", "value"],

@@ -150,10 +150,9 @@ class KBodyMatrix:
 
 @dataclass(frozen=True)
 class EmbeddedHamiltonian:
-    """Dense symmetric m-particle matrix with full provenance."""
+    """Dense symmetric m-particle matrix of one ensemble member."""
 
     matrix: np.ndarray
-    spec: EnsembleSpec
     member: int
 
     @property
@@ -325,7 +324,7 @@ def embed(kmat: KBodyMatrix, spec: EnsembleSpec) -> EmbeddedHamiltonian:
     for a_idx, g_idx, w in plan.groups:
         block = v[np.ix_(g_idx, g_idx)] * (w[:, None] * w[None, :])
         ham[np.ix_(a_idx, a_idx)] += block
-    return EmbeddedHamiltonian(matrix=ham, spec=spec, member=kmat.member)
+    return EmbeddedHamiltonian(matrix=ham, member=kmat.member)
 
 
 def check_dense_size(spec: EnsembleSpec) -> None:
@@ -348,22 +347,16 @@ def build_member(spec: EnsembleSpec, member: int) -> EmbeddedHamiltonian:
     return embed(sample_kbody(spec, member), spec)
 
 
-def spectral_variance_fermion(m: int, n_sites: int, k: int, nu2: float = DEFAULT_NU2) -> float:
-    """Ensemble-averaged eigenvalue variance of a fermionic embedded member."""
-    return math.comb(m, k) * (math.comb(n_sites - m + k, k) + 1) * nu2
-
-
-def spectral_variance_boson(m: int, n_sites: int, k: int, nu2: float = DEFAULT_NU2) -> float:
-    """Direct term C(m,k) C(N+m-1,k) nu2 of <Tr H^2>/d for a bosonic embedded member.
-
-    Not the BEGOE ensemble-averaged variance: the exchange term and the
-    centroid fluctuation are left out.  At m=10, N=5, k=2 it gives 4095 where
-    the exact expectation of the per-member variance is 4320.
-    """
-    return math.comb(m, k) * math.comb(n_sites + m - 1, k) * nu2
-
-
 def spectral_variance(spec: EnsembleSpec) -> float:
+    """Propagated eigenvalue variance of one embedded member.
+
+    Fermions: C(m,k) (C(N-m+k,k) + 1) nu2, the ensemble-averaged variance.
+    Bosons: C(m,k) C(N+m-1,k) nu2, only the direct term of <Tr H^2>/d and
+    not the BEGOE ensemble-averaged variance: the exchange term and the
+    centroid fluctuation are left out.  At m=10, N=5, k=2 it gives 4095
+    where the exact expectation of the per-member variance is 4320.
+    """
+    m, n_sites, k = spec.m, spec.n_sites, spec.k
     if spec.statistics is Statistics.FERMION:
-        return spectral_variance_fermion(spec.m, spec.n_sites, spec.k, spec.nu2)
-    return spectral_variance_boson(spec.m, spec.n_sites, spec.k, spec.nu2)
+        return math.comb(m, k) * (math.comb(n_sites - m + k, k) + 1) * spec.nu2
+    return math.comb(m, k) * math.comb(n_sites + m - 1, k) * spec.nu2

@@ -24,6 +24,10 @@ DEFAULT_TRIM = 0.10
 DEFAULT_BIN_WIDTH = 0.1
 DEFAULT_SPACING_MAX = 4.0
 DEFAULT_L_MAX = 60
+# Delta3 window lengths run L_STEP, 2 L_STEP, ... up to l_max; window starts
+# advance by WINDOW_STEP unfolded spacings.
+L_STEP = 2
+WINDOW_STEP = 2.0
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # (L - r)^3 (2L^2 - 9Lr - 3r^2) = sum_j coeff_j L^(5 - j) r^j
 _KERNEL_POWERS = np.array([0, 1, 2, 3, 5])
@@ -232,25 +236,20 @@ def _delta3_member(levels: np.ndarray, lengths: np.ndarray, window_step: float) 
     return totals / n_windows
 
 
-def delta3(
-    ensemble: Sequence[UnfoldedSpectrum],
-    l_max: int = DEFAULT_L_MAX,
-    l_step: int = 2,
-    window_step: float = 2.0,
-) -> Delta3Curve:
+def delta3(ensemble: Sequence[UnfoldedSpectrum], l_max: int = DEFAULT_L_MAX) -> Delta3Curve:
     """Ensemble-averaged Dyson-Mehta rigidity over window lengths up to l_max.
 
-    Windows advance in steps of ``window_step`` from the first retained level;
+    Windows advance in steps of WINDOW_STEP from the first retained level;
     windows truncated by the spectrum end are dropped.
     """
     if not ensemble:
         raise ValueError("need at least one unfolded spectrum")
-    longest = float(l_step * (l_max // l_step))
+    longest = float(L_STEP * (l_max // L_STEP))
     span = min(u.levels[-1] - u.levels[0] for u in ensemble)
     if longest > span:
         raise ValueError(f"window length {longest} exceeds retained span {span:.1f}")
-    lengths = np.arange(l_step, l_max + 1, l_step, dtype=float)
-    values = np.mean([_delta3_member(u.levels, lengths, window_step) for u in ensemble], axis=0)
+    lengths = np.arange(L_STEP, l_max + 1, L_STEP, dtype=float)
+    values = np.mean([_delta3_member(u.levels, lengths, WINDOW_STEP) for u in ensemble], axis=0)
     return Delta3Curve(
         lengths=lengths,
         values=values,

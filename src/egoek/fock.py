@@ -26,7 +26,7 @@ class FockDomainError(ValueError):
 
 
 class BasisSizeError(RuntimeError):
-    """Requested basis exceeds the configured size cap."""
+    """Requested basis exceeds DEFAULT_BASIS_CAP."""
 
 
 @dataclass(frozen=True)
@@ -106,25 +106,20 @@ def kbme_count(n_sites: int, k: int, statistics: Statistics) -> int:
     return d * (d + 1) // 2
 
 
-def enumerate_basis(
-    n_sites: int,
-    particles: int,
-    statistics: Statistics,
-    cap: int = DEFAULT_BASIS_CAP,
-) -> list[OccupationConfig]:
+def enumerate_basis(n_sites: int, particles: int, statistics: Statistics) -> list[OccupationConfig]:
     """Enumerate all m-particle configurations in a fixed deterministic order.
 
     States are generated from occupied-site tuples in lexicographic order, so
     the first config fills the lowest-labelled sites and the occupation
     vectors come in decreasing lexicographic order; e.g. for (N=2, m=1)
     fermions the order is |10>, |01>.  Raises :class:`BasisSizeError` when the
-    dimension exceeds ``cap``.
+    dimension exceeds DEFAULT_BASIS_CAP.
     """
     if statistics is Statistics.FERMION and n_sites > MAX_SITES:
         raise FockDomainError(f"fermion bases support at most {MAX_SITES} sites")
     dim = dimension(n_sites, particles, statistics)
-    if dim > cap:
-        raise BasisSizeError(f"basis dimension {dim} exceeds cap {cap}")
+    if dim > DEFAULT_BASIS_CAP:
+        raise BasisSizeError(f"basis dimension {dim} exceeds cap {DEFAULT_BASIS_CAP}")
     if statistics is Statistics.FERMION:
         chooser = combinations(range(n_sites), particles)
     else:

@@ -17,7 +17,6 @@ import numpy as np
 DEFAULT_OVERSAMPLE = 4
 #: Largest grid refinement (frequencies per 1/T) a run configuration accepts.
 MAX_OVERSAMPLE = 64
-DEFAULT_HIFAC = 1.0
 MIN_SAMPLES = 16
 _CHUNK = 256
 _FINE = 16  # sqrt(_CHUNK)
@@ -42,14 +41,12 @@ class PeriodogramResult:
     peak_power: float
     significance: float
     n_samples: int
-    convention: str
 
 
 def lomb_scargle(
     abscissa: np.ndarray,
     values: np.ndarray,
     oversample: int = DEFAULT_OVERSAMPLE,
-    hifac: float = DEFAULT_HIFAC,
     convention: str = "fap",
 ) -> PeriodogramResult:
     """Classical normalized periodogram of an unevenly sampled series.
@@ -57,10 +54,11 @@ def lomb_scargle(
     The per-frequency phase shift tau satisfies
     tan(2 w tau) = sum(sin 2 w t) / sum(cos 2 w t), and powers are normalized
     by the sample variance so that white noise gives unit-mean exponential
-    powers.  The frequency grid runs from 1/(T * oversample) to
-    hifac * n / (2 T) in steps of 1/(T * oversample).  The grid is evaluated
-    with the uniform-grid trig recurrence of Press & Teukolsky (Numerical
-    Recipes ``period``), re-anchored every block of frequencies.
+    powers.  The frequency grid runs from 1/(T * oversample) up to the
+    average Nyquist frequency n / (2 T) in steps of 1/(T * oversample).  The
+    grid is evaluated with the uniform-grid trig recurrence of Press &
+    Teukolsky (Numerical Recipes ``period``), re-anchored every block of
+    frequencies.
 
     Parameters
     ----------
@@ -79,7 +77,7 @@ def lomb_scargle(
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
     if convention not in LAMBDA_CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    n_freq = grid_size(n, oversample, hifac)
+    n_freq = grid_size(n, oversample)
     y = y - y.mean()
     variance = float(np.sum(y**2)) / (n - 1)
     if variance == 0.0:
@@ -131,30 +129,22 @@ def lomb_scargle(
         peak_power=peak_power,
         significance=significance(peak_power, n, convention),
         n_samples=n,
-        convention=convention,
     )
 
 
-def grid_size(
-    n_samples: int, oversample: int = DEFAULT_OVERSAMPLE, hifac: float = DEFAULT_HIFAC
-) -> int:
+def grid_size(n_samples: int, oversample: int = DEFAULT_OVERSAMPLE) -> int:
     """Number of frequencies on the grid; ValueError unless the grid is usable.
 
-    ``oversample`` must be an integer in [1, MAX_OVERSAMPLE] and ``hifac``
-    finite and positive, and together they must leave at least one frequency.
+    ``oversample`` must be an integer in [1, MAX_OVERSAMPLE], and the grid
+    must hold at least one frequency.
     """
     if not isinstance(oversample, numbers.Integral) or not 1 <= oversample <= MAX_OVERSAMPLE:
         raise ValueError(
             f"oversample must be an integer in [1, {MAX_OVERSAMPLE}], got {oversample!r}"
         )
-    if not (math.isfinite(hifac) and hifac > 0.0):
-        raise ValueError(f"hifac must be finite and positive, got {hifac!r}")
-    n_freq = int(math.floor(0.5 * oversample * hifac * n_samples))
+    n_freq = int(math.floor(0.5 * oversample * n_samples))
     if n_freq < 1:
-        raise ValueError(
-            f"oversample={oversample} and hifac={hifac!r} leave no frequency "
-            f"for {n_samples} samples"
-        )
+        raise ValueError(f"oversample={oversample} leaves no frequency for {n_samples} samples")
     return n_freq
 
 

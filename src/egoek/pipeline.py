@@ -47,10 +47,7 @@ def generate_archive(spec: EnsembleSpec, threads: int = 1) -> SpectrumArchive:
 
 
 def archive_spectra(archive: SpectrumArchive) -> list[Spectrum]:
-    return [
-        Spectrum(eigenvalues=r.eigenvalues, spec=archive.spec, member=r.member)
-        for r in archive.records
-    ]
+    return [Spectrum(eigenvalues=r.eigenvalues, member=r.member) for r in archive.records]
 
 
 @dataclass(frozen=True)

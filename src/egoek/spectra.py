@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EmbeddedHamiltonian, EnsembleSpec
+from .ensemble import EmbeddedHamiltonian
 
 Q_CAP = 1.0 - 1e-6
 
@@ -20,7 +20,6 @@ class Spectrum:
     """Sorted eigenvalues of one ensemble member."""
 
     eigenvalues: np.ndarray
-    spec: EnsembleSpec | None = None
     member: int | None = None
 
     @property
@@ -45,13 +44,13 @@ def eigenvalues(ham: EmbeddedHamiltonian | np.ndarray) -> Spectrum:
     comfortably satisfies that.
     """
     if isinstance(ham, EmbeddedHamiltonian):
-        matrix, spec, member = ham.matrix, ham.spec, ham.member
+        matrix, member = ham.matrix, ham.member
     else:
-        matrix, spec, member = np.asarray(ham, dtype=float), None, None
+        matrix, member = np.asarray(ham, dtype=float), None
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix has non-finite entries")
     vals = np.linalg.eigvalsh(matrix)
-    return Spectrum(eigenvalues=vals, spec=spec, member=member)
+    return Spectrum(eigenvalues=vals, member=member)
 
 
 def moments(spectrum: Spectrum) -> SpectralMoments:

@@ -467,7 +467,7 @@ def lomb_scargle_direct(
     abscissa: np.ndarray,
     values: np.ndarray,
     oversample: int = periodogram.DEFAULT_OVERSAMPLE,
-    hifac: float = periodogram.DEFAULT_HIFAC,
+    hifac: float = 1.0,
     convention: str = "fap",
 ) -> periodogram.PeriodogramResult:
     """Normalized Lomb-Scargle periodogram with four trig calls per (frequency, sample).
@@ -523,7 +523,6 @@ def lomb_scargle_direct(
         peak_power=peak_power,
         significance=periodogram.significance(peak_power, n, convention),
         n_samples=n,
-        convention=convention,
     )
 
 
@@ -573,20 +572,12 @@ def delta3_rows(curve) -> list[list]:
 
 
 def mode_width_rows(curves) -> list[list]:
+    """CSV rows of (statistics, m, N, k, q, n, grid, values) mode-width curves."""
     rows = []
-    for curve in curves:
-        for e_hat, value in zip(curve.grid, curve.values):
+    for statistics, m, n_sites, k, q, n, grid, values in curves:
+        for e_hat, value in zip(grid, values):
             rows.append(
-                [
-                    curve.statistics.value,
-                    curve.m,
-                    curve.n_sites,
-                    curve.k,
-                    f"{curve.q:.12g}",
-                    curve.n,
-                    f"{e_hat:.12g}",
-                    f"{value:.12g}",
-                ]
+                [statistics.value, m, n_sites, k, f"{q:.12g}", n, f"{e_hat:.12g}", f"{value:.12g}"]
             )
     return rows
 

@@ -6,13 +6,10 @@ import pytest
 from egoek.analytic import (
     BOSON_PRESET_Q,
     FERMION_PRESET_Q,
-    ModeWidthCurve,
     mode_width_curve,
-    motion_variance_boson,
-    motion_variance_fermion,
+    motion_variance,
     preset_q,
-    sn2_boson,
-    sn2_fermion,
+    sn2,
 )
 from egoek.fock import Statistics
 from egoek.qhermite import fqn_density, hermite_q, qfactorial, support_halfwidth
@@ -23,37 +20,37 @@ B = Statistics.BOSON
 
 class TestModeAmplitudes:
     def test_fermion_values(self):
-        assert sn2_fermion(2, 10, 20, 2) == pytest.approx(4.0 / 190**2, rel=1e-12)
-        assert sn2_fermion(3, 10, 20, 2) == pytest.approx(6.0 / (45 * 36100), rel=1e-12)
+        assert sn2(F, 2, 10, 20, 2) == pytest.approx(4.0 / 190**2, rel=1e-12)
+        assert sn2(F, 3, 10, 20, 2) == pytest.approx(6.0 / (45 * 36100), rel=1e-12)
 
     def test_fermion_mode_ratio_identity(self):
         for n in (1, 2, 3, 5):
-            ratio = sn2_fermion(n + 1, 10, 20, 3) / sn2_fermion(n, 10, 20, 3)
+            ratio = sn2(F, n + 1, 10, 20, 3) / sn2(F, n, 10, 20, 3)
             assert ratio == pytest.approx((n + 1) / n / math.comb(10, 3), rel=1e-12)
 
     def test_boson_values(self):
-        assert sn2_boson(1, 10, 2) == pytest.approx(2.0 / 45, rel=1e-12)
-        assert sn2_boson(2, 10, 2) == pytest.approx(4.0 / 2025, rel=1e-12)
+        assert sn2(B, 1, 20, 10, 2) == pytest.approx(2.0 / 45, rel=1e-12)
+        assert sn2(B, 2, 20, 10, 2) == pytest.approx(4.0 / 2025, rel=1e-12)
 
     def test_boson_vanishes_with_many_states(self):
-        assert sn2_boson(2, 300, 2) < 1e-8
+        assert sn2(B, 2, 20, 300, 2) < 1e-8
 
     def test_boson_geometric_decay(self):
         for n in (1, 2, 4):
-            ratio = sn2_boson(n + 1, 10, 2) / sn2_boson(n, 10, 2)
+            ratio = sn2(B, n + 1, 20, 10, 2) / sn2(B, n, 20, 10, 2)
             assert ratio == pytest.approx((n + 1) / n / math.comb(10, 2), rel=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            sn2_fermion(0, 10, 20, 2)
+            sn2(F, 0, 10, 20, 2)
         with pytest.raises(ValueError):
-            sn2_fermion(2, 10, 8, 2)
+            sn2(F, 2, 10, 8, 2)
         with pytest.raises(ValueError):
-            sn2_boson(2, 5, 7)
+            sn2(B, 2, 1, 5, 7)
 
     def test_k2_reduction_is_same_expression(self):
         # At k = 2 the general forms coincide with the pair-interaction case.
-        assert sn2_fermion(4, 12, 24, 2) == pytest.approx(
+        assert sn2(F, 4, 12, 24, 2) == pytest.approx(
             8.0 * math.comb(12, 2) ** (-2) / math.comb(24, 2) ** 2, rel=1e-12
         )
 
@@ -75,21 +72,21 @@ class TestMotionVariance:
         rng = np.random.default_rng(2)
         for _ in range(10):
             e = float(rng.uniform(0, 2.0))
-            a = motion_variance_fermion(e, 10, 20, 3, 0.176)
-            b = motion_variance_fermion(-e, 10, 20, 3, 0.176)
+            a = motion_variance(F, e, 10, 20, 3, 0.176)
+            b = motion_variance(F, -e, 10, 20, 3, 0.176)
             assert a == pytest.approx(b, rel=1e-12)
-            a = motion_variance_boson(e, 20, 10, 3, 0.84)
-            b = motion_variance_boson(-e, 20, 10, 3, 0.84)
+            a = motion_variance(B, e, 20, 10, 3, 0.84)
+            b = motion_variance(B, -e, 20, 10, 3, 0.84)
             assert a == pytest.approx(b, rel=1e-12)
 
     def test_zero_outside_support(self):
-        assert motion_variance_fermion(10.0, 10, 20, 2, 0.465) == 0.0
-        assert motion_variance_boson(10.0, 20, 10, 2, 0.932) == 0.0
+        assert motion_variance(F, 10.0, 10, 20, 2, 0.465) == 0.0
+        assert motion_variance(B, 10.0, 20, 10, 2, 0.932) == 0.0
 
     def test_truncation_stability(self):
         grid = np.linspace(-2.0, 2.0, 41)
-        a = motion_variance_fermion(grid, 10, 20, 3, 0.176, n_max=30)
-        b = motion_variance_fermion(grid, 10, 20, 3, 0.176, n_max=60)
+        a = motion_variance(F, grid, 10, 20, 3, 0.176, n_max=30)
+        b = motion_variance(F, grid, 10, 20, 3, 0.176, n_max=60)
         assert np.allclose(a, b, rtol=1e-12)
 
     def test_single_mode_compositional_oracle(self):
@@ -97,13 +94,13 @@ class TestMotionVariance:
         # 2n C(m,k)^(2-n) equals sn2 * C(N,k)^2.
         q, m, n_sites, k = 0.465, 10, 20, 2
         grid = np.linspace(-1.5, 1.5, 7)
-        curve = mode_width_curve(F, m, n_sites, k, q, 2, grid)
+        values = mode_width_curve(F, m, n_sites, k, q, 2, grid)
         prefactor = (
             math.comb(n_sites, m) ** 2
             * math.comb(m, k) ** 2
             / math.comb(n_sites, k) ** 2
         )
-        amplitude = sn2_fermion(2, m, n_sites, k) * math.comb(n_sites, k) ** 2
+        amplitude = sn2(F, 2, m, n_sites, k) * math.comb(n_sites, k) ** 2
         expected = (
             prefactor
             * fqn_density(grid, q) ** 2
@@ -111,14 +108,14 @@ class TestMotionVariance:
             / qfactorial(2, q) ** 2
             * hermite_q(1, grid, q) ** 2
         )
-        assert np.allclose(curve.values, expected, rtol=1e-10)
+        assert np.allclose(values, expected, rtol=1e-10)
 
     def test_sum_of_modes_matches_total(self):
         q, m, n_sites, k = 0.176, 10, 20, 3
         grid = np.linspace(-2.0, 2.0, 21)
-        total = motion_variance_fermion(grid, m, n_sites, k, q, n_max=40)
+        total = motion_variance(F, grid, m, n_sites, k, q, n_max=40)
         stacked = sum(
-            mode_width_curve(F, m, n_sites, k, q, n, grid).values for n in range(1, 41)
+            mode_width_curve(F, m, n_sites, k, q, n, grid) for n in range(1, 41)
         )
         assert np.allclose(total, stacked, rtol=1e-10)
 
@@ -130,17 +127,18 @@ class TestModeWidthCurves:
 
     def test_curve_fields_and_nonnegativity(self):
         q = 0.176
-        curve = mode_width_curve(F, 10, 20, 3, q, 3, self.grid(q))
-        assert isinstance(curve, ModeWidthCurve)
-        assert np.all(curve.values >= 0.0)
-        assert np.all(np.isfinite(curve.values))
+        grid = self.grid(q)
+        values = mode_width_curve(F, 10, 20, 3, q, 3, grid)
+        assert values.shape == grid.shape
+        assert np.all(values >= 0.0)
+        assert np.all(np.isfinite(values))
 
     def test_zero_outside_support(self):
         q = 0.465
         grid = np.linspace(-4.0, 4.0, 801)
-        curve = mode_width_curve(F, 10, 20, 2, q, 2, grid)
+        values = mode_width_curve(F, 10, 20, 2, q, 2, grid)
         outside = np.abs(grid) > support_halfwidth(q)
-        assert not curve.values[outside].any()
+        assert not values[outside].any()
 
     def test_touch_count_matches_mode_index(self):
         # Curve ~ H_{n-1}^2 touches zero exactly n-1 times inside the support.
@@ -158,8 +156,8 @@ class TestModeWidthCurves:
         grid = np.linspace(-3.0, 3.0, 6001)
         c2 = mode_width_curve(F, 10, 20, 2, q2, 2, grid)
         c5 = mode_width_curve(F, 10, 20, 5, q5, 2, grid)
-        width2 = grid[c2.values > 0][-1] - grid[c2.values > 0][0]
-        width5 = grid[c5.values > 0][-1] - grid[c5.values > 0][0]
+        width2 = grid[c2 > 0][-1] - grid[c2 > 0][0]
+        width5 = grid[c5 > 0][-1] - grid[c5 > 0][0]
         want = math.sqrt((1 - q2) / (1 - q5))
         assert width5 / width2 == pytest.approx(1.0 / math.sqrt((1 - q5) / (1 - q2)), abs=5e-3)
         assert width5 / width2 == pytest.approx(want, abs=5e-3)
@@ -168,7 +166,7 @@ class TestModeWidthCurves:
         m, n_sites = 20, 10
         for k, q in BOSON_PRESET_Q.items():
             peaks = [
-                mode_width_curve(B, m, n_sites, k, q, n, self.grid(q)).peak
+                np.max(mode_width_curve(B, m, n_sites, k, q, n, self.grid(q)))
                 for n in (2, 3, 4, 6)
             ]
             assert all(b < a for a, b in zip(peaks, peaks[1:]))
@@ -177,17 +175,10 @@ class TestModeWidthCurves:
         m, n_sites = 10, 20
         for n in (2, 3, 4, 6):
             peaks = [
-                mode_width_curve(F, m, n_sites, k, q, n, self.grid(q)).peak
+                np.max(mode_width_curve(F, m, n_sites, k, q, n, self.grid(q)))
                 for k, q in sorted(FERMION_PRESET_Q.items())
             ]
             assert all(b < a for a, b in zip(peaks, peaks[1:]))
-
-    def test_scale_factor(self):
-        q = 0.044
-        grid = self.grid(q)
-        base = mode_width_curve(F, 10, 20, 4, q, 2, grid)
-        scaled = mode_width_curve(F, 10, 20, 4, q, 2, grid, scale=2.5)
-        assert np.allclose(scaled.values, 2.5 * base.values, rtol=1e-12)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

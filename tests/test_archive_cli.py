@@ -166,6 +166,13 @@ HOSTILE_ARCHIVES = {
     "float_dimension": lambda data: _with_header(data, lambda h: {**h, "dimension": 20.0}),
     "bool_master_seed": lambda data: _with_header(data, lambda h: {**h, "master_seed": True}),
     "infinite_nu2": lambda data: _with_header(data, lambda h: {**h, "nu2": math.inf}),
+    "future_format_version": lambda data: _with_header(
+        data, lambda h: {**h, "format_version": "99"}
+    ),
+    "numeric_format_version": lambda data: _with_header(data, lambda h: {**h, "format_version": 7}),
+    "null_format_version": lambda data: _with_header(
+        data, lambda h: {**h, "format_version": None}
+    ),
 }
 
 

@@ -68,13 +68,20 @@ def test_plan_groups_unpack_into_equal_length_triples():
 
 
 def test_harness_keyword_calls():
-    """The calls perfbench/run.py and checks.py make, with their keywords."""
+    """The calls perfbench/ makes, with their keywords, and the fields it reads back."""
     spec = egoek.ensemble.EnsembleSpec(
         statistics=Statistics.FERMION, m=3, n_sites=6, k=2, members=2, master_seed=5
     )
     config = egoek.config.RunConfig(ensemble=spec)
     archive = egoek.pipeline.generate_archive(spec, threads=1)
     assert archive.spec == config.ensemble and len(archive.records) == 2
+    # checks.trace_identity takes the trace of one member's matrix; probe.py
+    # diagonalizes a bare array and tracer._eig_attrs reads its dimension.
+    matrix = egoek.ensemble.build_member(spec, 1).matrix
+    assert matrix.shape == (spec.dimension, spec.dimension)
+    assert egoek.spectra.eigenvalues(matrix).dimension == spec.dimension
+    missing = [name for name in egoek.__all__ if not hasattr(egoek, name)]
+    assert not missing
 
 
 def test_cli_passes_threads_by_keyword(tracer, tmp_path):

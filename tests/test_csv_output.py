@@ -120,7 +120,8 @@ def test_analytic_csv_matches_oracle(statistics, m, n_sites, q, tmp_path):
     for k in ks:
         q_k = q if q is not None else analytic.preset_q(statistics, m, n_sites, k)
         grid = np.linspace(-2.0 / np.sqrt(1.0 - q_k), 2.0 / np.sqrt(1.0 - q_k), points)
-        curves += [analytic.mode_width_curve(statistics, m, n_sites, k, q_k, n, grid)
+        curves += [(statistics, m, n_sites, k, q_k, n, grid,
+                    analytic.mode_width_curve(statistics, m, n_sites, k, q_k, n, grid))
                    for n in modes]
     expected = oracles.csv_table(["statistics", "m", "N", "k", "q", "n", "E_hat", "value"],
                                  oracles.mode_width_rows(curves))

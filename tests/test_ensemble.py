@@ -14,8 +14,6 @@ from egoek.ensemble import (
     member_seed,
     sample_kbody,
     spectral_variance,
-    spectral_variance_boson,
-    spectral_variance_fermion,
     splitmix64,
 )
 from egoek.fock import BasisSizeError, Statistics, enumerate_basis
@@ -305,8 +303,8 @@ def exact_second_moment(stat, m, n_sites, k, central=False):
 
 class TestSpectralVariancePropagation:
     def test_formula_values(self):
-        assert spectral_variance_fermion(6, 12, 2) == 435
-        assert spectral_variance_boson(10, 5, 2) == 4095
+        assert spectral_variance(EnsembleSpec(F, m=6, n_sites=12, k=2)) == 435
+        assert spectral_variance(EnsembleSpec(B, m=10, n_sites=5, k=2)) == 4095
 
     def test_fermion_formula_is_exact(self):
         # The embedded second moment reproduces the propagation formula to
@@ -315,10 +313,10 @@ class TestSpectralVariancePropagation:
         # +5.5%, +4.8%, +4.4% above it at m=10, 20, 30 (N=5, k=2) and +0.13%
         # at m=4, N=40, so it closes with N, not m; see the acceptance suite.
         assert exact_second_moment(F, 4, 8, 2) == pytest.approx(
-            spectral_variance_fermion(4, 8, 2), rel=1e-12
+            spectral_variance(EnsembleSpec(F, m=4, n_sites=8, k=2)), rel=1e-12
         )
         assert exact_second_moment(F, 3, 6, 2) == pytest.approx(
-            spectral_variance_fermion(3, 6, 2), rel=1e-12
+            spectral_variance(EnsembleSpec(F, m=3, n_sites=6, k=2)), rel=1e-12
         )
 
     @pytest.mark.parametrize(

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -30,30 +29,19 @@ def red_series(n, seed):
     return sample_abscissa(n, rng), np.cumsum(rng.standard_normal(n))
 
 
-@functools.lru_cache(maxsize=None)
-def direct_full_grid(n, oversample):
-    return lomb_scargle_direct(*red_series(n, n), oversample=oversample, hifac=1.0)
-
-
 class TestDirectFormParity:
-    @pytest.mark.parametrize("hifac", [0.5, 1.0])
     @pytest.mark.parametrize("oversample", [1, 4, MAX_OVERSAMPLE])
     @pytest.mark.parametrize("n", [16, 832, 4096])
-    def test_matches_direct_form(self, n, oversample, hifac):
-        got = lomb_scargle(*red_series(n, n), oversample=oversample, hifac=hifac)
-        # The hifac=0.5 grid is the first half of the hifac=1 grid, and the
-        # direct form treats each frequency on its own, so one oracle call
-        # per (n, oversample) serves both.
-        ref = direct_full_grid(n, oversample)
-        size = len(got.frequency)
-        assert size == int(0.5 * oversample * hifac * n)
-        assert np.array_equal(got.frequency, ref.frequency[:size])
-        ref_power = ref.power[:size]
-        peak = int(np.argmax(ref_power))
-        assert np.max(np.abs(got.power - ref_power)) <= 1e-9 * ref_power[peak]
+    def test_matches_direct_form(self, n, oversample):
+        got = lomb_scargle(*red_series(n, n), oversample=oversample)
+        ref = lomb_scargle_direct(*red_series(n, n), oversample=oversample)
+        assert len(got.frequency) == int(0.5 * oversample * n)
+        assert np.array_equal(got.frequency, ref.frequency)
+        peak = int(np.argmax(ref.power))
+        assert np.max(np.abs(got.power - ref.power)) <= 1e-9 * ref.power[peak]
         assert int(np.argmax(got.power)) == peak
         assert got.peak_frequency == ref.frequency[peak]
-        ref_significance = significance(float(ref_power[peak]), n)
+        ref_significance = significance(float(ref.power[peak]), n)
         assert f"{got.significance:6.2f}" == f"{ref_significance:6.2f}"
         assert got.significance == pytest.approx(ref_significance, rel=1e-9)
 
@@ -133,7 +121,7 @@ class TestLombScargle:
     def test_grid_definition(self):
         rng = np.random.default_rng(4)
         t = sample_abscissa(64, rng)
-        r = lomb_scargle(t, rng.standard_normal(64), oversample=4, hifac=1.0)
+        r = lomb_scargle(t, rng.standard_normal(64), oversample=4)
         span = t.max() - t.min()
         assert r.frequency[0] == pytest.approx(1.0 / (4 * span), rel=1e-12)
         assert len(r.frequency) == 4 * 64 // 2
@@ -170,18 +158,11 @@ class TestGridValidation:
         with pytest.raises(ValueError, match="oversample must be an integer"):
             lomb_scargle(t, np.cos(3.0 * t), oversample=oversample)
 
-    @pytest.mark.parametrize("hifac", [0.0, -1.0, math.nan, math.inf])
-    def test_bad_hifac(self, hifac):
-        t = sample_abscissa(64, np.random.default_rng(8))
-        with pytest.raises(ValueError, match="hifac must be finite and positive"):
-            lomb_scargle(t, np.cos(3.0 * t), hifac=hifac)
-
     def test_grid_without_frequency(self):
-        t = sample_abscissa(16, np.random.default_rng(8))
-        # 0.5 * 1 * 0.1 * 16 = 0.8 rounds down to no frequency at all.
-        with pytest.raises(ValueError, match="leave no frequency"):
-            lomb_scargle(t, np.cos(3.0 * t), oversample=1, hifac=0.1)
-        assert grid_size(16, 1, 0.125) == 1
+        # 0.5 * 1 * 1 = 0.5 rounds down to no frequency at all.
+        with pytest.raises(ValueError, match="leaves no frequency"):
+            grid_size(1, 1)
+        assert grid_size(2, 1) == 1
 
     @pytest.mark.parametrize("oversample", [1, np.int64(4), MAX_OVERSAMPLE])
     def test_valid_grid_sizes(self, oversample):
@@ -220,7 +201,6 @@ class TestSeparationReport:
                 peak_power=1.0,
                 significance=sig,
                 n_samples=100,
-                convention="fap",
             )
 
         rows = separation_report(
