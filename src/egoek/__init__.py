@@ -53,9 +53,9 @@ from .fluctuations import (
     unfold,
     unfolding_order,
 )
-from .periodogram import PeriodogramResult, lomb_scargle, separation_report
+from .periodogram import PeriodogramResult, lomb_scargle
 from .archive import SpectrumArchive, read_archive, write_archive
-from .config import RunConfig, load_config
+from .config import RunConfig
 
 __version__ = "0.1.0"
 
@@ -91,7 +91,6 @@ __all__ = [
     "hermite_q",
     "kbme_count",
     "level_motion",
-    "load_config",
     "lomb_scargle",
     "member_seed",
     "mode_width_curve",
@@ -104,7 +103,6 @@ __all__ = [
     "qnumber",
     "read_archive",
     "sample_kbody",
-    "separation_report",
     "sn2",
     "spectral_variance",
     "staircase",

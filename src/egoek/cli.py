@@ -135,9 +135,9 @@ def cmd_decompose(args) -> None:
     archive = _read_archive(args)
     config = _run_config(args, archive)
     out = _out_dir(config)
-    analyses = pipeline.decompose_archive(archive, config.orders, threads=_threads(args))
+    decompositions = pipeline.decompose_archive(archive, config.orders, threads=_threads(args))
 
-    series = ((a.member, o, a.decomposition.series[o]) for a in analyses for o in config.orders)
+    series = ((d.member, o, d.series[o]) for d in decompositions for o in config.orders)
     write_table(
         out / "delta_series.csv",
         ["member", "order", "E_hat", "delta"],
@@ -146,12 +146,10 @@ def cmd_decompose(args) -> None:
 
     summary = {
         "mean_delta_rms": {
-            str(order): float(
-                np.mean([a.decomposition.delta_rms(order) for a in analyses])
-            )
+            str(order): float(np.mean([d.delta_rms(order) for d in decompositions]))
             for order in config.orders
         },
-        "member_q": {str(a.member): a.q for a in analyses},
+        "member_q": {str(d.member): d.q for d in decompositions},
         "goe_delta_rms": goe_delta_rms(archive.dimension),
     }
     _write_json(out / "decompose_summary.json", summary, config)
@@ -165,15 +163,11 @@ def cmd_fluct(args) -> None:
     spec = archive.spec
 
     policy_order = fl.unfolding_order(spec.statistics, spec.k)
-    analyses = pipeline.decompose_archive(
+    decompositions = pipeline.decompose_archive(
         archive, config.orders + (policy_order,), threads=_threads(args)
     )
     grouped = pipeline.periodograms_by_order(
-        analyses,
-        config.orders,
-        trim=config.trim,
-        oversample=config.oversample,
-        convention=args.convention,
+        decompositions, config.orders, trim=config.trim, oversample=config.oversample
     )
 
     write_table(
@@ -188,11 +182,7 @@ def cmd_fluct(args) -> None:
         ),
     )
 
-    report = pg.separation_report(
-        {(spec.k, order): grouped[order] for order in config.orders}
-    )
-
-    unfolded = pipeline.unfolded_ensemble(archive, analyses, trim=config.trim)
+    unfolded = pipeline.unfolded_ensemble(archive, decompositions, trim=config.trim)
     hist = fl.nnsd(unfolded, bin_width=config.bin_width, s_max=config.spacing_max)
     write_table(
         out / "nnsd.csv",
@@ -211,12 +201,14 @@ def cmd_fluct(args) -> None:
         "lambda_convention": args.convention,
         "separation": [
             {
-                "k": row.k,
-                "order": row.order,
-                "mean_lambda": row.mean_significance,
-                "mean_f_p": row.mean_peak_frequency,
+                "k": spec.k,
+                "order": order,
+                "mean_lambda": float(np.mean(
+                    [pg.significance(r.peak_power, r.n_samples, args.convention) for r in results]
+                )),
+                "mean_f_p": float(np.mean([r.peak_frequency for r in results])),
             }
-            for row in report
+            for order, results in sorted(grouped.items())
         ],
         "nnsd_sigma2": hist.sigma2,
         "unfolding_order": policy_order,
@@ -235,6 +227,11 @@ def cmd_analytic(args) -> None:
         raise ConfigError("--grid-points must be at least 1")
     if args.q is not None and not 0.0 <= args.q <= 1.0:
         raise ConfigError("--q must lie in [0, 1]")
+    for k in ks:  # reject a rank outside the closed form's domain before any output
+        try:
+            analytic.sn2(statistics, 1, args.m, args.N, k)
+        except ValueError as exc:
+            raise ConfigError(f"k={k}: {exc}") from exc
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
 

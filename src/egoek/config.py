@@ -118,7 +118,3 @@ def read_json(path: str | Path, what: str):
         return json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-
-
-def load_config(path: str | Path) -> RunConfig:
-    return config_from_dict(read_json(path, "config"))

@@ -60,7 +60,7 @@ class LevelMotionSeries:
 
 
 def staircase(spectrum: Spectrum) -> np.ndarray:
-    """Exact distribution function at the eigenvalues, midpoint convention i - 1/2."""
+    """Exact distribution function at the eigenvalues, i - 1/2 at the i-th level (midpoint)."""
     return np.arange(1, spectrum.dimension + 1) - 0.5
 
 
@@ -108,8 +108,13 @@ def level_motion(spectrum: Spectrum, model: SmoothModel) -> LevelMotionSeries:
 
 @dataclass(frozen=True)
 class MemberDecomposition:
-    """All per-member decomposition products for a set of orders."""
+    """All per-member decomposition products for a set of orders.
 
+    ``q`` is the shape parameter the member was given; each model holds the
+    one its fit used, 1.0 above ``Q_GAUSSIAN_SWITCH``.
+    """
+
+    member: int | None
     q: float
     models: dict[int, SmoothModel]
     series: dict[int, LevelMotionSeries]
@@ -136,13 +141,12 @@ def decompose_member(
     width = float(np.sqrt(np.mean((e - centroid) ** 2)))
     if width == 0.0:
         raise ValueError("spectrum has zero width")
-    if q > Q_GAUSSIAN_SWITCH:
-        q = 1.0
+    q_fit = 1.0 if q > Q_GAUSSIAN_SWITCH else q
     e_hat = (e - centroid) / width
     corrections = tuple(range(3, max(max(orders), 3) + 1))
-    cumulative = qhermite.cumulative_weighted_integrals(e_hat, q, corrections)
+    cumulative = qhermite.cumulative_weighted_integrals(e_hat, q_fit, corrections)
     target = staircase(spectrum) - d * cumulative[0]
-    columns = [d / qhermite.qfactorial(n, q) * cumulative[n] for n in corrections]
+    columns = [d / qhermite.qfactorial(n, q_fit) * cumulative[n] for n in corrections]
     models, series = {}, {}
     for order in sorted(set(orders)):
         coefficients = np.empty(0)
@@ -151,10 +155,10 @@ def decompose_member(
             coefficients, _res, rank, _sv = np.linalg.lstsq(design, target, rcond=None)
             if rank < design.shape[1]:
                 raise SingularFitError(f"design matrix rank {rank} < {design.shape[1]}")
-        model = SmoothModel(q, order, coefficients, d, centroid, width)
+        model = SmoothModel(q_fit, order, coefficients, d, centroid, width)
         models[order] = model
         series[order] = _motion_series(spectrum, e_hat, _smooth_values(model, cumulative))
-    return MemberDecomposition(q=q, models=models, series=series)
+    return MemberDecomposition(member=spectrum.member, q=q, models=models, series=series)
 
 
 def fit_smooth_model(spectrum: Spectrum, q: float, order: int) -> SmoothModel:

@@ -196,10 +196,6 @@ class EmbeddingPlan:
     congruence updates, one per intermediate state.
     """
 
-    statistics: Statistics
-    m: int
-    n_sites: int
-    k: int
     dimension: int
     groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = field(repr=False)
 
@@ -295,12 +291,7 @@ def build_embedding_plan(
     a_idx = _target_ranks(inter, kocc, statistics, m)[rows, cols].astype(np.intp).reshape(shape)
     g_idx = cols.astype(np.intp).reshape(shape)
     return EmbeddingPlan(
-        statistics=statistics,
-        m=m,
-        n_sites=n_sites,
-        k=k,
-        dimension=dim,
-        groups=tuple(zip(a_idx, g_idx, weights[rows, cols].reshape(shape))),
+        dimension=dim, groups=tuple(zip(a_idx, g_idx, weights[rows, cols].reshape(shape)))
     )
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -39,15 +38,11 @@ class PeriodogramResult:
     power: np.ndarray
     peak_frequency: float
     peak_power: float
-    significance: float
     n_samples: int
 
 
 def lomb_scargle(
-    abscissa: np.ndarray,
-    values: np.ndarray,
-    oversample: int = DEFAULT_OVERSAMPLE,
-    convention: str = "fap",
+    abscissa: np.ndarray, values: np.ndarray, oversample: int = DEFAULT_OVERSAMPLE
 ) -> PeriodogramResult:
     """Classical normalized periodogram of an unevenly sampled series.
 
@@ -65,8 +60,6 @@ def lomb_scargle(
     abscissa, values : ndarray
         Sampling positions (normalized energies) and series values.  The mean
         of ``values`` is subtracted internally.
-    convention : str
-        Which significance convention to report; see LAMBDA_CONVENTIONS.
     """
     t = np.asarray(abscissa, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -75,8 +68,6 @@ def lomb_scargle(
     n = len(t)
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
-    if convention not in LAMBDA_CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
     n_freq = grid_size(n, oversample)
     y = y - y.mean()
     variance = float(np.sum(y**2)) / (n - 1)
@@ -121,13 +112,11 @@ def lomb_scargle(
         power[lo : lo + size] = 0.5 / variance * (proj.real**2 / (0.5 * (n + s2_abs)) + s_term)
 
     peak_index = int(np.argmax(power))
-    peak_power = float(power[peak_index])
     return PeriodogramResult(
         frequency=freqs,
         power=power,
         peak_frequency=float(freqs[peak_index]),
-        peak_power=peak_power,
-        significance=significance(peak_power, n, convention),
+        peak_power=float(power[peak_index]),
         n_samples=n,
     )
 
@@ -161,30 +150,3 @@ def significance(peak_power: float, n_samples: int, convention: str = "fap") -> 
     if convention == "power_fraction":
         return min(100.0, 100.0 * 2.0 * peak_power / (n_samples - 1))
     raise ValueError(f"unknown convention {convention!r}")
-
-
-@dataclass(frozen=True)
-class SeparationRow:
-    k: int
-    order: int
-    mean_significance: float
-    mean_peak_frequency: float
-
-
-def separation_report(
-    grouped: Mapping[tuple[int, int], Sequence[PeriodogramResult]]
-) -> list[SeparationRow]:
-    """Ensemble means of (significance, peak frequency) per (k, order) group."""
-    rows = []
-    for (k, order), results in sorted(grouped.items()):
-        if not results:
-            continue
-        rows.append(
-            SeparationRow(
-                k=k,
-                order=order,
-                mean_significance=float(np.mean([r.significance for r in results])),
-                mean_peak_frequency=float(np.mean([r.peak_frequency for r in results])),
-            )
-        )
-    return rows

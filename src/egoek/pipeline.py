@@ -50,68 +50,50 @@ def archive_spectra(archive: SpectrumArchive) -> list[Spectrum]:
     return [Spectrum(eigenvalues=r.eigenvalues, member=r.member) for r in archive.records]
 
 
-@dataclass(frozen=True)
-class MemberAnalysis:
-    member: int
-    q: float
-    decomposition: dc.MemberDecomposition
-
-
 def decompose_archive(
     archive: SpectrumArchive, orders: tuple[int, ...], threads: int = 1
-) -> list[MemberAnalysis]:
-    """Per-member smooth fits and level-motion series for every order."""
-
-    def one(spectrum: Spectrum) -> MemberAnalysis:
-        q = moments(spectrum).q_est
-        return MemberAnalysis(
-            member=spectrum.member,
-            q=q,
-            decomposition=dc.decompose_member(spectrum, q, orders),
-        )
-
-    return _map_members(one, archive_spectra(archive), threads)
+) -> list[dc.MemberDecomposition]:
+    """Per-member smooth fits and level-motion series for every order, at q = q_est."""
+    return _map_members(
+        lambda s: dc.decompose_member(s, moments(s).q_est, orders),
+        archive_spectra(archive),
+        threads,
+    )
 
 
 def periodograms_by_order(
-    analyses: list[MemberAnalysis],
+    decompositions: list[dc.MemberDecomposition],
     orders: tuple[int, ...],
     trim: float = fl.DEFAULT_TRIM,
     oversample: int = pg.DEFAULT_OVERSAMPLE,
-    convention: str = "fap",
 ) -> dict[int, list[pg.PeriodogramResult]]:
     """Per-order Lomb-Scargle results over the central window of each member."""
     out: dict[int, list[pg.PeriodogramResult]] = {o: [] for o in orders}
-    for analysis in analyses:
+    for decomposition in decompositions:
         for order in orders:
-            series = analysis.decomposition.series[order]
+            series = decomposition.series[order]
             window = fl.central_window(len(series.delta), trim)
             out[order].append(
-                pg.lomb_scargle(
-                    series.e_hat[window],
-                    series.delta[window],
-                    oversample=oversample,
-                    convention=convention,
-                )
+                pg.lomb_scargle(series.e_hat[window], series.delta[window], oversample=oversample)
             )
     return out
 
 
 def unfolded_ensemble(
     archive: SpectrumArchive,
-    analyses: list[MemberAnalysis],
+    decompositions: list[dc.MemberDecomposition],
     trim: float = fl.DEFAULT_TRIM,
 ) -> list[fl.UnfoldedSpectrum]:
     """Unfold every member from its level motion at the policy order.
 
-    ``analyses`` come from ``decompose_archive`` and must include the order
-    ``fluctuations.unfolding_order`` picks for the archive's system.
+    ``decompositions`` come from ``decompose_archive`` and must include the
+    order ``fluctuations.unfolding_order`` picks for the archive's system.
     """
     spec = archive.spec
     order = fl.unfolding_order(spec.statistics, spec.k)
     return [
-        fl.unfold(spectrum, analysis.decomposition.series[order], trim=trim)
-        for spectrum, analysis in zip(archive_spectra(archive), analyses, strict=True)
+        fl.unfold(spectrum, decomposition.series[order], trim=trim)
+        for spectrum, decomposition in zip(archive_spectra(archive), decompositions, strict=True)
     ]
 
 

@@ -239,14 +239,7 @@ def embedding_plan_oracle(
                     np.asarray(weights),
                 )
             )
-    return EmbeddingPlan(
-        statistics=statistics,
-        m=m,
-        n_sites=n_sites,
-        k=k,
-        dimension=len(basis),
-        groups=tuple(groups),
-    )
+    return EmbeddingPlan(dimension=len(basis), groups=tuple(groups))
 
 
 def fermion_operators(n_sites: int):
@@ -468,7 +461,6 @@ def lomb_scargle_direct(
     values: np.ndarray,
     oversample: int = periodogram.DEFAULT_OVERSAMPLE,
     hifac: float = 1.0,
-    convention: str = "fap",
 ) -> periodogram.PeriodogramResult:
     """Normalized Lomb-Scargle periodogram with four trig calls per (frequency, sample).
 
@@ -483,8 +475,6 @@ def lomb_scargle_direct(
     n = len(t)
     if n < periodogram.MIN_SAMPLES:
         raise ValueError(f"need at least {periodogram.MIN_SAMPLES} samples")
-    if convention not in periodogram.LAMBDA_CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
     y = y - y.mean()
     variance = float(np.sum(y**2)) / (n - 1)
     if variance == 0.0:
@@ -515,13 +505,11 @@ def lomb_scargle_direct(
         )
 
     peak_index = int(np.argmax(power))
-    peak_power = float(power[peak_index])
     return periodogram.PeriodogramResult(
         frequency=freqs,
         power=power,
         peak_frequency=float(freqs[peak_index]),
-        peak_power=peak_power,
-        significance=periodogram.significance(peak_power, n, convention),
+        peak_power=float(power[peak_index]),
         n_samples=n,
     )
 
@@ -535,13 +523,13 @@ def csv_table(header, rows) -> bytes:
     return buffer.getvalue().encode()
 
 
-def delta_series_rows(analyses, orders) -> list[list]:
+def delta_series_rows(decompositions, orders) -> list[list]:
     rows = []
-    for analysis in analyses:
+    for decomposition in decompositions:
         for order in orders:
-            series = analysis.decomposition.series[order]
+            series = decomposition.series[order]
             for e_hat, delta in zip(series.e_hat, series.delta):
-                rows.append([analysis.member, order, f"{e_hat:.12g}", f"{delta:.12g}"])
+                rows.append([decomposition.member, order, f"{e_hat:.12g}", f"{delta:.12g}"])
     return rows
 
 

@@ -257,7 +257,7 @@ def test_criterion_5_average_fluctuation_separation(decompositions):
     clauses = {}
 
     rms = lambda key, order: float(
-        np.mean([a.decomposition.delta_rms(order) for a in decompositions[key]])
+        np.mean([a.delta_rms(order) for a in decompositions[key]])
     )
 
     egoe_k2 = rms((F, 2), 4)
@@ -277,7 +277,7 @@ def test_criterion_5_average_fluctuation_separation(decompositions):
     monotone = True
     for key, analyses in decompositions.items():
         for a in analyses:
-            series = [a.decomposition.delta_rms(o) for o in ALL_ORDERS]
+            series = [a.delta_rms(o) for o in ALL_ORDERS]
             if any(b > x + 1e-9 for x, b in zip(series, series[1:])):
                 monotone = False
     clauses["delta_rms non-increasing in order for every member"] = monotone
@@ -317,7 +317,7 @@ def test_criterion_6_periodogram_thresholds(decompositions):
         grouped = periodograms_by_order(decompositions[key], orders)
         for order, results in grouped.items():
             lam[(key, order)] = (
-                float(np.mean([r.significance for r in results])),
+                float(np.mean([pg.significance(r.peak_power, r.n_samples) for r in results])),
                 float(np.mean([r.peak_power for r in results])),
             )
     for ((stat, k), order), (sig, peak) in sorted(

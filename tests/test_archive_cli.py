@@ -21,7 +21,7 @@ from egoek.archive import (
 )
 from egoek.analytic import PRESET_SYSTEMS
 from egoek.cli import build_parser, main
-from egoek.config import VALID_ORDERS, ConfigError, RunConfig, config_from_dict, load_config
+from egoek.config import VALID_ORDERS, ConfigError, RunConfig, config_from_dict, read_json
 from egoek.ensemble import (
     MAX_DENSE_DIMENSION,
     DenseMemoryError,
@@ -262,14 +262,14 @@ class TestRunConfig:
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(payload))
-        config = load_config(path)
+        config = config_from_dict(read_json(path, "config"))
         assert config.ensemble.statistics is Statistics.BOSON
         assert config.orders == (2, 4)
         assert config.to_dict()["analysis"]["trim"] == 0.2
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
-            load_config(tmp_path / "nope.json")
+            config_from_dict(read_json(tmp_path / "nope.json", "config"))
 
     @pytest.mark.parametrize("field", ["m", "N", "k", "members", "master_seed"])
     def test_fractional_ensemble_field_rejected(self, field):
@@ -510,6 +510,13 @@ GENERATE = ["generate", "--statistics", "fermion", "-m", "3", "-N", "6", "-k", "
 
 ANALYTIC = ["analytic", "--statistics", "fermion", "-m", "10", "-N", "20", "--k-list", "2"]
 
+
+def _analytic(tmp_path, statistics, m, n_sites, k, q):
+    """An analytic run of one rank at an explicit q, into a fresh output directory."""
+    return ["analytic", "--statistics", statistics, "-m", str(m), "-N", str(n_sites),
+            "--k-list", str(k), "--q", str(q), "--out", str(tmp_path / "ana")], {}
+
+
 # Each case maps an output directory to (argv, environment overrides).
 INVALID_COMMAND_LINES = {
     "table1_grid_missing_key": lambda p: (_table1(p, [{"statistics": "fermion", "m": 3, "N": 6}]), {}),
@@ -543,6 +550,9 @@ INVALID_COMMAND_LINES = {
     "analytic_q_above_one": lambda p: (ANALYTIC + ["--q", "1.5", "--out", str(p)], {}),
     "analytic_q_negative": lambda p: (ANALYTIC + ["--q", "-0.5", "--out", str(p)], {}),
     "analytic_q_nan": lambda p: (ANALYTIC + ["--q", "nan", "--out", str(p)], {}),
+    "analytic_boson_k_above_N": lambda p: _analytic(p, "boson", 10, 5, 6, 0.9),
+    "analytic_fermion_k_above_m": lambda p: _analytic(p, "fermion", 6, 12, 7, 0.3),
+    "analytic_fermion_m_above_N": lambda p: _analytic(p, "fermion", 13, 12, 2, 0.3),
 }
 
 
@@ -555,6 +565,12 @@ def test_invalid_command_line_exits_2_with_one_error_line(case, tmp_path, capsys
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_analytic_rank_outside_domain_creates_no_output(tmp_path):
+    argv, _env = _analytic(tmp_path, "boson", 10, 5, 6, 0.9)
+    assert run_cli(*argv) == 2
+    assert not (tmp_path / "ana").exists()
 
 
 class TestDelta3WindowGuard:

@@ -1,4 +1,5 @@
-"""Byte parity of every CSV table with the per-row ``csv.writer`` oracle."""
+"""Byte parity of every CSV table with the per-row ``csv.writer`` oracle, and of
+the fluct separation block with the direct-form periodogram."""
 
 import json
 import math
@@ -10,8 +11,11 @@ from egoek import analytic, fluctuations as fl, pipeline
 from egoek.archive import write_archive
 from egoek.cli import main, write_table
 from egoek.config import RunConfig
+from egoek.decomposition import decompose_member
 from egoek.ensemble import EnsembleSpec
 from egoek.fock import Statistics
+from egoek.periodogram import significance
+from egoek.spectra import moments
 
 import oracles
 
@@ -67,9 +71,9 @@ def test_decompose_csv_matches_oracle(archive_case, threads, tmp_path):
     assert main(["decompose", "--archive", str(path), "--out", str(tmp_path),
                  "--threads", threads]) == 0
     orders = RunConfig(ensemble=archive.spec).orders
-    analyses = pipeline.decompose_archive(archive, orders)
+    decompositions = pipeline.decompose_archive(archive, orders)
     expected = oracles.csv_table(["member", "order", "E_hat", "delta"],
-                                 oracles.delta_series_rows(analyses, orders))
+                                 oracles.delta_series_rows(decompositions, orders))
     assert (tmp_path / "delta_series.csv").read_bytes() == expected
 
 
@@ -80,13 +84,13 @@ def test_fluct_csvs_match_oracle(archive_case, threads, tmp_path):
                  "--threads", threads]) == 0
     spec = archive.spec
     config = RunConfig(ensemble=spec)
-    analyses = pipeline.decompose_archive(
+    decompositions = pipeline.decompose_archive(
         archive, config.orders + (fl.unfolding_order(spec.statistics, spec.k),)
     )
     grouped = pipeline.periodograms_by_order(
-        analyses, config.orders, trim=config.trim, oversample=config.oversample
+        decompositions, config.orders, trim=config.trim, oversample=config.oversample
     )
-    unfolded = pipeline.unfolded_ensemble(archive, analyses, trim=config.trim)
+    unfolded = pipeline.unfolded_ensemble(archive, decompositions, trim=config.trim)
     hist = fl.nnsd(unfolded, bin_width=config.bin_width, s_max=config.spacing_max)
     curve = fl.delta3(unfolded, l_max=config.l_max)
     expected = {
@@ -103,6 +107,29 @@ def test_fluct_csvs_match_oracle(archive_case, threads, tmp_path):
     }
     for name, data in expected.items():
         assert (tmp_path / name).read_bytes() == data, name
+
+
+@pytest.mark.parametrize("convention", ["fap", "power_fraction"])
+def test_fluct_separation_matches_direct_periodogram(archive_case, convention, tmp_path):
+    archive, path = archive_case
+    assert main(["fluct", "--archive", str(path), "--out", str(tmp_path), "--orders", "5,2,3",
+                 "--convention", convention]) == 0
+    summary = json.loads((tmp_path / "fluct_summary.json").read_text())
+    config = RunConfig(ensemble=archive.spec)
+    orders = (2, 3, 5)
+    fits = [decompose_member(s, moments(s).q_est, orders) for s in pipeline.archive_spectra(archive)]
+    assert summary["lambda_convention"] == convention
+    assert [(row["k"], row["order"]) for row in summary["separation"]] == [
+        (archive.spec.k, order) for order in orders
+    ]
+    window = fl.central_window(archive.dimension, config.trim)
+    for row, order in zip(summary["separation"], orders):
+        series = [fit.series[order] for fit in fits]
+        peaks = [oracles.lomb_scargle_direct(s.e_hat[window], s.delta[window],
+                                             oversample=config.oversample) for s in series]
+        lam = np.mean([significance(r.peak_power, r.n_samples, convention) for r in peaks])
+        assert row["mean_f_p"] == float(np.mean([r.peak_frequency for r in peaks]))
+        assert row["mean_lambda"] == pytest.approx(float(lam), rel=1e-9)
 
 
 @pytest.mark.parametrize(

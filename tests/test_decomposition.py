@@ -167,3 +167,11 @@ class TestGaussianSwitch:
         assert fitted.q == 1.0
         series = level_motion(s, fitted)
         assert np.isfinite(series.delta_rms)
+
+    def test_decomposition_keeps_given_q_and_member(self):
+        rng = np.random.default_rng(0)
+        s = Spectrum(np.sort(rng.standard_normal(500)), member=7)
+        result = decompose_member(s, 1.0 - 1e-6, (4,))
+        assert result.q == 1.0 - 1e-6
+        assert result.models[4].q == 1.0
+        assert result.member == s.member

@@ -197,9 +197,8 @@ class TestEmbedding:
 
 
 def assert_same_plan(plan, reference):
-    """Equal indices, order, dtypes and weight bytes, group by group."""
-    for name in ("statistics", "m", "n_sites", "k", "dimension"):
-        assert getattr(plan, name) == getattr(reference, name)
+    """Equal dimension, and equal indices, order, dtypes and weight bytes, group by group."""
+    assert plan.dimension == reference.dimension
     assert len(plan.groups) == len(reference.groups)
     for ours, theirs in zip(plan.groups, reference.groups):
         for x, y in zip(ours, theirs):
@@ -250,8 +249,10 @@ class TestEmbeddingProperties:
     @given(
         spec=small_systems(),
         seed=st.integers(0, 2**32 - 1),
-        a=st.floats(-4.0, 4.0),
-        b=st.floats(-4.0, 4.0),
+        # No subnormal coefficients: their rounding step is absolute, and the
+        # scale-relative tolerance below underflows to zero there.
+        a=st.floats(-4.0, 4.0, allow_subnormal=False),
+        b=st.floats(-4.0, 4.0, allow_subnormal=False),
     )
     def test_embed_is_linear(self, spec, seed, a, b):
         v1 = random_symmetric(spec.k_dimension, seed)

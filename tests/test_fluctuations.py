@@ -117,8 +117,8 @@ class TestUnfoldedEnsemble:
         # to the decomposed orders, as fluct does.
         archive = generate_archive(spec)
         policy = unfolding_order(spec.statistics, spec.k)
-        analyses = decompose_archive(archive, (2, 3, policy))
-        unfolded = unfolded_ensemble(archive, analyses)
+        decompositions = decompose_archive(archive, (2, 3, policy))
+        unfolded = unfolded_ensemble(archive, decompositions)
         assert len(unfolded) == spec.members
         for spectrum, got in zip(archive_spectra(archive), unfolded):
             model = fit_smooth_model(spectrum, moments(spectrum).q_est, policy)
@@ -131,10 +131,10 @@ def wigner_sample(n, rng):
     return np.sqrt(-4.0 * np.log(1.0 - rng.uniform(size=n)) / math.pi)
 
 
-def unfolded_from_spacings(spacings, trim=0.1):
+def unfolded_from_spacings(spacings):
     spacings = spacings / spacings.mean()
     levels = np.concatenate(([0.0], np.cumsum(spacings)))
-    return UnfoldedSpectrum(levels=levels, trim=trim)
+    return UnfoldedSpectrum(levels=levels)
 
 
 class TestNnsd:
@@ -215,7 +215,7 @@ class TestDelta3:
 
     def test_matches_long_double_windows(self):
         levels = self.unfolded_levels()
-        curve = delta3([UnfoldedSpectrum(levels=levels, trim=0.1)], l_max=60)
+        curve = delta3([UnfoldedSpectrum(levels=levels)], l_max=60)
         picked = [0, 4, 14, 29]  # L = 2, 10, 30, 60
         reference = delta3_long_double(levels, curve.lengths[picked])
         assert np.allclose(curve.values[picked], reference, rtol=1e-12, atol=0.0)
@@ -247,8 +247,8 @@ class TestDelta3:
 
     def test_invariant_under_level_shift(self):
         levels = self.unfolded_levels()
-        plain = delta3([UnfoldedSpectrum(levels=levels, trim=0.1)], l_max=60)
-        shifted = delta3([UnfoldedSpectrum(levels=levels + 1e4, trim=0.1)], l_max=60)
+        plain = delta3([UnfoldedSpectrum(levels=levels)], l_max=60)
+        shifted = delta3([UnfoldedSpectrum(levels=levels + 1e4)], l_max=60)
         assert np.allclose(shifted.values, plain.values, rtol=1e-12, atol=0.0)
 
     def test_poisson_ensemble_mean(self):
@@ -256,7 +256,7 @@ class TestDelta3:
         ensemble = []
         for _ in range(40):
             levels = np.cumsum(rng.exponential(1.0, 900))
-            ensemble.append(UnfoldedSpectrum(levels=levels - levels[0], trim=0.1))
+            ensemble.append(UnfoldedSpectrum(levels=levels - levels[0]))
         curve = delta3(ensemble, l_max=30)
         at_30 = curve.values[-1]
         assert at_30 == pytest.approx(2.0, abs=0.3)
@@ -268,7 +268,7 @@ class TestDelta3:
 
     def test_window_length_guard(self):
         levels = np.arange(40, dtype=float)
-        ensemble = [UnfoldedSpectrum(levels=levels, trim=0.0)]
+        ensemble = [UnfoldedSpectrum(levels=levels)]
         with pytest.raises(ValueError):
             delta3(ensemble, l_max=60)
         # Rejected before the length grid is allocated (4 PB at this l_max).
@@ -278,7 +278,7 @@ class TestDelta3:
     def test_curve_shape(self):
         rng = np.random.default_rng(23)
         levels = np.cumsum(rng.exponential(1.0, 500))
-        curve = delta3([UnfoldedSpectrum(levels=levels - levels[0], trim=0.1)], l_max=20)
+        curve = delta3([UnfoldedSpectrum(levels=levels - levels[0])], l_max=20)
         assert isinstance(curve, Delta3Curve)
         assert np.array_equal(curve.lengths, np.arange(2, 21, 2))
         assert np.all(curve.values >= 0)
@@ -306,5 +306,5 @@ class TestGoeDelta3Exact:
     def test_delta3_curve_uses_exact_reference(self):
         rng = np.random.default_rng(24)
         levels = np.cumsum(rng.exponential(1.0, 500))
-        curve = delta3([UnfoldedSpectrum(levels=levels - levels[0], trim=0.1)], l_max=20)
+        curve = delta3([UnfoldedSpectrum(levels=levels - levels[0])], l_max=20)
         assert np.array_equal(curve.goe, goe_delta3_exact(curve.lengths))
