@@ -60,7 +60,7 @@ class LevelMotionSeries:
 
 
 def staircase(spectrum: Spectrum) -> np.ndarray:
-    """Exact distribution function at the eigenvalues, i - 1/2 at the i-th level (midpoint)."""
+    """Exact distribution function at the eigenvalues, midpoint convention i - 1/2."""
     return np.arange(1, spectrum.dimension + 1) - 0.5
 
 
