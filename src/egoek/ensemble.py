@@ -29,6 +29,8 @@ DEFAULT_NU2 = 1.0
 
 #: Largest basis whose dense float64 Hamiltonian is built (d x d: 2 GiB here).
 MAX_DENSE_DIMENSION = 16_384
+#: Terms per chunk of ``embed``'s scatter; bounds its temporaries to a few MiB.
+_CHUNK_TERMS = 1 << 17
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -190,14 +192,21 @@ def sample_kbody(spec: EnsembleSpec, member: int) -> KBodyMatrix:
 class EmbeddingPlan:
     """Precomputed transition structure shared by all members of one system.
 
-    For each (m-k)-particle intermediate state the plan stores the k-configs
-    that can be attached to it, the resulting m-state indices, and the
-    attachment amplitudes; the embedded matrix is then a sum of small
-    congruence updates, one per intermediate state.
+    Row i of each (n_inter, s) array belongs to the i-th (m-k)-particle
+    intermediate state: the m-states it reaches (``targets``), the k-configs
+    attached to reach them (``kconfigs``) and the attachment amplitudes
+    (``weights``).
     """
 
     dimension: int
-    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = field(repr=False)
+    targets: np.ndarray = field(repr=False)
+    kconfigs: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
+
+    @property
+    def groups(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """(targets, kconfigs, weights) rows, one triple per intermediate state."""
+        return tuple(zip(self.targets, self.kconfigs, self.weights))
 
 
 def _occupations(n_sites: int, particles: int, statistics: Statistics, dtype) -> np.ndarray:
@@ -268,10 +277,9 @@ def build_embedding_plan(
     its labels in increasing order gives the sign
     (-1)^(sum_v occupied-below(v) + k(k-1)/2).  Every boson k-config attaches.
     Each intermediate attaches the same number s of k-configs, C(N-m+k, k) for
-    fermions and d(N, k) for bosons, so the plan is three (n_inter, s) arrays
-    read row by row; ``groups`` holds their rows.  Raises
-    :class:`BasisSizeError` when the m-particle basis exceeds the basis cap,
-    before any table is built.
+    fermions and d(N, k) for bosons, so the plan is three (n_inter, s) arrays.
+    Raises :class:`BasisSizeError` when the m-particle basis exceeds the basis
+    cap, before any table is built.
     """
     dim = dimension(n_sites, m, statistics)
     if dim > DEFAULT_BASIS_CAP:
@@ -288,10 +296,12 @@ def build_embedding_plan(
         weights = np.sqrt(_boson_norm_sq(inter, kocc, m, k).astype(float))
     rows, cols = np.nonzero(attaches)
     shape = (len(inter), -1)
-    a_idx = _target_ranks(inter, kocc, statistics, m)[rows, cols].astype(np.intp).reshape(shape)
-    g_idx = cols.astype(np.intp).reshape(shape)
+    targets = _target_ranks(inter, kocc, statistics, m)[rows, cols].astype(np.intp)
     return EmbeddingPlan(
-        dimension=dim, groups=tuple(zip(a_idx, g_idx, weights[rows, cols].reshape(shape)))
+        dimension=dim,
+        targets=targets.reshape(shape),
+        kconfigs=cols.astype(np.intp).reshape(shape),
+        weights=weights[rows, cols].reshape(shape),
     )
 
 
@@ -299,10 +309,13 @@ def embed(kmat: KBodyMatrix, spec: EnsembleSpec) -> EmbeddedHamiltonian:
     """Propagate a k-particle matrix into the m-particle space.
 
     Implements H[B, A] = sum over (alpha, gamma) of V[alpha, gamma] times the
-    pair-transfer amplitude <B|A+(alpha) A(gamma)|A>.  The congruence-update
-    form, with the symmetric weight product w_i w_j formed before it scales V,
-    guarantees an exactly symmetric result, and for k = m the map is the
-    identity on matrices.
+    pair-transfer amplitude <B|A+(alpha) A(gamma)|A>: one congruence update
+    V[g, g] * (w w^T) onto H[a, a] per intermediate, scattered in plan order a
+    chunk at a time.  ``np.add.at`` adds repeated indices one after another
+    from zero, so every element sums the same terms in the same order as a
+    ``+=`` per intermediate, bitwise.  As w_i w_j is formed before it scales
+    V, elements (i, j) and (j, i) of a symmetric V sum equal terms in equal
+    order, so H is exactly symmetric; for k = m the map is the identity.
     """
     dk = spec.k_dimension
     if kmat.matrix.shape != (dk, dk):
@@ -310,11 +323,14 @@ def embed(kmat: KBodyMatrix, spec: EnsembleSpec) -> EmbeddedHamiltonian:
             f"k-body matrix dimension {kmat.matrix.shape[0]} does not match d(N,k)={dk}"
         )
     plan = build_embedding_plan(spec.statistics, spec.m, spec.n_sites, spec.k)
-    ham = np.zeros((plan.dimension, plan.dimension))
+    d = plan.dimension
+    ham = np.zeros((d, d))
     v = kmat.matrix
-    for a_idx, g_idx, w in plan.groups:
-        block = v[np.ix_(g_idx, g_idx)] * (w[:, None] * w[None, :])
-        ham[np.ix_(a_idx, a_idx)] += block
+    step = max(1, _CHUNK_TERMS // plan.targets.shape[1] ** 2)
+    for i in range(0, len(plan.targets), step):
+        a, g, w = (x[i:i + step] for x in (plan.targets, plan.kconfigs, plan.weights))
+        vals = v[g[:, :, None], g[:, None, :]] * (w[:, :, None] * w[:, None, :])
+        np.add.at(ham.ravel(), (a[:, :, None] * d + a[:, None, :]).ravel(), vals.ravel())
     return EmbeddedHamiltonian(matrix=ham, member=kmat.member)
 
 

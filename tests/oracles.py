@@ -11,7 +11,9 @@ rigidity oracle integrates the two-level cluster function with adaptive
 quadrature; its large-L asymptote is kept here as a reference too, and a
 long-double window-by-window Delta3 is the accuracy oracle of the prefix-sum
 form.  The direct Lomb-Scargle form, four trig calls per (frequency, sample)
-pair, is the parity oracle of the recurrence.
+pair, is the parity oracle of the recurrence.  One ``+=`` update per
+intermediate over the embedding plan is the bitwise oracle of embed's chunked
+scatter.
 The per-row CSV writer (``csv.writer`` over f-string fields) and the row
 builders of every table are the byte-parity oracle of the block writer.
 The q-normal weight's truncated infinite product is the parity oracle of its
@@ -213,7 +215,7 @@ def embedding_plan_oracle(
     intermediates = enumerate_basis(n_sites, m - k, statistics)
     fermionic = statistics is Statistics.FERMION
 
-    groups = []
+    targets, kconfig_rows, weight_rows = [], [], []
     for inter in intermediates:
         a_idx, g_idx, weights = [], [], []
         for g, kcfg in enumerate(kconfigs):
@@ -232,14 +234,24 @@ def embedding_plan_oracle(
                 g_idx.append(g)
                 weights.append(math.sqrt(norm_sq))
         if a_idx:
-            groups.append(
-                (
-                    np.asarray(a_idx, dtype=np.intp),
-                    np.asarray(g_idx, dtype=np.intp),
-                    np.asarray(weights),
-                )
-            )
-    return EmbeddingPlan(dimension=len(basis), groups=tuple(groups))
+            targets.append(a_idx)
+            kconfig_rows.append(g_idx)
+            weight_rows.append(weights)
+    return EmbeddingPlan(
+        dimension=len(basis),
+        targets=np.array(targets, dtype=np.intp),
+        kconfigs=np.array(kconfig_rows, dtype=np.intp),
+        weights=np.array(weight_rows),
+    )
+
+
+def embed_loop_oracle(v: np.ndarray, plan: EmbeddingPlan) -> np.ndarray:
+    """The embedded matrix by one ``+=`` congruence update per intermediate, in plan order."""
+    ham = np.zeros((plan.dimension, plan.dimension))
+    for a_idx, g_idx, w in plan.groups:
+        block = v[np.ix_(g_idx, g_idx)] * (w[:, None] * w[None, :])
+        ham[np.ix_(a_idx, a_idx)] += block
+    return ham
 
 
 def fermion_operators(n_sites: int):

@@ -123,7 +123,10 @@ def _exact_central_variance(stat, m, n_sites, k):
     plan = build_embedding_plan(stat, m, n_sites, k)
     d = plan.dimension
     dk = dimension(n_sites, k, stat)
-    tmaps = [dict(zip(g.tolist(), zip(a.tolist(), w.tolist()))) for a, g, w in plan.groups]
+    tmaps = [
+        dict(zip(g.tolist(), zip(a.tolist(), w.tolist())))
+        for a, g, w in zip(plan.targets, plan.kconfigs, plan.weights)
+    ]
     s1 = sum(sum(w * w for (_t, w) in gd.values()) ** 2 for gd in tmaps)
     rev = {}
     for i, gd in enumerate(tmaps):

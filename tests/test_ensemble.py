@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from egoek import ensemble
 from egoek.ensemble import (
     EnsembleSpec,
     KBodyMatrix,
@@ -19,7 +22,13 @@ from egoek.ensemble import (
 from egoek.fock import BasisSizeError, Statistics, enumerate_basis
 from egoek.spectra import eigenvalues, moments
 
-from oracles import embed_oracle, embedding_plan_oracle, enumerate_kconfigs, transition_amplitude
+from oracles import (
+    embed_loop_oracle,
+    embed_oracle,
+    embedding_plan_oracle,
+    enumerate_kconfigs,
+    transition_amplitude,
+)
 
 F = Statistics.FERMION
 B = Statistics.BOSON
@@ -197,17 +206,49 @@ class TestEmbedding:
 
 
 def assert_same_plan(plan, reference):
-    """Equal dimension, and equal indices, order, dtypes and weight bytes, group by group."""
+    """Equal dimension, and equal shape, dtype and bytes of each of the three arrays."""
     assert plan.dimension == reference.dimension
-    assert len(plan.groups) == len(reference.groups)
-    for ours, theirs in zip(plan.groups, reference.groups):
-        for x, y in zip(ours, theirs):
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    for name in ("targets", "kconfigs", "weights"):
+        ours, theirs = getattr(plan, name), getattr(reference, name)
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, name
+        assert ours.tobytes() == theirs.tobytes(), name
 
 
 @pytest.mark.parametrize("stat,m,n_sites,k", [(F, 6, 12, 2), (B, 10, 5, 2), (B, 10, 5, 6)])
 def test_plan_matches_double_loop_on_reference_systems(stat, m, n_sites, k):
     assert_same_plan(build_embedding_plan(stat, m, n_sites, k), embedding_plan_oracle(stat, m, n_sites, k))
+
+
+REFERENCE_SYSTEMS = [
+    EnsembleSpec(F, m=6, n_sites=12, k=2, members=3, master_seed=42),
+    EnsembleSpec(B, m=10, n_sites=5, k=2, members=3, master_seed=42),
+    EnsembleSpec(B, m=10, n_sites=5, k=6, members=3, master_seed=42),
+]
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SYSTEMS, ids=["fermion-k2", "boson-k2", "boson-k6"])
+def test_embed_bytes_match_loop_oracle_on_reference_systems(spec):
+    # 167 intermediates per chunk over 495 (a partial last chunk) on fermions,
+    # and two per chunk on boson k=6.
+    plan = build_embedding_plan(spec.statistics, spec.m, spec.n_sites, spec.k)
+    for member in range(spec.members):
+        kmat = sample_kbody(spec, member)
+        assert embed(kmat, spec).matrix.tobytes() == embed_loop_oracle(kmat.matrix, plan).tobytes()
+
+
+def test_embed_transient_memory_is_bounded():
+    # Boson k=6 scatters 3.1M terms per member: unchunked, the gathered
+    # values, weights and indices peak near 47 MiB; chunked, near 2 MiB.
+    spec = REFERENCE_SYSTEMS[2]
+    kmat = sample_kbody(spec, 0)
+    build_embedding_plan(spec.statistics, spec.m, spec.n_sites, spec.k)
+    tracemalloc.start()
+    try:
+        ham = embed(kmat, spec).matrix
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - ham.nbytes < 8 * 2**20
 
 
 def test_plan_refuses_basis_above_cap_before_building_tables():
@@ -237,7 +278,20 @@ class TestEmbeddingProperties:
     def test_plan_matches_double_loop_and_is_rectangular(self, spec):
         plan = build_embedding_plan(spec.statistics, spec.m, spec.n_sites, spec.k)
         assert_same_plan(plan, embedding_plan_oracle(spec.statistics, spec.m, spec.n_sites, spec.k))
-        assert len({len(a_idx) for a_idx, _g, _w in plan.groups}) == 1
+        assert plan.targets.ndim == 2 and plan.targets.shape[1] > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=small_systems(),
+        seed=st.integers(0, 2**32 - 1),
+        chunk=st.sampled_from([1, 7, 64, ensemble._CHUNK_TERMS]),
+    )
+    def test_embed_bytes_match_loop_oracle(self, spec, seed, chunk):
+        v = random_symmetric(spec.k_dimension, seed)
+        plan = build_embedding_plan(spec.statistics, spec.m, spec.n_sites, spec.k)
+        with mock.patch.object(ensemble, "_CHUNK_TERMS", chunk):
+            ham = embed(KBodyMatrix(v, 0, 0), spec).matrix
+        assert ham.tobytes() == embed_loop_oracle(v, plan).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(spec=small_systems(), seed=st.integers(0, 2**32 - 1))
@@ -252,6 +306,7 @@ class TestEmbeddingProperties:
         a=st.floats(-4.0, 4.0),
         b=st.floats(-4.0, 4.0),
     )
+    @example(spec=EnsembleSpec(B, m=2, n_sites=1, k=1, members=1), seed=0, a=0.0, b=5e-324)
     def test_embed_is_linear(self, spec, seed, a, b):
         v1 = random_symmetric(spec.k_dimension, seed)
         v2 = random_symmetric(spec.k_dimension, seed + 1)
@@ -259,7 +314,9 @@ class TestEmbeddingProperties:
         h1 = embed(KBodyMatrix(v1, 0, 0), spec).matrix
         h2 = embed(KBodyMatrix(v2, 0, 0), spec).matrix
         scale = (abs(a) * np.abs(h1).max() + abs(b) * np.abs(h2).max()) or 1.0
-        assert np.allclose(combo, a * h1 + b * h2, rtol=0.0, atol=1e-12 * scale)
+        # The rounding of a*v1 + b*v2 is absolute for subnormal a, b: hence the floor.
+        atol = 1e-12 * scale + 4 * np.finfo(float).smallest_subnormal
+        assert np.allclose(combo, a * h1 + b * h2, rtol=0.0, atol=atol)
 
     @settings(max_examples=60, deadline=None)
     @given(spec=small_systems(), seed=st.integers(0, 2**32 - 1))
@@ -267,9 +324,10 @@ class TestEmbeddingProperties:
         v = random_symmetric(spec.k_dimension, seed)
         ham = embed(KBodyMatrix(v, 0, 0), spec).matrix
         plan = build_embedding_plan(spec.statistics, spec.m, spec.n_sites, spec.k)
-        g_idx = np.concatenate([g for _a, g, _w in plan.groups])
-        w_sq = np.concatenate([w for _a, _g, w in plan.groups]) ** 2
-        expected = np.diag(v) @ np.bincount(g_idx, weights=w_sq, minlength=spec.k_dimension)
+        w_sq = plan.weights.ravel() ** 2
+        expected = np.diag(v) @ np.bincount(
+            plan.kconfigs.ravel(), weights=w_sq, minlength=spec.k_dimension
+        )
         assert np.trace(ham) == pytest.approx(expected, rel=1e-12, abs=1e-12 * np.abs(v).max())
 
 
