@@ -11,12 +11,10 @@ from .fock import (
     dim_boson,
     dim_fermion,
     enumerate_basis,
-    kbme_count,
 )
 from .ensemble import (
-    EmbeddedHamiltonian,
     EnsembleSpec,
-    KBodyMatrix,
+    MemberMatrix,
     build_member,
     embed,
     member_seed,
@@ -61,10 +59,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Delta3Curve",
-    "EmbeddedHamiltonian",
     "EnsembleSpec",
-    "KBodyMatrix",
     "LevelMotionSeries",
+    "MemberMatrix",
     "OccupationConfig",
     "PeriodogramResult",
     "RunConfig",
@@ -89,7 +86,6 @@ __all__ = [
     "goe_delta3_exact",
     "goe_delta_rms",
     "hermite_q",
-    "kbme_count",
     "level_motion",
     "lomb_scargle",
     "member_seed",

@@ -8,11 +8,12 @@ scale, which the curves leave at 1.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from . import qhermite
-from .fock import Statistics, dimension
+from .fock import Statistics, binomial, dimension
 
 TRUNCATION_RTOL = 1e-16
 
@@ -34,6 +35,15 @@ def preset_q(statistics: Statistics, m: int, n_sites: int, k: int) -> float:
     return table[k]
 
 
+def _check_system(statistics: Statistics, m: int, n_sites: int, k: int) -> None:
+    """Raise ValueError for a system outside the closed forms' domain."""
+    if statistics is Statistics.FERMION:
+        if not 1 <= k <= m <= n_sites:
+            raise ValueError("require 1 <= k <= m <= N")
+    elif not 1 <= k <= n_sites or m < 1:
+        raise ValueError("require m >= 1 and 1 <= k <= N")
+
+
 def _amplitude(statistics: Statistics, n: int, m: int, n_sites: int, k: int) -> float:
     """Curve weight a_n of mode n, after checking the mode index and the system.
 
@@ -42,13 +52,13 @@ def _amplitude(statistics: Statistics, n: int, m: int, n_sites: int, k: int) -> 
     """
     if n < 1:
         raise ValueError("mode index must be >= 1")
+    _check_system(statistics, m, n_sites, k)
     if statistics is Statistics.FERMION:
-        if not 1 <= k <= m <= n_sites:
-            raise ValueError("require 1 <= k <= m <= N")
         return 2.0 * n * math.comb(m, k) ** (2 - n)
-    if not 1 <= k <= n_sites or m < 1:
-        raise ValueError("require m >= 1 and 1 <= k <= N")
-    return 2.0 * n / math.comb(n_sites, k) ** n
+    power = math.comb(n_sites, k) ** n
+    # A power beyond float64 cannot be converted; the exact int quotient
+    # rounds once, to a subnormal or zero.
+    return 2.0 * n / power if power <= sys.float_info.max else 2 * n / power
 
 
 def sn2(statistics: Statistics, n: int, m: int, n_sites: int, k: int) -> float:
@@ -63,13 +73,26 @@ def sn2(statistics: Statistics, n: int, m: int, n_sites: int, k: int) -> float:
     return amplitude
 
 
-def _prefactor(statistics: Statistics, m: int, n_sites: int, k: int) -> float:
-    """d^2 C(m,k)^2 / C(N,k)^2, the scale shared by every mode of one system."""
-    return (
-        float(dimension(n_sites, m, statistics)) ** 2
-        * float(math.comb(m, k)) ** 2
-        / float(math.comb(n_sites, k)) ** 2
-    )
+def prefactor(statistics: Statistics, m: int, n_sites: int, k: int) -> float:
+    """d^2 C(m,k)^2 / C(N,k)^2, the scale shared by every mode of one system.
+
+    Raises ValueError for a system outside the domain, or when a squared
+    factor or the scale overflows float64; the binomials stop near 2^1024,
+    however large m and N are.
+    """
+    _check_system(statistics, m, n_sites, k)
+    limit = 2**1024
+    factors = (dimension(n_sites, m, statistics, limit=limit),
+               binomial(m, k, limit), binomial(n_sites, k, limit))
+    try:
+        d2, cmk2, cnk2 = (float(f) ** 2 for f in factors)
+        scale = d2 * cmk2 / cnk2
+    except OverflowError:
+        scale = math.inf
+    if scale == math.inf:
+        raise ValueError(f"the scale d^2 C(m,k)^2 / C(N,k)^2 of m={m}, N={n_sites}, k={k} "
+                         "does not fit a float64")
+    return scale
 
 
 def _mode_term(e_hat: np.ndarray, n: int, q: float, amplitude: float) -> np.ndarray:
@@ -87,8 +110,8 @@ def motion_variance(
     the support.  Modes stop at ``n_max`` or once a term falls below
     TRUNCATION_RTOL of the running sum.
     """
-    _amplitude(statistics, n_max, m, n_sites, k)  # checks n_max and the system up front
-    prefactor = _prefactor(statistics, m, n_sites, k)
+    scale = prefactor(statistics, m, n_sites, k)  # checks the system at bounded cost
+    _amplitude(statistics, n_max, m, n_sites, k)  # checks n_max up front
     arr = np.asarray(e_hat, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -101,7 +124,7 @@ def motion_variance(
         running = float(np.max(total * rho**2))
         if running > 0.0 and sup < TRUNCATION_RTOL * running:
             break
-    out = prefactor * rho**2 * total
+    out = scale * rho**2 * total
     return float(out[0]) if scalar else out
 
 
@@ -112,6 +135,7 @@ def mode_width_curve(
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be non-empty")
+    scale = prefactor(statistics, m, n_sites, k)  # checks the system at bounded cost
     amplitude = _amplitude(statistics, n, m, n_sites, k)
     rho = qhermite.fqn_density(grid, q)
-    return _prefactor(statistics, m, n_sites, k) * rho**2 * _mode_term(grid, n, q, amplitude)
+    return scale * rho**2 * _mode_term(grid, n, q, amplitude)

@@ -18,9 +18,11 @@ import numpy as np
 
 from .ensemble import EnsembleSpec
 from .fock import dimension
+from .spectra import Spectrum
 
 MAGIC = b"EGOEARC1"
 FORMAT_VERSION = "1"
+_RECORD_HEAD = struct.Struct("<IQ")  # member index, member seed
 
 
 class ArchiveFormatError(RuntimeError):
@@ -28,16 +30,9 @@ class ArchiveFormatError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class MemberRecord:
-    member: int
-    seed: int
-    eigenvalues: np.ndarray
-
-
-@dataclass(frozen=True)
 class SpectrumArchive:
     spec: EnsembleSpec
-    records: tuple[MemberRecord, ...]
+    records: tuple[Spectrum, ...]
 
     @property
     def dimension(self) -> int:
@@ -55,22 +50,27 @@ def _header_dict(spec: EnsembleSpec) -> dict:
 
 
 def write_archive(path: str | Path, archive: SpectrumArchive) -> None:
+    """Write ``archive``; every record is checked (ValueError) before the file is opened."""
     spec = archive.spec
     if len(archive.records) != spec.members:
         raise ValueError("record count does not match member count")
+    heads = []
+    for r in archive.records:
+        if np.shape(r.eigenvalues) != (spec.dimension,):
+            raise ValueError(f"member {r.member}: expected {spec.dimension} eigenvalues")
+        try:
+            heads.append(_RECORD_HEAD.pack(r.member, r.seed))
+        except struct.error as exc:
+            raise ValueError(f"member {r.member!r}, seed {r.seed!r}: an archive record needs "
+                             "an integer member in [0, 2**32) and seed in [0, 2**64)") from exc
     header = json.dumps(_header_dict(spec), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        for record in archive.records:
-            eig = np.ascontiguousarray(record.eigenvalues, dtype="<f8")
-            if eig.shape != (spec.dimension,):
-                raise ValueError(
-                    f"member {record.member}: expected {spec.dimension} eigenvalues"
-                )
-            fh.write(struct.pack("<IQ", record.member, record.seed))
-            fh.write(eig.tobytes())
+        for head, record in zip(heads, archive.records):
+            fh.write(head)
+            fh.write(np.ascontiguousarray(record.eigenvalues, dtype="<f8").tobytes())
 
 
 def read_archive(path: str | Path) -> SpectrumArchive:
@@ -101,8 +101,7 @@ def read_archive(path: str | Path) -> SpectrumArchive:
             )
         # Checked before any record is read, so a crafted header cannot make
         # the reader allocate more than the file holds.
-        record_head = struct.Struct("<IQ")
-        record_bytes = spec.members * (record_head.size + 8 * claimed)
+        record_bytes = spec.members * (_RECORD_HEAD.size + 8 * claimed)
         available = os.fstat(fh.fileno()).st_size - fh.tell()
         if available != record_bytes:
             raise ArchiveFormatError(
@@ -115,9 +114,9 @@ def read_archive(path: str | Path) -> SpectrumArchive:
             raise ArchiveFormatError(f"{path}: header dimension {claimed} inconsistent with spec")
         records = []
         for _ in range(spec.members):
-            member, seed = record_head.unpack(fh.read(record_head.size))
+            member, seed = _RECORD_HEAD.unpack(fh.read(_RECORD_HEAD.size))
             eig = np.frombuffer(fh.read(8 * claimed), dtype="<f8").copy()
-            records.append(MemberRecord(member=member, seed=seed, eigenvalues=eig))
+            records.append(Spectrum(eigenvalues=eig, member=member, seed=seed))
     return SpectrumArchive(spec=spec, records=tuple(records))
 
 

@@ -33,6 +33,7 @@ from .fock import Statistics
 from .qhermite import support_halfwidth
 
 ARCHIVE_NAME = "spectra.egoearc"
+MAX_GRID_POINTS = 1_000_000  # of an analytic curve, one float64 each
 
 DEFAULT_TABLE_GRID = (
     [{"statistics": "fermion", "m": 6, "N": 12, "k": k} for k in range(2, 7)]
@@ -223,13 +224,15 @@ def cmd_analytic(args) -> None:
     if any(n < 1 for n in modes):
         raise ConfigError("modes must be positive integers")
     ks = _parse_ints(args.k_list, "k-list")
-    if args.grid_points < 1:
-        raise ConfigError("--grid-points must be at least 1")
+    if not 1 <= args.grid_points <= MAX_GRID_POINTS:
+        raise ConfigError(f"--grid-points must lie in [1, {MAX_GRID_POINTS}]")
     if args.q is not None and not 0.0 <= args.q <= 1.0:
         raise ConfigError("--q must lie in [0, 1]")
-    for k in ks:  # reject a rank outside the closed form's domain before any output
+    # Reject a rank outside the closed forms' domain, or a scale beyond
+    # float64, before any output.
+    for k in ks:
         try:
-            analytic.sn2(statistics, 1, args.m, args.N, k)
+            analytic.prefactor(statistics, args.m, args.N, k)
         except ValueError as exc:
             raise ConfigError(f"k={k}: {exc}") from exc
     out = Path(args.out or ".")

@@ -20,7 +20,6 @@ from .fock import (
     Statistics,
     dimension,
     enumerate_basis,
-    kbme_count,
 )
 
 DEFAULT_MEMBERS = 50
@@ -103,10 +102,6 @@ class EnsembleSpec:
     def k_dimension(self) -> int:
         return dimension(self.n_sites, self.k, self.statistics)
 
-    @property
-    def kbme_count(self) -> int:
-        return kbme_count(self.n_sites, self.k, self.statistics)
-
     def to_dict(self) -> dict:
         """JSON-ready form, keyed as in archive headers and run configurations."""
         return {
@@ -138,31 +133,15 @@ class EnsembleSpec:
 
 
 @dataclass(frozen=True)
-class KBodyMatrix:
-    """Dense symmetric k-particle matrix of one member, with its seed."""
+class MemberMatrix:
+    """Dense symmetric matrix of one member: its k-particle draw or its embedding."""
 
     matrix: np.ndarray
     member: int
     seed: int
 
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
 
-
-@dataclass(frozen=True)
-class EmbeddedHamiltonian:
-    """Dense symmetric m-particle matrix of one ensemble member."""
-
-    matrix: np.ndarray
-    member: int
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-
-def sample_kbody(spec: EnsembleSpec, member: int) -> KBodyMatrix:
+def sample_kbody(spec: EnsembleSpec, member: int) -> MemberMatrix:
     """Draw the symmetric k-particle matrix of one member.
 
     Entries are independent zero-mean Gaussians with variance ``nu2`` off the
@@ -185,7 +164,7 @@ def sample_kbody(spec: EnsembleSpec, member: int) -> KBodyMatrix:
     diag = np.arange(dk)
     mat[diag, diag] *= math.sqrt(2.0)
     mat *= nu
-    return KBodyMatrix(matrix=mat, member=member, seed=seed)
+    return MemberMatrix(matrix=mat, member=member, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -305,7 +284,7 @@ def build_embedding_plan(
     )
 
 
-def embed(kmat: KBodyMatrix, spec: EnsembleSpec) -> EmbeddedHamiltonian:
+def embed(kmat: MemberMatrix, spec: EnsembleSpec) -> MemberMatrix:
     """Propagate a k-particle matrix into the m-particle space.
 
     Implements H[B, A] = sum over (alpha, gamma) of V[alpha, gamma] times the
@@ -316,6 +295,7 @@ def embed(kmat: KBodyMatrix, spec: EnsembleSpec) -> EmbeddedHamiltonian:
     ``+=`` per intermediate, bitwise.  As w_i w_j is formed before it scales
     V, elements (i, j) and (j, i) of a symmetric V sum equal terms in equal
     order, so H is exactly symmetric; for k = m the map is the identity.
+    The result keeps the member index and seed of ``kmat``.
     """
     dk = spec.k_dimension
     if kmat.matrix.shape != (dk, dk):
@@ -331,7 +311,7 @@ def embed(kmat: KBodyMatrix, spec: EnsembleSpec) -> EmbeddedHamiltonian:
         a, g, w = (x[i:i + step] for x in (plan.targets, plan.kconfigs, plan.weights))
         vals = v[g[:, :, None], g[:, None, :]] * (w[:, :, None] * w[:, None, :])
         np.add.at(ham.ravel(), (a[:, :, None] * d + a[:, None, :]).ravel(), vals.ravel())
-    return EmbeddedHamiltonian(matrix=ham, member=kmat.member)
+    return MemberMatrix(matrix=ham, member=kmat.member, seed=kmat.seed)
 
 
 def check_dense_size(spec: EnsembleSpec) -> None:
@@ -349,7 +329,7 @@ def check_dense_size(spec: EnsembleSpec) -> None:
         )
 
 
-def build_member(spec: EnsembleSpec, member: int) -> EmbeddedHamiltonian:
+def build_member(spec: EnsembleSpec, member: int) -> MemberMatrix:
     """Sample one member's k-particle matrix and embed it."""
     return embed(sample_kbody(spec, member), spec)
 

@@ -51,14 +51,14 @@ class OccupationConfig:
         return sum(self.occupations)
 
 
-def _binomial(n: int, j: int, limit: int | None) -> int:
+def binomial(n: int, j: int, limit: int | None) -> int:
     """C(n, j), or with ``limit`` some value above ``limit`` once C(n, j) exceeds it.
 
     The partial products C(n - j + i, i), i <= min(j, n - j), grow at least as
     2^i, so a limited call stops within about log2(limit) steps however large
     n is.
     """
-    if limit is None:
+    if limit is None or j > n:
         return math.comb(n, j)
     j = min(j, n - j)
     value = 1
@@ -75,7 +75,7 @@ def dim_fermion(n_sites: int, particles: int, limit: int | None = None) -> int:
         raise FockDomainError("negative arguments")
     if particles > n_sites:
         raise FockDomainError(f"cannot place {particles} fermions in {n_sites} states")
-    return _binomial(n_sites, particles, limit)
+    return binomial(n_sites, particles, limit)
 
 
 def dim_boson(n_sites: int, particles: int, limit: int | None = None) -> int:
@@ -86,7 +86,7 @@ def dim_boson(n_sites: int, particles: int, limit: int | None = None) -> int:
         if particles > 0:
             raise FockDomainError("no single-particle states to hold bosons")
         return 1
-    return _binomial(n_sites + particles - 1, particles, limit)
+    return binomial(n_sites + particles - 1, particles, limit)
 
 
 def dimension(
@@ -96,14 +96,6 @@ def dimension(
     if statistics is Statistics.FERMION:
         return dim_fermion(n_sites, particles, limit)
     return dim_boson(n_sites, particles, limit)
-
-
-def kbme_count(n_sites: int, k: int, statistics: Statistics) -> int:
-    """Number of independent matrix elements of a symmetric k-particle matrix."""
-    if k < 1:
-        raise FockDomainError("k must be at least 1")
-    d = dimension(n_sites, k, statistics)
-    return d * (d + 1) // 2
 
 
 def enumerate_basis(n_sites: int, particles: int, statistics: Statistics) -> list[OccupationConfig]:

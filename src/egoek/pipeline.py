@@ -15,9 +15,9 @@ import numpy as np
 from . import decomposition as dc
 from . import fluctuations as fl
 from . import periodogram as pg
-from .archive import MemberRecord, SpectrumArchive
-from .ensemble import EnsembleSpec, build_member, check_dense_size, member_seed
-from .spectra import Spectrum, eigenvalues, moments
+from .archive import SpectrumArchive
+from .ensemble import EnsembleSpec, build_member, check_dense_size
+from .spectra import eigenvalues, moments
 
 
 def _map_members(function, items, threads: int) -> list:
@@ -28,26 +28,14 @@ def _map_members(function, items, threads: int) -> list:
         return list(pool.map(function, items))
 
 
-def _member_record(spec: EnsembleSpec, member: int) -> MemberRecord:
-    ham = build_member(spec, member)
-    return MemberRecord(
-        member=member,
-        seed=member_seed(spec.master_seed, member),
-        eigenvalues=eigenvalues(ham).eigenvalues,
-    )
-
-
 def generate_archive(spec: EnsembleSpec, threads: int = 1) -> SpectrumArchive:
     """Build and diagonalize every member, in member order regardless of threads."""
     if threads < 1:
         raise ValueError("threads must be at least 1")
     check_dense_size(spec)
-    records = _map_members(lambda i: _member_record(spec, i), range(spec.members), threads)
+    members = range(spec.members)
+    records = _map_members(lambda i: eigenvalues(build_member(spec, i)), members, threads)
     return SpectrumArchive(spec=spec, records=tuple(records))
-
-
-def archive_spectra(archive: SpectrumArchive) -> list[Spectrum]:
-    return [Spectrum(eigenvalues=r.eigenvalues, member=r.member) for r in archive.records]
 
 
 def decompose_archive(
@@ -56,7 +44,7 @@ def decompose_archive(
     """Per-member smooth fits and level-motion series for every order, at q = q_est."""
     return _map_members(
         lambda s: dc.decompose_member(s, moments(s).q_est, orders),
-        archive_spectra(archive),
+        archive.records,
         threads,
     )
 
@@ -93,7 +81,7 @@ def unfolded_ensemble(
     order = fl.unfolding_order(spec.statistics, spec.k)
     return [
         fl.unfold(spectrum, decomposition.series[order], trim=trim)
-        for spectrum, decomposition in zip(archive_spectra(archive), decompositions, strict=True)
+        for spectrum, decomposition in zip(archive.records, decompositions, strict=True)
     ]
 
 
@@ -115,7 +103,7 @@ class MomentSummary:
 def moment_summary(archive: SpectrumArchive) -> MomentSummary:
     """Ensemble means and standard errors of the spectral shape parameters."""
     spec = archive.spec
-    stats = [moments(s) for s in archive_spectra(archive)]
+    stats = [moments(s) for s in archive.records]
     g1 = np.array([s.skewness for s in stats])
     g2 = np.array([s.excess for s in stats])
     root_n = math.sqrt(len(stats))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EmbeddedHamiltonian
+from .ensemble import MemberMatrix
 
 Q_CAP = 1.0 - 1e-6
 
@@ -17,10 +17,11 @@ class DegenerateSpectrumError(ValueError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sorted eigenvalues of one ensemble member."""
+    """Sorted eigenvalues of one ensemble member, with its index and seed if known."""
 
     eigenvalues: np.ndarray
     member: int | None = None
+    seed: int | None = None
 
     @property
     def dimension(self) -> int:
@@ -36,21 +37,22 @@ class SpectralMoments:
     q_est: float
 
 
-def eigenvalues(ham: EmbeddedHamiltonian | np.ndarray) -> Spectrum:
+def eigenvalues(ham: MemberMatrix | np.ndarray) -> Spectrum:
     """Full real spectrum of a symmetric matrix, ascending.
 
+    Member and seed come from a :class:`MemberMatrix`, None for a bare array.
     Any dense symmetric eigensolver is acceptable provided eigenvalue sums
     reproduce the trace to relative 1e-10; LAPACK's divide-and-conquer driver
     comfortably satisfies that.
     """
-    if isinstance(ham, EmbeddedHamiltonian):
-        matrix, member = ham.matrix, ham.member
+    if isinstance(ham, MemberMatrix):
+        matrix, member, seed = ham.matrix, ham.member, ham.seed
     else:
-        matrix, member = np.asarray(ham, dtype=float), None
+        matrix, member, seed = np.asarray(ham, dtype=float), None, None
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix has non-finite entries")
     vals = np.linalg.eigvalsh(matrix)
-    return Spectrum(eigenvalues=vals, member=member)
+    return Spectrum(eigenvalues=vals, member=member, seed=seed)
 
 
 def moments(spectrum: Spectrum) -> SpectralMoments:

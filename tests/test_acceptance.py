@@ -18,7 +18,7 @@ from egoek import analytic, decomposition as dc, fluctuations as fl, periodogram
 from egoek.cli import main as cli_main
 from egoek.ensemble import (
     EnsembleSpec,
-    KBodyMatrix,
+    MemberMatrix,
     build_embedding_plan,
     embed,
     spectral_variance,
@@ -100,7 +100,7 @@ def report(criterion, ok, detail=""):
 def test_criterion_1_table_reproduction(archives):
     failures = []
     for (stat, k), (g1_ref, g2_ref) in TABLE1.items():
-        stats = [moments(s) for s in _spectra(archives[(stat, k)])]
+        stats = [moments(s) for s in archives[(stat, k)].records]
         g1 = float(np.mean([s.skewness for s in stats]))
         g2 = float(np.mean([s.excess for s in stats]))
         line = f"  {stat.value:7s} k={k:2d}: gamma1={g1:+.4f} (ref {g1_ref:+.4f})  gamma2={g2:+.4f} (ref {g2_ref:+.4f})"
@@ -110,12 +110,6 @@ def test_criterion_1_table_reproduction(archives):
             failures.append((stat.value, k, g1, g2))
     report("1 (shape-parameter table, 50 members)", not failures)
     assert not failures
-
-
-def _spectra(archive):
-    from egoek.pipeline import archive_spectra
-
-    return archive_spectra(archive)
 
 
 def _exact_central_variance(stat, m, n_sites, k):
@@ -163,7 +157,7 @@ def test_criterion_2_variance_propagation(archives):
         m, n_sites = system(stat)
         target = spectral_variance(spec_for(stat, k))
         measured = float(
-            np.mean([moments(s).variance for s in _spectra(archives[(stat, k)])])
+            np.mean([moments(s).variance for s in archives[(stat, k)].records])
         )
         exact = _exact_central_variance(stat, m, n_sites, k)
         ok = abs(measured / target - 1.0) <= 0.05
@@ -230,7 +224,7 @@ def test_criterion_4_identity_embedding():
                 for k in range(1, m + 1):
                     spec = EnsembleSpec(stat, m=m, n_sites=n_sites, k=k, members=1, master_seed=0)
                     dk = spec.k_dimension
-                    ham = embed(KBodyMatrix(np.eye(dk), 0, 0), spec).matrix
+                    ham = embed(MemberMatrix(np.eye(dk), 0, 0), spec).matrix
                     expected = math.comb(m, k)
                     off = ham - np.diag(np.diag(ham))
                     if stat is F:

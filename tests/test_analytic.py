@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from egoek.analytic import (
     FERMION_PRESET_Q,
     mode_width_curve,
     motion_variance,
+    prefactor,
     preset_q,
     sn2,
 )
-from egoek.fock import Statistics
+from egoek.fock import Statistics, dimension
 from egoek.qhermite import fqn_density, hermite_q, qfactorial, support_halfwidth
 
 F = Statistics.FERMION
@@ -183,3 +185,41 @@ class TestModeWidthCurves:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             mode_width_curve(F, 10, 20, 2, 0.465, 2, np.array([]))
+
+
+class TestPrefactor:
+    @pytest.mark.parametrize(
+        "stat, m, n_sites, k", [(F, 10, 20, 2), (F, 6, 12, 5), (B, 20, 10, 3), (B, 10, 5, 4),
+                                (B, 2, 10, 5)],
+    )
+    def test_equals_float_formula_bitwise(self, stat, m, n_sites, k):
+        expected = (
+            float(dimension(n_sites, m, stat)) ** 2
+            * float(math.comb(m, k)) ** 2
+            / float(math.comb(n_sites, k)) ** 2
+        )
+        assert prefactor(stat, m, n_sites, k) == expected
+
+    @pytest.mark.parametrize(
+        "stat, m, n_sites, k",
+        [(F, 600, 1200, 2), (B, 600, 1200, 2), (F, 10**7, 2 * 10**7, 5 * 10**6),
+         (B, 10**7, 10**7, 10**6)],
+    )
+    def test_overflow_rejected_without_full_binomials(self, stat, m, n_sites, k):
+        # C(2e7, 1e7) in full has six million digits; the limited binomials
+        # stop near 2^1024.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="does not fit a float64"):
+            prefactor(stat, m, n_sites, k)
+        with pytest.raises(ValueError, match="does not fit a float64"):
+            mode_width_curve(stat, m, n_sites, k, 0.5, 2, np.zeros(1))
+        with pytest.raises(ValueError, match="does not fit a float64"):
+            motion_variance(stat, 0.0, m, n_sites, k, 0.5)
+        assert time.perf_counter() - start < 1.0
+
+    def test_boson_amplitude_past_float_range_underflows(self):
+        # C(1200, 30)^6 is about 1e354: the amplitude is below every float64.
+        assert sn2(B, 6, 30, 1200, 30) == 0.0
+        assert sn2(B, 2, 30, 1200, 30) == pytest.approx(4.0 / math.comb(1200, 30) ** 2)
+        curve = mode_width_curve(B, 30, 1200, 30, 0.5, 6, np.linspace(-1.0, 1.0, 5))
+        assert np.array_equal(curve, np.zeros(5))

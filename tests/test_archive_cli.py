@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import egoek.qhermite
 from egoek.archive import (
     ArchiveFormatError,
-    MemberRecord,
     SpectrumArchive,
     export_json,
     read_archive,
@@ -21,7 +20,14 @@ from egoek.archive import (
 )
 from egoek.analytic import PRESET_SYSTEMS
 from egoek.cli import build_parser, main
-from egoek.config import VALID_ORDERS, ConfigError, RunConfig, config_from_dict, read_json
+from egoek.config import (
+    MAX_SPACING_BINS,
+    VALID_ORDERS,
+    ConfigError,
+    RunConfig,
+    config_from_dict,
+    read_json,
+)
 from egoek.ensemble import (
     MAX_DENSE_DIMENSION,
     DenseMemoryError,
@@ -31,6 +37,7 @@ from egoek.ensemble import (
 from egoek.fock import Statistics
 from egoek.periodogram import MAX_OVERSAMPLE
 from egoek.pipeline import generate_archive
+from egoek.spectra import Spectrum, eigenvalues
 
 F = Statistics.FERMION
 
@@ -82,6 +89,29 @@ class TestArchiveRoundTrip:
         assert len(payload["members"][0]["eigenvalues"]) == 20
 
 
+class TestArchiveWriterContract:
+    """A record's member index and seed must fit the uint32 and uint64 fields."""
+
+    SPEC = EnsembleSpec(F, m=1, n_sites=4, k=1, members=1)
+
+    def rejected(self, tmp_path, record):
+        path = tmp_path / "a.egoearc"
+        with pytest.raises(ValueError, match="archive record needs"):
+            write_archive(path, SpectrumArchive(spec=self.SPEC, records=(record,)))
+        assert not path.exists()
+
+    def test_bare_spectrum_rejected(self, tmp_path):
+        spectrum = eigenvalues(np.diag([4.0, 3.0, 2.0, 1.0]))
+        assert (spectrum.member, spectrum.seed) == (None, None)
+        self.rejected(tmp_path, spectrum)
+
+    @pytest.mark.parametrize(
+        "member, seed", [(2**32, 0), (-1, 0), (0, 2**64), (0, -1), (0, 1.5), (0.0, 0)]
+    )
+    def test_out_of_range_or_non_integer_rejected(self, tmp_path, member, seed):
+        self.rejected(tmp_path, Spectrum(np.arange(4.0), member=member, seed=seed))
+
+
 @st.composite
 def small_archives(draw):
     """Archives of small systems holding arbitrary float64 levels (nan and inf too)."""
@@ -99,7 +129,7 @@ def small_archives(draw):
     )
     levels = st.lists(st.floats(width=64), min_size=spec.dimension, max_size=spec.dimension)
     records = tuple(
-        MemberRecord(
+        Spectrum(
             member=draw(st.integers(0, 2**32 - 1)),
             seed=draw(st.integers(0, 2**64 - 1)),
             eigenvalues=np.array(draw(levels), dtype=float),
@@ -206,6 +236,7 @@ def run_configs(draw):
     stat = draw(st.sampled_from([F, Statistics.BOSON]))
     m = draw(st.integers(1, 6))
     positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    bin_width = draw(positive)
     spec = EnsembleSpec(
         stat,
         m=m,
@@ -221,8 +252,10 @@ def run_configs(draw):
         orders=tuple(orders),
         trim=draw(st.floats(0.0, 1.0, exclude_max=True)),
         l_max=draw(st.integers(2, 10**6)),
-        bin_width=draw(positive),
-        spacing_max=draw(positive),
+        bin_width=bin_width,
+        # Half the bin bound, so rounding cannot carry the ratio past it.
+        spacing_max=draw(st.floats(min_value=0.0, max_value=bin_width * MAX_SPACING_BINS / 2,
+                                   exclude_min=True, allow_infinity=False)),
         oversample=draw(st.integers(1, MAX_OVERSAMPLE)),
         out_dir=draw(st.text(max_size=20)),
     )
@@ -252,6 +285,16 @@ class TestRunConfig:
         config = config_from_dict({"ensemble": ensemble,
                                    "analysis": {"oversample": MAX_OVERSAMPLE}})
         assert config.oversample == MAX_OVERSAMPLE
+
+    @pytest.mark.parametrize(
+        "analysis", [{"bin_width": 1e-12}, {"spacing_max": 1e13}, {"bin_width": 5e-324}]
+    )
+    def test_histogram_bin_count_bounded(self, analysis):
+        ensemble = {"statistics": "fermion", "m": 3, "N": 6, "k": 2}
+        with pytest.raises(ConfigError, match="histogram bins"):
+            config_from_dict({"ensemble": ensemble, "analysis": analysis})
+        edge = {"bin_width": 0.5, "spacing_max": 0.5 * MAX_SPACING_BINS}
+        assert config_from_dict({"ensemble": ensemble, "analysis": edge}).spacing_max == 5e5
 
     def test_load_and_roundtrip(self, tmp_path):
         payload = {
@@ -537,6 +580,8 @@ INVALID_COMMAND_LINES = {
     "config_analysis_not_object": lambda p: _generate_config(p, {"ensemble": SYSTEM,
                                                                  "analysis": [1, 2]}),
     "config_fractional_l_max": lambda p: _generate_analysis(p, {"l_max": 8.7}),
+    "config_bin_width_too_many_bins": lambda p: _generate_analysis(p, {"bin_width": 1e-12}),
+    "config_spacing_max_too_many_bins": lambda p: _generate_analysis(p, {"spacing_max": 1e13}),
     "config_fractional_oversample": lambda p: _generate_analysis(p, {"oversample": 4.5}),
     "config_bool_oversample": lambda p: _generate_analysis(p, {"oversample": True}),
     "config_format_version": lambda p: _generate_config(p, {"ensemble": SYSTEM,
@@ -553,6 +598,11 @@ INVALID_COMMAND_LINES = {
     "analytic_boson_k_above_N": lambda p: _analytic(p, "boson", 10, 5, 6, 0.9),
     "analytic_fermion_k_above_m": lambda p: _analytic(p, "fermion", 6, 12, 7, 0.3),
     "analytic_fermion_m_above_N": lambda p: _analytic(p, "fermion", 13, 12, 2, 0.3),
+    "analytic_too_many_grid_points": lambda p: (
+        _analytic(p, "fermion", 10, 20, 2, 0.465)[0] + ["--grid-points", "10000000000000"], {}
+    ),
+    "analytic_fermion_scale_overflow": lambda p: _analytic(p, "fermion", 600, 1200, 2, 0.5),
+    "analytic_boson_scale_overflow": lambda p: _analytic(p, "boson", 600, 1200, 2, 0.5),
 }
 
 
@@ -569,6 +619,17 @@ def test_invalid_command_line_exits_2_with_one_error_line(case, tmp_path, capsys
 
 def test_analytic_rank_outside_domain_creates_no_output(tmp_path):
     argv, _env = _analytic(tmp_path, "boson", 10, 5, 6, 0.9)
+    assert run_cli(*argv) == 2
+    assert not (tmp_path / "ana").exists()
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["analytic_too_many_grid_points", "analytic_fermion_scale_overflow",
+     "analytic_boson_scale_overflow"],
+)
+def test_analytic_rejected_size_creates_no_output(case, tmp_path):
+    argv, _env = INVALID_COMMAND_LINES[case](tmp_path)
     assert run_cli(*argv) == 2
     assert not (tmp_path / "ana").exists()
 

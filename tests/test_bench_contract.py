@@ -67,7 +67,7 @@ def test_plan_groups_unpack_into_equal_length_triples():
         assert len(a_idx) == len(g_idx) == len(w) > 0
 
 
-def test_harness_keyword_calls():
+def test_harness_keyword_calls(tmp_path):
     """The calls perfbench/ makes, with their keywords, and the fields it reads back."""
     spec = egoek.ensemble.EnsembleSpec(
         statistics=Statistics.FERMION, m=3, n_sites=6, k=2, members=2, master_seed=5
@@ -75,6 +75,21 @@ def test_harness_keyword_calls():
     config = egoek.config.RunConfig(ensemble=spec)
     archive = egoek.pipeline.generate_archive(spec, threads=1)
     assert archive.spec == config.ensemble and len(archive.records) == 2
+    # checks.archive_matches compares member, seed and eigenvalues of every
+    # record, generated and read back; tracer._member_attr reads the member
+    # of the k-body matrix that embed receives.
+    path = tmp_path / "spectra.egoearc"
+    egoek.archive.write_archive(path, archive)
+    for records in (archive.records, egoek.archive.read_archive(path).records):
+        for i, record in enumerate(records):
+            assert record.member == i == egoek.ensemble.sample_kbody(spec, i).member
+            assert record.eigenvalues.shape == (spec.dimension,)
+            assert (
+                record.seed
+                == egoek.ensemble.member_seed(spec.master_seed, i)
+                == egoek.ensemble.sample_kbody(spec, i).seed
+                == egoek.ensemble.build_member(spec, i).seed
+            )
     # checks.trace_identity takes the trace of one member's matrix; probe.py
     # diagonalizes a bare array and tracer._eig_attrs reads its dimension.
     matrix = egoek.ensemble.build_member(spec, 1).matrix

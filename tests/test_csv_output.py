@@ -117,7 +117,7 @@ def test_fluct_separation_matches_direct_periodogram(archive_case, convention, t
     summary = json.loads((tmp_path / "fluct_summary.json").read_text())
     config = RunConfig(ensemble=archive.spec)
     orders = (2, 3, 5)
-    fits = [decompose_member(s, moments(s).q_est, orders) for s in pipeline.archive_spectra(archive)]
+    fits = [decompose_member(s, moments(s).q_est, orders) for s in archive.records]
     assert summary["lambda_convention"] == convention
     assert [(row["k"], row["order"]) for row in summary["separation"]] == [
         (archive.spec.k, order) for order in orders

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from egoek import ensemble
 from egoek.ensemble import (
     EnsembleSpec,
-    KBodyMatrix,
+    MemberMatrix,
     build_embedding_plan,
     build_member,
     embed,
@@ -64,7 +64,6 @@ class TestSpecValidation:
         spec = fermion_spec()
         assert spec.dimension == 70
         assert spec.k_dimension == 28
-        assert spec.kbme_count == 28 * 29 // 2
 
 
 class TestSeeding:
@@ -133,13 +132,13 @@ class TestEmbedding:
 
     def test_identity_embeds_to_scaled_identity(self):
         spec = fermion_spec()
-        kmat = KBodyMatrix(np.eye(spec.k_dimension), member=0, seed=0)
+        kmat = MemberMatrix(np.eye(spec.k_dimension), member=0, seed=0)
         ham = embed(kmat, spec).matrix
         assert np.array_equal(ham, math.comb(4, 2) * np.eye(spec.dimension))
 
     def test_boson_identity_embedding(self):
         spec = EnsembleSpec(B, m=4, n_sites=4, k=2, members=1, master_seed=0)
-        ham = embed(KBodyMatrix(np.eye(spec.k_dimension), 0, 0), spec).matrix
+        ham = embed(MemberMatrix(np.eye(spec.k_dimension), 0, 0), spec).matrix
         off = ham - np.diag(np.diag(ham))
         assert not off.any()
         assert np.allclose(np.diag(ham), math.comb(4, 2), rtol=1e-12)
@@ -151,9 +150,9 @@ class TestEmbedding:
         v1 = v1 + v1.T
         v2 = rng.standard_normal((28, 28))
         v2 = v2 + v2.T
-        combo = embed(KBodyMatrix(2.5 * v1 - 0.5 * v2, 0, 0), spec).matrix
-        parts = 2.5 * embed(KBodyMatrix(v1, 0, 0), spec).matrix - 0.5 * embed(
-            KBodyMatrix(v2, 0, 0), spec
+        combo = embed(MemberMatrix(2.5 * v1 - 0.5 * v2, 0, 0), spec).matrix
+        parts = 2.5 * embed(MemberMatrix(v1, 0, 0), spec).matrix - 0.5 * embed(
+            MemberMatrix(v2, 0, 0), spec
         ).matrix
         assert np.allclose(combo, parts, atol=1e-12 * np.abs(parts).max())
 
@@ -174,7 +173,7 @@ class TestEmbedding:
     def test_dimension_mismatch(self):
         spec = fermion_spec()
         with pytest.raises(ValueError):
-            embed(KBodyMatrix(np.eye(5), 0, 0), spec)
+            embed(MemberMatrix(np.eye(5), 0, 0), spec)
 
     @pytest.mark.parametrize(
         "stat,n_sites,m,k",
@@ -290,13 +289,13 @@ class TestEmbeddingProperties:
         v = random_symmetric(spec.k_dimension, seed)
         plan = build_embedding_plan(spec.statistics, spec.m, spec.n_sites, spec.k)
         with mock.patch.object(ensemble, "_CHUNK_TERMS", chunk):
-            ham = embed(KBodyMatrix(v, 0, 0), spec).matrix
+            ham = embed(MemberMatrix(v, 0, 0), spec).matrix
         assert ham.tobytes() == embed_loop_oracle(v, plan).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(spec=small_systems(), seed=st.integers(0, 2**32 - 1))
     def test_embed_is_exactly_symmetric(self, spec, seed):
-        ham = embed(KBodyMatrix(random_symmetric(spec.k_dimension, seed), 0, 0), spec).matrix
+        ham = embed(MemberMatrix(random_symmetric(spec.k_dimension, seed), 0, 0), spec).matrix
         assert np.array_equal(ham, ham.T)
 
     @settings(max_examples=60, deadline=None)
@@ -310,9 +309,9 @@ class TestEmbeddingProperties:
     def test_embed_is_linear(self, spec, seed, a, b):
         v1 = random_symmetric(spec.k_dimension, seed)
         v2 = random_symmetric(spec.k_dimension, seed + 1)
-        combo = embed(KBodyMatrix(a * v1 + b * v2, 0, 0), spec).matrix
-        h1 = embed(KBodyMatrix(v1, 0, 0), spec).matrix
-        h2 = embed(KBodyMatrix(v2, 0, 0), spec).matrix
+        combo = embed(MemberMatrix(a * v1 + b * v2, 0, 0), spec).matrix
+        h1 = embed(MemberMatrix(v1, 0, 0), spec).matrix
+        h2 = embed(MemberMatrix(v2, 0, 0), spec).matrix
         scale = (abs(a) * np.abs(h1).max() + abs(b) * np.abs(h2).max()) or 1.0
         # The rounding of a*v1 + b*v2 is absolute for subnormal a, b: hence the floor.
         atol = 1e-12 * scale + 4 * np.finfo(float).smallest_subnormal
@@ -322,7 +321,7 @@ class TestEmbeddingProperties:
     @given(spec=small_systems(), seed=st.integers(0, 2**32 - 1))
     def test_trace_from_plan_weights(self, spec, seed):
         v = random_symmetric(spec.k_dimension, seed)
-        ham = embed(KBodyMatrix(v, 0, 0), spec).matrix
+        ham = embed(MemberMatrix(v, 0, 0), spec).matrix
         plan = build_embedding_plan(spec.statistics, spec.m, spec.n_sites, spec.k)
         w_sq = plan.weights.ravel() ** 2
         expected = np.diag(v) @ np.bincount(

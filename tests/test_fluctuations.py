@@ -29,7 +29,7 @@ from egoek.fluctuations import (
     wigner_pdf,
 )
 from egoek.fock import Statistics
-from egoek.pipeline import archive_spectra, decompose_archive, generate_archive, unfolded_ensemble
+from egoek.pipeline import decompose_archive, generate_archive, unfolded_ensemble
 from egoek.qhermite import support_halfwidth
 from egoek.spectra import Spectrum, moments
 
@@ -120,7 +120,7 @@ class TestUnfoldedEnsemble:
         decompositions = decompose_archive(archive, (2, 3, policy))
         unfolded = unfolded_ensemble(archive, decompositions)
         assert len(unfolded) == spec.members
-        for spectrum, got in zip(archive_spectra(archive), unfolded):
+        for spectrum, got in zip(archive.records, unfolded):
             model = fit_smooth_model(spectrum, moments(spectrum).q_est, policy)
             want = unfold(spectrum, level_motion(spectrum, model))
             assert got.member == want.member

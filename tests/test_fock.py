@@ -9,11 +9,11 @@ from egoek.fock import (
     FockDomainError,
     OccupationConfig,
     Statistics,
+    binomial,
     dim_boson,
     dim_fermion,
     dimension,
     enumerate_basis,
-    kbme_count,
 )
 
 from oracles import (
@@ -73,18 +73,8 @@ class TestDimensions:
                 assert limited > limit
         assert dim_fermion(2 * 10**6, 10**6, limit=10**6) > 10**6
 
-
-class TestKbmeCount:
-    def test_reference_counts(self):
-        assert kbme_count(12, 2, F) == 2211  # d=66
-        assert kbme_count(5, 2, B) == 120  # d=15
-
-    def test_single_kstate(self):
-        assert kbme_count(3, 3, F) == 1
-
-    def test_rejects_zero_k(self):
-        with pytest.raises(FockDomainError):
-            kbme_count(5, 0, F)
+    def test_limited_binomial_of_more_than_n_is_zero(self):
+        assert binomial(2, 5, None) == binomial(2, 5, 10) == 0
 
 
 class TestEnumerateBasis:
