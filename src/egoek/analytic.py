@@ -35,8 +35,10 @@ def preset_q(statistics: Statistics, m: int, n_sites: int, k: int) -> float:
     return table[k]
 
 
-def _check_system(statistics: Statistics, m: int, n_sites: int, k: int) -> None:
-    """Raise ValueError for a system outside the closed forms' domain."""
+def _check_system(statistics: Statistics, m: int, n_sites: int, k: int, n: int = 1) -> None:
+    """Raise ValueError for a system or mode index outside the closed forms' domain."""
+    if not 1 <= n <= sys.float_info.max / 2:  # S_n^2 <= 2n then fits a float64
+        raise ValueError("mode index must lie in [1, float64 max / 2]")
     if statistics is Statistics.FERMION:
         if not 1 <= k <= m <= n_sites:
             raise ValueError("require 1 <= k <= m <= N")
@@ -50,27 +52,37 @@ def _amplitude(statistics: Statistics, n: int, m: int, n_sites: int, k: int) -> 
     Fermions: 2n C(m,k)^(2-n), which is S_n^2 C(N,k)^2.  Bosons: 2n / C(N,k)^n,
     which is S_n^2 itself.
     """
-    if n < 1:
-        raise ValueError("mode index must be >= 1")
-    _check_system(statistics, m, n_sites, k)
+    _check_system(statistics, m, n_sites, k, n)
     if statistics is Statistics.FERMION:
         return 2.0 * n * math.comb(m, k) ** (2 - n)
-    power = math.comb(n_sites, k) ** n
-    # A power beyond float64 cannot be converted; the exact int quotient
-    # rounds once, to a subnormal or zero.
-    return 2.0 * n / power if power <= sys.float_info.max else 2 * n / power
+    c = math.comb(n_sites, k)
+    # Only a power within float64 range is built and converted for the float expression.
+    if n * (c.bit_length() - 1) < 1024 and c**n <= sys.float_info.max:
+        return 2.0 * n / c**n
+    return _exact_quotient(2 * n, c, n)
+
+
+def _exact_quotient(numerator: int, base: int, exponent: int, divisor: int = 1) -> float:
+    """Exact numerator / (base**exponent * divisor) of ints, rounded once to float64."""
+    if exponent * (base.bit_length() - 1) + divisor.bit_length() > numerator.bit_length() + 1100:
+        return 0.0  # far below the smallest subnormal, which the power would only confirm
+    return numerator / (base**exponent * divisor)
 
 
 def sn2(statistics: Statistics, n: int, m: int, n_sites: int, k: int) -> float:
     """Ensemble-averaged squared amplitude S_n^2 of mode n.
 
     Dilute fermions: 2n C(m,k)^(2-n) / C(N,k)^2, meaningful only for k much
-    less than m.  Dense bosons: 2n / C(N,k)^n.
+    less than m.  Dense bosons: 2n / C(N,k)^n.  A value below float64 range
+    reads 0.0, and one above it raises ValueError.
     """
-    amplitude = _amplitude(statistics, n, m, n_sites, k)
-    if statistics is Statistics.FERMION:
-        return amplitude / math.comb(n_sites, k) ** 2
-    return amplitude
+    if statistics is Statistics.BOSON:
+        return _amplitude(statistics, n, m, n_sites, k)
+    _check_system(statistics, m, n_sites, k, n)
+    cmk, cnk2 = math.comb(m, k), math.comb(n_sites, k) ** 2
+    if cnk2 <= sys.float_info.max:
+        return _amplitude(statistics, n, m, n_sites, k) / cnk2
+    return _exact_quotient(2 * n * cmk ** max(2 - n, 0), cmk, max(n - 2, 0), cnk2)
 
 
 def prefactor(statistics: Statistics, m: int, n_sites: int, k: int) -> float:

@@ -34,6 +34,7 @@ from .qhermite import support_halfwidth
 
 ARCHIVE_NAME = "spectra.egoearc"
 MAX_GRID_POINTS = 1_000_000  # of an analytic curve, one float64 each
+MAX_MODE_TABLE = 2**24  # entries (mode index x grid points) of one curve's q-Hermite table
 
 DEFAULT_TABLE_GRID = (
     [{"statistics": "fermion", "m": 6, "N": 12, "k": k} for k in range(2, 7)]
@@ -226,6 +227,8 @@ def cmd_analytic(args) -> None:
     ks = _parse_ints(args.k_list, "k-list")
     if not 1 <= args.grid_points <= MAX_GRID_POINTS:
         raise ConfigError(f"--grid-points must lie in [1, {MAX_GRID_POINTS}]")
+    if max(modes) * args.grid_points > MAX_MODE_TABLE:
+        raise ConfigError(f"--modes times --grid-points must not pass {MAX_MODE_TABLE}")
     if args.q is not None and not 0.0 <= args.q <= 1.0:
         raise ConfigError("--q must lie in [0, 1]")
     # Reject a rank outside the closed forms' domain, or a scale beyond

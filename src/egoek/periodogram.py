@@ -36,15 +36,15 @@ class DegenerateSeriesError(ValueError):
 class PeriodogramResult:
     frequency: np.ndarray
     power: np.ndarray
-    peak_frequency: float
-    peak_power: float
+    peak_frequency: float | np.ndarray
+    peak_power: float | np.ndarray
     n_samples: int
 
 
 def lomb_scargle(
     abscissa: np.ndarray, values: np.ndarray, oversample: int = DEFAULT_OVERSAMPLE
 ) -> PeriodogramResult:
-    """Classical normalized periodogram of an unevenly sampled series.
+    """Classical normalized periodogram of one or several unevenly sampled series.
 
     The per-frequency phase shift tau satisfies
     tan(2 w tau) = sum(sin 2 w t) / sum(cos 2 w t), and powers are normalized
@@ -58,20 +58,21 @@ def lomb_scargle(
     Parameters
     ----------
     abscissa, values : ndarray
-        Sampling positions (normalized energies) and series values.  The mean
-        of ``values`` is subtracted internally.
+        Sampling positions (normalized energies), shape (n,), and one series
+        (n,) or s series (s, n) on them, each with its mean subtracted.  For s
+        series ``power`` is (s, F) and each peak field holds s entries.
     """
     t = np.asarray(abscissa, dtype=float)
     y = np.asarray(values, dtype=float)
-    if t.shape != y.shape or t.ndim != 1:
-        raise ValueError("abscissa and values must be equal-length 1-d arrays")
+    if t.ndim != 1 or y.ndim not in (1, 2) or y.shape[-1] != len(t):
+        raise ValueError("abscissa must be 1-d and values (n,) or (s, n) on its n samples")
     n = len(t)
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
     n_freq = grid_size(n, oversample)
-    y = y - y.mean()
-    variance = float(np.sum(y**2)) / (n - 1)
-    if variance == 0.0:
+    rows = np.atleast_2d(y - y.mean(axis=-1, keepdims=True))
+    variance = np.sum(rows**2, axis=1, keepdims=True) / (n - 1)
+    if np.any(variance == 0.0):
         raise DegenerateSeriesError("series is constant")
 
     span = float(t.max() - t.min())
@@ -88,37 +89,34 @@ def lomb_scargle(
     #        Im/Re s2 and the cosine and sine norms (n + |s2|) / 2, (n - |s2|) / 2;
     #   table[j] @ (anchor y), rotated by exp(-i w tau), holds the cosine (real)
     #        and sine (imaginary) projections.
-    # The anchors of up to _CHUNK / 2 blocks form one matrix, so a call makes
-    # few BLAS calls (each wakes the BLAS threads).  Row j = _FINE a + b of the
-    # table is coarse[a] * fine[b], both evaluated directly.
+    # The anchors of up to _CHUNK / 2 blocks, times every series, form one
+    # matrix, so a call makes few BLAS calls (each wakes the BLAS threads).
+    # Row j = _FINE a + b of the table is coarse[a] * fine[b], both direct.
     dw = 2.0 * math.pi * df
     fine = np.exp(1j * dw * np.arange(_FINE)[:, None] * t)
     coarse = np.exp(1j * dw * np.arange(0, _CHUNK, _FINE)[:, None] * t)
     table = (coarse[:, None, :] * fine).reshape(_CHUNK, n)
     block = _CHUNK // 2
-    power = np.empty(n_freq)
+    power = np.empty((len(rows), n_freq))
     for lo in range(0, n_freq, block * block):
         size = min(block * block, n_freq - lo)
         anchor_phase = t[:, None] * (2.0 * math.pi * freqs[lo : lo + size : block])
         s2 = (table[::2] @ np.exp(2j * anchor_phase)).T.ravel()[:size]
         s2_abs = np.abs(s2)
-        proj = (table[:block] @ (np.exp(1j * anchor_phase) * y[:, None])).T.ravel()[:size]
-        proj *= np.exp(-0.5j * np.angle(s2))
+        weighted = (np.exp(1j * anchor_phase)[:, None, :] * rows.T[:, :, None]).reshape(n, -1)
+        proj = (table[:block] @ weighted).reshape(block, len(rows), -1).transpose(1, 2, 0)
+        proj = proj.reshape(len(rows), -1)[:, :size] * np.exp(-0.5j * np.angle(s2))
         # A sine norm of zero up to rounding (every sample on a node of the
         # sine, as at the Nyquist frequency of an even sampling) leaves the
         # sine term without support: it contributes nothing.
         s_norm = 0.5 * (n - s2_abs)
-        s_term = np.divide(proj.imag**2, s_norm, out=np.zeros(size), where=s_norm > 0.0)
-        power[lo : lo + size] = 0.5 / variance * (proj.real**2 / (0.5 * (n + s2_abs)) + s_term)
+        s_term = np.divide(proj.imag**2, s_norm, out=np.zeros(proj.shape), where=s_norm > 0.0)
+        power[:, lo : lo + size] = 0.5 / variance * (proj.real**2 / (0.5 * (n + s2_abs)) + s_term)
 
-    peak_index = int(np.argmax(power))
-    return PeriodogramResult(
-        frequency=freqs,
-        power=power,
-        peak_frequency=float(freqs[peak_index]),
-        peak_power=float(power[peak_index]),
-        n_samples=n,
-    )
+    peak = np.argmax(power, axis=1)
+    if y.ndim == 1:
+        return PeriodogramResult(freqs, power[0], float(freqs[peak[0]]), float(power.max()), n)
+    return PeriodogramResult(freqs, power, freqs[peak], power.max(axis=1), n)
 
 
 def grid_size(n_samples: int, oversample: int = DEFAULT_OVERSAMPLE) -> int:

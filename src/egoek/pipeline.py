@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,15 +55,15 @@ def periodograms_by_order(
     trim: float = fl.DEFAULT_TRIM,
     oversample: int = pg.DEFAULT_OVERSAMPLE,
 ) -> dict[int, list[pg.PeriodogramResult]]:
-    """Per-order Lomb-Scargle results over the central window of each member."""
+    """Per-order Lomb-Scargle results over each member's central window, one call per member."""
     out: dict[int, list[pg.PeriodogramResult]] = {o: [] for o in orders}
     for decomposition in decompositions:
-        for order in orders:
-            series = decomposition.series[order]
-            window = fl.central_window(len(series.delta), trim)
-            out[order].append(
-                pg.lomb_scargle(series.e_hat[window], series.delta[window], oversample=oversample)
-            )
+        series = [decomposition.series[order] for order in orders]
+        window = fl.central_window(len(series[0].delta), trim)
+        deltas = np.stack([s.delta[window] for s in series])  # all on the member's one e_hat
+        r = pg.lomb_scargle(series[0].e_hat[window], deltas, oversample=oversample)
+        for order, power, f, p in zip(orders, r.power, r.peak_frequency, r.peak_power):
+            out[order].append(replace(r, power=power, peak_frequency=float(f), peak_power=float(p)))
     return out
 
 

@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -223,3 +224,23 @@ class TestPrefactor:
         assert sn2(B, 2, 30, 1200, 30) == pytest.approx(4.0 / math.comb(1200, 30) ** 2)
         curve = mode_width_curve(B, 30, 1200, 30, 0.5, 6, np.linspace(-1.0, 1.0, 5))
         assert np.array_equal(curve, np.zeros(5))
+
+    def test_fermion_amplitude_past_float_range(self):
+        # C(1200, 600)^2 is about 1e719, past float64: the float expression
+        # cannot divide by it, and the exact quotient is rounded once.
+        start = time.perf_counter()
+        assert sn2(F, 1, 1199, 1200, 600) == 0.0
+        assert sn2(F, 10**9, 1199, 1200, 600) == 0.0
+        # C(520, 260)^2 is about 1.8e310: S_1^2 = 2 / C(520, 260) is a normal
+        # float64 and S_2^2 = 4 / C(520, 260)^2 a subnormal one.
+        c = math.comb(520, 260)
+        assert sn2(F, 1, 520, 520, 260) == float(Fraction(2, c)) > 0.0
+        assert sn2(F, 2, 520, 520, 260) == float(Fraction(4, c**2)) > 0.0
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("stat", [F, B])
+    def test_value_past_float_range_rejected(self, stat):
+        # S_n^2 <= 2n, so only a mode index past float64 max / 2 could overflow.
+        assert sn2(stat, 2**1022, 5, 5, 5) == 2.0**1023
+        with pytest.raises(ValueError, match="mode index"):
+            sn2(stat, 10**400, 5, 5, 5)

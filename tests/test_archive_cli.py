@@ -601,6 +601,9 @@ INVALID_COMMAND_LINES = {
     "analytic_too_many_grid_points": lambda p: (
         _analytic(p, "fermion", 10, 20, 2, 0.465)[0] + ["--grid-points", "10000000000000"], {}
     ),
+    "analytic_too_many_modes": lambda p: (
+        _analytic(p, "fermion", 10, 20, 2, 0.465)[0] + ["--modes", "2,20000000"], {}
+    ),
     "analytic_fermion_scale_overflow": lambda p: _analytic(p, "fermion", 600, 1200, 2, 0.5),
     "analytic_boson_scale_overflow": lambda p: _analytic(p, "boson", 600, 1200, 2, 0.5),
 }
@@ -625,8 +628,8 @@ def test_analytic_rank_outside_domain_creates_no_output(tmp_path):
 
 @pytest.mark.parametrize(
     "case",
-    ["analytic_too_many_grid_points", "analytic_fermion_scale_overflow",
-     "analytic_boson_scale_overflow"],
+    ["analytic_too_many_grid_points", "analytic_too_many_modes",
+     "analytic_fermion_scale_overflow", "analytic_boson_scale_overflow"],
 )
 def test_analytic_rejected_size_creates_no_output(case, tmp_path):
     argv, _env = INVALID_COMMAND_LINES[case](tmp_path)

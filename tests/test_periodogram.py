@@ -6,6 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from egoek import fluctuations as fl, periodogram as pg, pipeline
+from egoek.ensemble import EnsembleSpec
+from egoek.fock import Statistics
 from egoek.periodogram import (
     MAX_OVERSAMPLE,
     DegenerateSeriesError,
@@ -51,6 +54,95 @@ class TestDirectFormParity:
         for n, oversample in ((16, 4), (64, 4), (65, 1)):
             r = lomb_scargle(np.linspace(-1.0, 1.0, n), rng.standard_normal(n), oversample)
             assert np.all(np.isfinite(r.power)) and np.all(r.power >= 0.0)
+
+
+def assert_rows_match_single_calls(t, rows, oversample, rtol=1e-12):
+    """Each row of a stacked call against the one-series call on that row."""
+    stacked = lomb_scargle(t, rows, oversample=oversample)
+    assert stacked.power.shape == (len(rows), grid_size(len(t), oversample))
+    assert stacked.n_samples == len(t)
+    for i, row in enumerate(rows):
+        single = lomb_scargle(t, row, oversample=oversample)
+        assert np.array_equal(stacked.frequency, single.frequency)
+        assert np.max(np.abs(stacked.power[i] - single.power)) <= rtol * single.peak_power
+        peak = int(np.argmax(single.power))
+        assert int(np.argmax(stacked.power[i])) == peak
+        assert stacked.peak_frequency[i] == single.peak_frequency == single.frequency[peak]
+        assert stacked.peak_power[i] == stacked.power[i, peak]
+
+
+class TestStackedSeries:
+    """Several series on one abscissa in one call: each row as its own call."""
+
+    @pytest.mark.parametrize("oversample", [1, 4, MAX_OVERSAMPLE])
+    @pytest.mark.parametrize("n", [16, 832])
+    @pytest.mark.parametrize("s", [1, 2, 5])
+    def test_rows_match_single_calls(self, s, n, oversample):
+        rng = np.random.default_rng(1000 * s + n + oversample)
+        t = sample_abscissa(n, rng)
+        rows = np.cumsum(rng.standard_normal((s, n)), axis=1) * rng.uniform(0.1, 10.0, (s, 1))
+        assert_rows_match_single_calls(t, rows, oversample)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(16, 300),
+        s=st.integers(1, 6),
+        oversample=st.integers(1, 8),
+        span=st.floats(0.01, 100.0),
+        shift=st.floats(-10.0, 10.0),
+    )
+    def test_rows_match_single_calls_on_random_abscissae(self, seed, n, s, oversample, span, shift):
+        rng = np.random.default_rng(seed)
+        t = sample_abscissa(n, rng, span) + shift
+        assume(np.ptp(t) > 0.0)
+        rows = np.cumsum(rng.standard_normal((s, n)), axis=1) + rng.normal(0.0, 100.0, (s, 1))
+        assert_rows_match_single_calls(t, rows, oversample)
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.ones((2, 63)), np.ones((2, 65)), np.ones((2, 3, 64)), np.ones(63)],
+        ids=["short_rows", "long_rows", "three_d", "short_series"],
+    )
+    def test_shape_mismatch_rejected(self, values):
+        t = sample_abscissa(64, np.random.default_rng(9))
+        with pytest.raises(ValueError, match="values"):
+            lomb_scargle(t, values)
+
+    def test_one_constant_row_is_degenerate(self):
+        rng = np.random.default_rng(10)
+        t = sample_abscissa(64, rng)
+        rows = np.vstack([rng.standard_normal(64), np.full(64, 3.0), rng.standard_normal(64)])
+        with pytest.raises(DegenerateSeriesError):
+            lomb_scargle(t, rows)
+
+
+def test_periodograms_by_order_is_one_call_per_member(monkeypatch):
+    spec = EnsembleSpec(Statistics.FERMION, m=4, n_sites=8, k=2, members=3, master_seed=11)
+    orders = (2, 3, 4, 5, 6)
+    decompositions = pipeline.decompose_archive(pipeline.generate_archive(spec), orders)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[1]))
+        return lomb_scargle(*args, **kwargs)
+
+    monkeypatch.setattr(pg, "lomb_scargle", counted)
+    grouped = pipeline.periodograms_by_order(decompositions, (5, 2, 3, 6, 4), oversample=4)
+    assert calls == [(5, 64)] * spec.members  # d = 70, 3 levels trimmed per end
+    assert sorted(grouped) == list(orders)
+    for order in orders:
+        assert len(grouped[order]) == spec.members
+        for decomposition, got in zip(decompositions, grouped[order]):
+            series = decomposition.series[order]
+            window = fl.central_window(len(series.delta), fl.DEFAULT_TRIM)
+            single = lomb_scargle(series.e_hat[window], series.delta[window], oversample=4)
+            assert np.array_equal(got.frequency, single.frequency)
+            assert got.n_samples == single.n_samples
+            assert np.max(np.abs(got.power - single.power)) <= 1e-12 * single.peak_power
+            assert int(np.argmax(got.power)) == int(np.argmax(single.power))
+            assert type(got.peak_frequency) is float and type(got.peak_power) is float
+            assert got.peak_frequency == single.peak_frequency
 
 
 class TestProperties:
