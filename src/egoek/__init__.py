@@ -23,9 +23,8 @@ from .ensemble import (
 )
 from .spectra import Spectrum, SpectralMoments, eigenvalues, moments
 from .qhermite import (
-    fqn_cdf,
     fqn_density,
-    hermite_q,
+    hermite_table,
     qfactorial,
     qnumber,
     support_halfwidth,
@@ -36,7 +35,6 @@ from .decomposition import (
     decompose_member,
     fit_smooth_model,
     goe_delta_rms,
-    level_motion,
     staircase,
 )
 from .analytic import mode_width_curve, motion_variance, preset_q, sn2
@@ -81,12 +79,10 @@ __all__ = [
     "eigenvalues",
     "enumerate_basis",
     "fit_smooth_model",
-    "fqn_cdf",
     "fqn_density",
     "goe_delta3_exact",
     "goe_delta_rms",
-    "hermite_q",
-    "level_motion",
+    "hermite_table",
     "lomb_scargle",
     "member_seed",
     "mode_width_curve",

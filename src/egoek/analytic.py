@@ -16,6 +16,8 @@ from . import qhermite
 from .fock import Statistics, binomial, dimension
 
 TRUNCATION_RTOL = 1e-16
+# Entries (rows x grid points) of one curve's q-Hermite table: 128 MiB of float64.
+MAX_TABLE_ENTRIES = 2**24
 
 # Shape parameters quoted for the reference systems (fermions: m=10 in N=20;
 # bosons: m=20 in N=10), keyed by interaction rank.
@@ -107,9 +109,29 @@ def prefactor(statistics: Statistics, m: int, n_sites: int, k: int) -> float:
     return scale
 
 
-def _mode_term(e_hat: np.ndarray, n: int, q: float, amplitude: float) -> np.ndarray:
-    h = qhermite._hermite_table(max(n - 1, 0), e_hat, q)[n - 1]
-    return amplitude / qhermite.qfactorial(n, q) ** 2 * h**2
+def _hermite_rows(n_max: int, e_hat: np.ndarray, q: float) -> np.ndarray:
+    """Rows 0..n_max-1 of the q-Hermite table at ``e_hat``, the one table of a curve.
+
+    A row past float64 range holds inf or nan, without a warning, and
+    ``_mode_term`` refuses it if a curve reads it.
+    """
+    if n_max * e_hat.size > MAX_TABLE_ENTRIES:
+        raise ValueError(f"mode index times grid points must not pass {MAX_TABLE_ENTRIES}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return qhermite.hermite_table(n_max - 1, e_hat, q)
+
+
+def _mode_term(h: np.ndarray, n: int, q: float, amplitude: float) -> np.ndarray:
+    """a_n H_(n-1)^2 / ([n]_q!)^2 from the table row h = H_(n-1); ValueError past float64."""
+    try:
+        weight = amplitude / qhermite.qfactorial(n, q) ** 2
+    except OverflowError:
+        weight = math.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        term = weight * h**2
+    if not np.all(np.isfinite(term)):
+        raise ValueError(f"mode {n} at q={q:.12g} does not fit a float64")
+    return term
 
 
 def motion_variance(
@@ -120,7 +142,7 @@ def motion_variance(
     Sum over excitation modes of the squared (n-1)-th polynomial weighted by
     the mode amplitudes, times the squared unit-variance density; zero outside
     the support.  Modes stop at ``n_max`` or once a term falls below
-    TRUNCATION_RTOL of the running sum.
+    TRUNCATION_RTOL of the running sum; all read one q-Hermite table.
     """
     scale = prefactor(statistics, m, n_sites, k)  # checks the system at bounded cost
     _amplitude(statistics, n_max, m, n_sites, k)  # checks n_max up front
@@ -128,9 +150,10 @@ def motion_variance(
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     rho = qhermite.fqn_density(arr, q)
+    table = _hermite_rows(n_max, arr, q)
     total = np.zeros_like(arr)
     for n in range(1, n_max + 1):
-        term = _mode_term(arr, n, q, _amplitude(statistics, n, m, n_sites, k))
+        term = _mode_term(table[n - 1], n, q, _amplitude(statistics, n, m, n_sites, k))
         total += term
         sup = float(np.max(term * rho**2))
         running = float(np.max(total * rho**2))
@@ -143,11 +166,14 @@ def motion_variance(
 def mode_width_curve(
     statistics: Statistics, m: int, n_sites: int, k: int, q: float, n: int, grid: np.ndarray
 ) -> np.ndarray:
-    """Contribution of the single excitation mode n at each point of an energy grid."""
+    """Contribution of the single excitation mode n at each point of an energy grid.
+
+    Raises ValueError when the mode's term does not fit a float64.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be non-empty")
     scale = prefactor(statistics, m, n_sites, k)  # checks the system at bounded cost
     amplitude = _amplitude(statistics, n, m, n_sites, k)
     rho = qhermite.fqn_density(grid, q)
-    return scale * rho**2 * _mode_term(grid, n, q, amplitude)
+    return scale * rho**2 * _mode_term(_hermite_rows(n, grid, q)[n - 1], n, q, amplitude)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from itertools import chain
 from pathlib import Path
@@ -34,7 +33,6 @@ from .qhermite import support_halfwidth
 
 ARCHIVE_NAME = "spectra.egoearc"
 MAX_GRID_POINTS = 1_000_000  # of an analytic curve, one float64 each
-MAX_MODE_TABLE = 2**24  # entries (mode index x grid points) of one curve's q-Hermite table
 
 DEFAULT_TABLE_GRID = (
     [{"statistics": "fermion", "m": 6, "N": 12, "k": k} for k in range(2, 7)]
@@ -43,20 +41,10 @@ DEFAULT_TABLE_GRID = (
 
 
 def _threads(args) -> int:
-    """Worker threads from --threads, else EGOE_THREADS, else 1; at least 1."""
-    if args.threads is not None:
-        source, threads = "--threads", args.threads
-    else:
-        source, env = "EGOE_THREADS", os.environ.get("EGOE_THREADS")
-        if not env:
-            return 1
-        try:
-            threads = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"EGOE_THREADS must be an integer, got {env!r}") from exc
-    if threads < 1:
-        raise ConfigError(f"{source} must be at least 1, got {threads}")
-    return threads
+    """Worker threads from --threads (default 1); at least 1."""
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+    return args.threads
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -227,19 +215,15 @@ def cmd_analytic(args) -> None:
     ks = _parse_ints(args.k_list, "k-list")
     if not 1 <= args.grid_points <= MAX_GRID_POINTS:
         raise ConfigError(f"--grid-points must lie in [1, {MAX_GRID_POINTS}]")
-    if max(modes) * args.grid_points > MAX_MODE_TABLE:
-        raise ConfigError(f"--modes times --grid-points must not pass {MAX_MODE_TABLE}")
     if args.q is not None and not 0.0 <= args.q <= 1.0:
         raise ConfigError("--q must lie in [0, 1]")
     # Reject a rank outside the closed forms' domain, or a scale beyond
-    # float64, before any output.
+    # float64, before any curve; every curve is computed before any output.
     for k in ks:
         try:
             analytic.prefactor(statistics, args.m, args.N, k)
         except ValueError as exc:
             raise ConfigError(f"k={k}: {exc}") from exc
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
 
     blocks = []
     for k in ks:
@@ -255,9 +239,14 @@ def cmd_analytic(args) -> None:
         half = support_halfwidth(q) if q < 1.0 else 6.0
         grid = np.linspace(-half, half, args.grid_points)
         for n in modes:
-            values = analytic.mode_width_curve(statistics, args.m, args.N, k, q, n, grid)
+            try:
+                values = analytic.mode_width_curve(statistics, args.m, args.N, k, q, n, grid)
+            except ValueError as exc:  # a mode table too large, or a term past float64
+                raise ConfigError(f"k={k}: {exc}") from exc
             fixed = (statistics.value, args.m, args.N, k, f"{q:.12g}", n)
             blocks.append((fixed, (grid, values)))
+    out = Path(args.out or ".")
+    out.mkdir(parents=True, exist_ok=True)
     write_table(
         out / "mode_widths.csv",
         ["statistics", "m", "N", "k", "q", "n", "E_hat", "value"],
@@ -318,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, archive=False, ensemble_flags=False):
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--threads", type=int, help="worker threads (env EGOE_THREADS)")
+        p.add_argument("--threads", type=int, default=1, help="worker threads")
         if archive:
             p.add_argument("--archive", help="spectrum archive path")
             p.add_argument("--orders", help="comma-separated correction orders")
@@ -365,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--members", type=int, default=DEFAULT_MEMBERS)
     p_tab.add_argument("--seed", type=int, dest="master_seed", default=DEFAULT_SEED)
     p_tab.add_argument("--out")
-    p_tab.add_argument("--threads", type=int)
+    p_tab.add_argument("--threads", type=int, default=1)
     p_tab.set_defaults(func=cmd_table1)
 
     return parser

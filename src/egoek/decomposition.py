@@ -90,22 +90,6 @@ def smooth_distribution_values(model: SmoothModel, energies: np.ndarray) -> np.n
     return _smooth_values(model, qhermite.cumulative_weighted_integrals(e_hat, model.q, orders))
 
 
-def _motion_series(
-    spectrum: Spectrum, e_hat: np.ndarray, smooth: np.ndarray
-) -> LevelMotionSeries:
-    delta = staircase(spectrum) - smooth
-    return LevelMotionSeries(e_hat=e_hat, delta=delta, delta_rms=float(np.sqrt(np.mean(delta**2))))
-
-
-def level_motion(spectrum: Spectrum, model: SmoothModel) -> LevelMotionSeries:
-    """Deviation of the staircase from the smooth model at every level."""
-    return _motion_series(
-        spectrum,
-        (spectrum.eigenvalues - model.centroid) / model.width,
-        smooth_distribution_values(model, spectrum.eigenvalues),
-    )
-
-
 @dataclass(frozen=True)
 class MemberDecomposition:
     """All per-member decomposition products for a set of orders.
@@ -145,7 +129,8 @@ def decompose_member(
     e_hat = (e - centroid) / width
     corrections = tuple(range(3, max(max(orders), 3) + 1))
     cumulative = qhermite.cumulative_weighted_integrals(e_hat, q_fit, corrections)
-    target = staircase(spectrum) - d * cumulative[0]
+    stair = staircase(spectrum)
+    target = stair - d * cumulative[0]
     columns = [d / qhermite.qfactorial(n, q_fit) * cumulative[n] for n in corrections]
     models, series = {}, {}
     for order in sorted(set(orders)):
@@ -157,7 +142,8 @@ def decompose_member(
                 raise SingularFitError(f"design matrix rank {rank} < {design.shape[1]}")
         model = SmoothModel(q_fit, order, coefficients, d, centroid, width)
         models[order] = model
-        series[order] = _motion_series(spectrum, e_hat, _smooth_values(model, cumulative))
+        delta = stair - _smooth_values(model, cumulative)
+        series[order] = LevelMotionSeries(e_hat, delta, float(np.sqrt(np.mean(delta**2))))
     return MemberDecomposition(member=spectrum.member, q=q, models=models, series=series)
 
 

@@ -45,7 +45,6 @@ class UnfoldedSpectrum:
     """Unfolded levels with unit mean spacing over the retained window."""
 
     levels: np.ndarray
-    member: int | None = None
 
     @property
     def spacings(self) -> np.ndarray:
@@ -111,7 +110,7 @@ def unfold(
     # Unit mean spacing with the end points exactly 0 and len - 1, so that
     # delta3's window count does not hinge on the last bit of the span.
     levels = (len(mapped) - 1) * ((mapped - mapped[0]) / (mapped[-1] - mapped[0]))
-    return UnfoldedSpectrum(levels=levels, member=spectrum.member)
+    return UnfoldedSpectrum(levels=levels)
 
 
 def wigner_pdf(s) -> np.ndarray:

@@ -5,8 +5,9 @@ The weight interpolates between the Gaussian (q = 1) and the semicircle
 which removes the inverse-square-root behaviour at the support edges and turns
 every integrand into a smooth function on [-pi/2, pi/2].  In theta the weight
 is a Jacobi theta series with Gaussian-decaying coefficients (the triple
-product of its infinite-product form), and its term-by-term integral is the
-distribution function in closed form.
+product of its infinite-product form).  ``hermite_table`` is the one evaluator
+of the polynomials, and ``cumulative_weighted_integrals`` the one route to the
+distribution function (its order-0 channel) and its weighted analogues.
 """
 
 from __future__ import annotations
@@ -55,33 +56,24 @@ def support_halfwidth(q: float) -> float:
     return 2.0 / math.sqrt(1.0 - q)
 
 
-def hermite_q(n: int, x, q: float):
-    """Evaluate H_n(x|q) from the three-term recurrence.
+def hermite_table(n_max: int, x, q: float) -> np.ndarray:
+    """Rows 0..n_max of H_n(x|q) at every point of ``x``; row n has the shape of ``x``.
 
-    H_{n+1} = x H_n - [n]_q H_{n-1}, with H_0 = 1 and H_{-1} = 0.  Reduces to
-    probabilists' Hermite polynomials at q = 1 and to Chebyshev U_n(x/2) at
-    q = 0.
+    From the three-term recurrence H_{n+1} = x H_n - [n]_q H_{n-1}, with
+    H_0 = 1 and H_{-1} = 0, so each row is the same whatever ``n_max`` is.
+    Probabilists' Hermite polynomials at q = 1, Chebyshev U_n(x/2) at q = 0.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    arr = np.asarray(x, dtype=float)
-    table = _hermite_table(n, arr, q)
-    result = table[n]
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(result)
-    return result
-
-
-def _hermite_table(nmax: int, x: np.ndarray, q: float) -> np.ndarray:
-    """Rows 0..nmax of the recurrence evaluated at every point of ``x``."""
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    x = np.asarray(x, dtype=float)
     flat = np.ravel(x)
-    table = np.empty((nmax + 1, flat.size))
+    table = np.empty((n_max + 1, flat.size))
     table[0] = 1.0
-    if nmax >= 1:
+    if n_max >= 1:
         table[1] = flat
-    for n in range(1, nmax):
+    for n in range(1, n_max):
         table[n + 1] = flat * table[n] - qnumber(n, q) * table[n - 1]
-    return table.reshape((nmax + 1,) + x.shape) if x.shape else table[:, 0]
+    return table.reshape((n_max + 1,) + x.shape)
 
 
 def _check_bounded(q: float) -> None:
@@ -154,29 +146,6 @@ def fqn_density(x, q: float):
     return float(out[0]) if scalar else out
 
 
-def fqn_cdf(x: float, q: float) -> float:
-    """Distribution function of the q-normal density.
-
-    The theta series, as pi w = 1 + sum_j c_j cos(2 j theta) with
-    c_j = t_(j-1) + t_j, integrated term by term:
-    (theta + pi/2 + sum_j c_j sin(2 j theta) / (2 j)) / pi.
-    """
-    _check_q(q)
-    if q == 1.0:
-        return 0.5 * math.erfc(-x / math.sqrt(2.0))
-    t = _theta_coefficients(q)
-    x0 = support_halfwidth(q)
-    if x <= -x0:
-        return 0.0
-    if x >= x0:
-        return 1.0
-    theta = math.asin(x / x0)
-    c = t + np.append(t[1:], 0.0)
-    two_j = 2.0 * np.arange(1, len(c) + 1)
-    val = (theta + 0.5 * math.pi + float(np.sum(c * np.sin(two_j * theta) / two_j))) / math.pi
-    return min(max(val, 0.0), 1.0)
-
-
 @lru_cache(maxsize=8)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
@@ -215,7 +184,7 @@ def cumulative_weighted_integrals(
     flat = theta_nodes.ravel()
     weight = _theta_weight(flat, q)
     nmax = max(orders, default=0)
-    table = _hermite_table(nmax, x0 * np.sin(flat), q)
+    table = hermite_table(nmax, x0 * np.sin(flat), q)
 
     results: dict[int, np.ndarray] = {}
     for order in sorted({0, *orders}):
@@ -234,7 +203,7 @@ def _gaussian_cumulative(
 
     density = np.exp(-0.5 * points**2) / math.sqrt(2.0 * math.pi)
     nmax = max(orders, default=1)
-    table = _hermite_table(max(nmax - 1, 0), points, 1.0)
+    table = hermite_table(max(nmax - 1, 0), points, 1.0)
     results: dict[int, np.ndarray] = {}
     for order in sorted({0, *orders}):
         if order == 0:

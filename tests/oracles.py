@@ -18,9 +18,11 @@ The per-row CSV writer (``csv.writer`` over f-string fields) and the row
 builders of every table are the byte-parity oracle of the block writer.
 The q-normal weight's truncated infinite product is the parity oracle of its
 theta series, and the same product at 40 digits (mpmath) is the accuracy
-oracle of the series and of its closed-form distribution function.  The
+oracle of the series and of the distribution function it integrates to.  The
 node-doubling quadrature of moments and orthogonality integrals against the
-weight serves the q-Hermite tests.
+weight serves the q-Hermite tests.  ``motion_series`` gives the level motion
+of a spectrum against a hand-made smooth model, which ``decompose_member``
+(fitting its own) cannot.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import mpmath
 import numpy as np
 from scipy import integrate, sparse, special
 
-from egoek import periodogram, qhermite
+from egoek import decomposition as dc, periodogram, qhermite
 from egoek.ensemble import EmbeddingPlan
 from egoek.fock import FockDomainError, OccupationConfig, Statistics, enumerate_basis
 
@@ -526,6 +528,13 @@ def lomb_scargle_direct(
     )
 
 
+def motion_series(spectrum, model) -> dc.LevelMotionSeries:
+    """Staircase minus ``model``'s smooth values at every level, and its RMS."""
+    e_hat = (spectrum.eigenvalues - model.centroid) / model.width
+    delta = dc.staircase(spectrum) - dc.smooth_distribution_values(model, spectrum.eigenvalues)
+    return dc.LevelMotionSeries(e_hat, delta, float(np.sqrt(np.mean(delta**2))))
+
+
 def csv_table(header, rows) -> bytes:
     """Bytes of a header and rows written by ``csv.writer`` (excel dialect)."""
     buffer = io.StringIO(newline="")
@@ -736,7 +745,7 @@ def orthogonality_integral(n: int, m: int, q: float) -> float:
     nmax = max(n, m)
 
     def values(x: np.ndarray) -> np.ndarray:
-        table = qhermite._hermite_table(nmax, x, q)
+        table = qhermite.hermite_table(nmax, x, q)
         return table[n] * table[m]
 
     return _integrate_weighted(values, q)

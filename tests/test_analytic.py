@@ -1,13 +1,16 @@
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from egoek import qhermite
 from egoek.analytic import (
     BOSON_PRESET_Q,
     FERMION_PRESET_Q,
+    MAX_TABLE_ENTRIES,
     mode_width_curve,
     motion_variance,
     prefactor,
@@ -15,7 +18,7 @@ from egoek.analytic import (
     sn2,
 )
 from egoek.fock import Statistics, dimension
-from egoek.qhermite import fqn_density, hermite_q, qfactorial, support_halfwidth
+from egoek.qhermite import fqn_density, hermite_table, qfactorial, support_halfwidth
 
 F = Statistics.FERMION
 B = Statistics.BOSON
@@ -109,7 +112,7 @@ class TestMotionVariance:
             * fqn_density(grid, q) ** 2
             * amplitude
             / qfactorial(2, q) ** 2
-            * hermite_q(1, grid, q) ** 2
+            * hermite_table(1, grid, q)[1] ** 2
         )
         assert np.allclose(values, expected, rtol=1e-10)
 
@@ -121,6 +124,28 @@ class TestMotionVariance:
             mode_width_curve(F, m, n_sites, k, q, n, grid) for n in range(1, 41)
         )
         assert np.allclose(total, stacked, rtol=1e-10)
+
+    def test_one_table_per_curve(self, monkeypatch):
+        heights = []
+        original = qhermite.hermite_table
+
+        def counted(n_max, x, q):
+            heights.append(n_max)
+            return original(n_max, x, q)
+
+        monkeypatch.setattr(qhermite, "hermite_table", counted)
+        grid = np.linspace(-2.0, 2.0, 21)
+        motion_variance(F, grid, 10, 20, 3, 0.176, n_max=40)
+        assert heights == [39]
+        motion_variance(B, 0.3, 20, 10, 2, 0.932)
+        assert heights == [39, 49]
+        mode_width_curve(F, 10, 20, 3, 0.176, 6, grid)
+        assert heights == [39, 49, 5]
+
+    def test_table_size_bound(self):
+        grid = np.zeros(MAX_TABLE_ENTRIES // 50 + 1)
+        with pytest.raises(ValueError, match="grid points"):
+            motion_variance(F, grid, 10, 20, 2, 0.465)
 
 
 class TestModeWidthCurves:
@@ -149,7 +174,7 @@ class TestModeWidthCurves:
         half = support_halfwidth(q)
         inner = np.linspace(-half * 0.999, half * 0.999, 20001)
         for n in (2, 3, 4, 6):
-            h = hermite_q(n - 1, inner, q)
+            h = hermite_table(n - 1, inner, q)[n - 1]
             h = h[h != 0.0]  # grid points landing exactly on a root
             sign_changes = int(np.sum(np.diff(np.sign(h)) != 0))
             assert sign_changes == n - 1
@@ -186,6 +211,35 @@ class TestModeWidthCurves:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             mode_width_curve(F, 10, 20, 2, 0.465, 2, np.array([]))
+
+    @pytest.mark.parametrize("n", [600, 1000, 2000, 5000, 12484])
+    def test_mode_past_float_range_rejected(self, n):
+        # Past some mode, ([n]_q!)^2 or the table row H_(n-1) leaves float64:
+        # one ValueError, no warning, instead of OverflowError or NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"mode {n} .* does not fit a float64"):
+                mode_width_curve(F, 10, 20, 2, 0.465, n, np.linspace(-1.0, 1.0, 801))
+
+    def test_untruncated_sum_past_float_range_rejected(self):
+        # Outside the support no term is small against the (zero) running sum,
+        # so the sum runs to n_max, and H_(n-1)(10)^2 leaves float64 near n = 150.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert motion_variance(F, 10.0, 10, 20, 2, 0.465, n_max=100) == 0.0
+            with pytest.raises(ValueError, match="does not fit a float64"):
+                motion_variance(F, 10.0, 10, 20, 2, 0.465, n_max=200)
+
+    def test_overflow_refused_only_where_read(self):
+        # Modes below the overflow keep their finite values, and the rows of
+        # the table past the truncated sum may overflow unread.
+        grid = np.linspace(-1.0, 1.0, 801)
+        values = mode_width_curve(F, 10, 20, 2, 0.465, 500, grid)
+        assert np.all(np.isfinite(values))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            far = motion_variance(F, grid, 10, 20, 2, 0.465, n_max=5000)
+        assert np.array_equal(far, motion_variance(F, grid, 10, 20, 2, 0.465))
 
 
 class TestPrefactor:

@@ -368,14 +368,6 @@ class TestCliGenerate:
             outs.append((out / "spectra.egoearc").read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
-    def test_env_thread_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EGOE_THREADS", "2")
-        out = tmp_path / "env"
-        code = run_cli("generate", "--statistics", "fermion", "-m", "3", "-N", "6",
-                       "-k", "2", "--members", "2", "--seed", "5", "--out", str(out))
-        assert code == 0
-        assert (out / "spectra.egoearc").exists()
-
     def test_config_file_with_overrides(self, tmp_path):
         config = {"ensemble": {"statistics": "fermion", "m": 3, "N": 6, "k": 2,
                                 "members": 2, "master_seed": 1}}
@@ -541,7 +533,7 @@ def _config(tmp_path, payload):
 
 
 def _generate_config(tmp_path, payload):
-    return ["generate", "--config", _config(tmp_path, payload), "--out", str(tmp_path)], {}
+    return ["generate", "--config", _config(tmp_path, payload), "--out", str(tmp_path)]
 
 
 def _generate_analysis(tmp_path, analysis):
@@ -557,22 +549,21 @@ ANALYTIC = ["analytic", "--statistics", "fermion", "-m", "10", "-N", "20", "--k-
 def _analytic(tmp_path, statistics, m, n_sites, k, q):
     """An analytic run of one rank at an explicit q, into a fresh output directory."""
     return ["analytic", "--statistics", statistics, "-m", str(m), "-N", str(n_sites),
-            "--k-list", str(k), "--q", str(q), "--out", str(tmp_path / "ana")], {}
+            "--k-list", str(k), "--q", str(q), "--out", str(tmp_path / "ana")]
 
 
-# Each case maps an output directory to (argv, environment overrides).
+# Each case maps an output directory to an argv.
 INVALID_COMMAND_LINES = {
-    "table1_grid_missing_key": lambda p: (_table1(p, [{"statistics": "fermion", "m": 3, "N": 6}]), {}),
-    "table1_grid_non_object": lambda p: (_table1(p, [3]), {}),
-    "table1_grid_unknown_statistics": lambda p: (_table1(p, [{**SYSTEM, "statistics": "quark"}]), {}),
-    "table1_zero_members": lambda p: (_table1(p, [SYSTEM], members="0"), {}),
-    "table1_fractional_m": lambda p: (_table1(p, [{"statistics": "fermion", "m": 6.5, "N": 12,
-                                                   "k": 2}]), {}),
-    "table1_fractional_N": lambda p: (_table1(p, [{**SYSTEM, "N": 6.5}]), {}),
-    "table1_fractional_k": lambda p: (_table1(p, [{**SYSTEM, "k": 1.5}]), {}),
+    "table1_grid_missing_key": lambda p: _table1(p, [{"statistics": "fermion", "m": 3, "N": 6}]),
+    "table1_grid_non_object": lambda p: _table1(p, [3]),
+    "table1_grid_unknown_statistics": lambda p: _table1(p, [{**SYSTEM, "statistics": "quark"}]),
+    "table1_zero_members": lambda p: _table1(p, [SYSTEM], members="0"),
+    "table1_fractional_m": lambda p: _table1(p, [{"statistics": "fermion", "m": 6.5, "N": 12,
+                                                   "k": 2}]),
+    "table1_fractional_N": lambda p: _table1(p, [{**SYSTEM, "N": 6.5}]),
+    "table1_fractional_k": lambda p: _table1(p, [{**SYSTEM, "k": 1.5}]),
     "config_fractional_m": lambda p: (
-        ["generate", "--config", _config(p, {"ensemble": {**SYSTEM, "m": 2.5}}), "--out", str(p)],
-        {},
+        ["generate", "--config", _config(p, {"ensemble": {**SYSTEM, "m": 2.5}}), "--out", str(p)]
     ),
     "config_bool_m": lambda p: _generate_config(p, {"ensemble": {**SYSTEM, "m": True}}),
     "config_infinite_nu2": lambda p: _generate_config(p, {"ensemble": {**SYSTEM, "nu2": math.inf}}),
@@ -588,21 +579,23 @@ INVALID_COMMAND_LINES = {
                                                             "format_version": "99"}),
     "config_unknown_analysis_key": lambda p: _generate_analysis(p, {"trimm": 0.2}),
     "config_unknown_top_key": lambda p: _generate_config(p, {"ensemble": SYSTEM, "ensembel": {}}),
-    "table1_bool_k": lambda p: (_table1(p, [{**SYSTEM, "k": True}]), {}),
-    "generate_zero_threads": lambda p: (GENERATE + ["--threads", "0", "--out", str(p)], {}),
-    "generate_env_zero_threads": lambda p: (GENERATE + ["--out", str(p)], {"EGOE_THREADS": "0"}),
-    "analytic_zero_grid_points": lambda p: (ANALYTIC + ["--grid-points", "0", "--out", str(p)], {}),
-    "analytic_q_above_one": lambda p: (ANALYTIC + ["--q", "1.5", "--out", str(p)], {}),
-    "analytic_q_negative": lambda p: (ANALYTIC + ["--q", "-0.5", "--out", str(p)], {}),
-    "analytic_q_nan": lambda p: (ANALYTIC + ["--q", "nan", "--out", str(p)], {}),
+    "table1_bool_k": lambda p: _table1(p, [{**SYSTEM, "k": True}]),
+    "generate_zero_threads": lambda p: GENERATE + ["--threads", "0", "--out", str(p)],
+    "analytic_zero_grid_points": lambda p: ANALYTIC + ["--grid-points", "0", "--out", str(p)],
+    "analytic_q_above_one": lambda p: ANALYTIC + ["--q", "1.5", "--out", str(p)],
+    "analytic_q_negative": lambda p: ANALYTIC + ["--q", "-0.5", "--out", str(p)],
+    "analytic_q_nan": lambda p: ANALYTIC + ["--q", "nan", "--out", str(p)],
     "analytic_boson_k_above_N": lambda p: _analytic(p, "boson", 10, 5, 6, 0.9),
     "analytic_fermion_k_above_m": lambda p: _analytic(p, "fermion", 6, 12, 7, 0.3),
     "analytic_fermion_m_above_N": lambda p: _analytic(p, "fermion", 13, 12, 2, 0.3),
     "analytic_too_many_grid_points": lambda p: (
-        _analytic(p, "fermion", 10, 20, 2, 0.465)[0] + ["--grid-points", "10000000000000"], {}
+        _analytic(p, "fermion", 10, 20, 2, 0.465) + ["--grid-points", "10000000000000"]
     ),
     "analytic_too_many_modes": lambda p: (
-        _analytic(p, "fermion", 10, 20, 2, 0.465)[0] + ["--modes", "2,20000000"], {}
+        _analytic(p, "fermion", 10, 20, 2, 0.465) + ["--modes", "2,20000000"]
+    ),
+    "analytic_mode_past_float_range": lambda p: (
+        ANALYTIC + ["--modes", "1000,2000,5000", "--grid-points", "11", "--out", str(p / "ana")]
     ),
     "analytic_fermion_scale_overflow": lambda p: _analytic(p, "fermion", 600, 1200, 2, 0.5),
     "analytic_boson_scale_overflow": lambda p: _analytic(p, "boson", 600, 1200, 2, 0.5),
@@ -610,10 +603,8 @@ INVALID_COMMAND_LINES = {
 
 
 @pytest.mark.parametrize("case", sorted(INVALID_COMMAND_LINES))
-def test_invalid_command_line_exits_2_with_one_error_line(case, tmp_path, capsys, monkeypatch):
-    argv, env = INVALID_COMMAND_LINES[case](tmp_path)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def test_invalid_command_line_exits_2_with_one_error_line(case, tmp_path, capsys):
+    argv = INVALID_COMMAND_LINES[case](tmp_path)
     capsys.readouterr()
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err.splitlines()
@@ -621,7 +612,7 @@ def test_invalid_command_line_exits_2_with_one_error_line(case, tmp_path, capsys
 
 
 def test_analytic_rank_outside_domain_creates_no_output(tmp_path):
-    argv, _env = _analytic(tmp_path, "boson", 10, 5, 6, 0.9)
+    argv = _analytic(tmp_path, "boson", 10, 5, 6, 0.9)
     assert run_cli(*argv) == 2
     assert not (tmp_path / "ana").exists()
 
@@ -629,10 +620,11 @@ def test_analytic_rank_outside_domain_creates_no_output(tmp_path):
 @pytest.mark.parametrize(
     "case",
     ["analytic_too_many_grid_points", "analytic_too_many_modes",
-     "analytic_fermion_scale_overflow", "analytic_boson_scale_overflow"],
+     "analytic_fermion_scale_overflow", "analytic_boson_scale_overflow",
+     "analytic_mode_past_float_range"],
 )
 def test_analytic_rejected_size_creates_no_output(case, tmp_path):
-    argv, _env = INVALID_COMMAND_LINES[case](tmp_path)
+    argv = INVALID_COMMAND_LINES[case](tmp_path)
     assert run_cli(*argv) == 2
     assert not (tmp_path / "ana").exists()
 

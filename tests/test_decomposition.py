@@ -9,21 +9,20 @@ from egoek.decomposition import (
     decompose_member,
     fit_smooth_model,
     goe_delta_rms,
-    level_motion,
     smooth_distribution_values,
     staircase,
 )
 from egoek.ensemble import EnsembleSpec, build_member
 from egoek.fock import Statistics
-from egoek.qhermite import fqn_cdf, qfactorial, support_halfwidth
+from egoek.qhermite import fqn_density, hermite_table, qfactorial, support_halfwidth
 from egoek.spectra import Spectrum, eigenvalues, moments
+
+from oracles import fqn_cdf_mp, motion_series
 
 
 def synthetic_spectrum(q, d, coefficients=()):
     """Levels drawn exactly from a smooth model: inverse-CDF at targets i - 1/2,
     found by interpolation plus Newton refinement on the batched forward map."""
-    from egoek.qhermite import fqn_density, hermite_q
-
     model = SmoothModel(
         q=q,
         order=2 + len(coefficients),
@@ -40,8 +39,9 @@ def synthetic_spectrum(q, d, coefficients=()):
     for _ in range(4):
         values = smooth_distribution_values(model, x)
         correction = np.ones_like(x)
+        table = hermite_table(model.order, x, q)
         for j, n in enumerate(range(3, model.order + 1)):
-            correction += model.coefficients[j] / qfactorial(n, q) * hermite_q(n, x, q)
+            correction += model.coefficients[j] / qfactorial(n, q) * table[n]
         derivative = np.maximum(d * fqn_density(x, q) * correction, 1e-9)
         x = np.clip(x - (values - targets) / derivative, -x0 + 1e-12, x0 - 1e-12)
     return Spectrum(np.sort(x)), model
@@ -81,7 +81,7 @@ class TestSmoothDistribution:
         for e in (-3.0, 0.0, 1.0, 4.0):
             e_hat = (e - 1.0) / 2.0
             value = smooth_distribution_values(model, [e])[0]
-            assert value == pytest.approx(500 * fqn_cdf(e_hat, 0.4), abs=1e-7)
+            assert value == pytest.approx(500 * fqn_cdf_mp(e_hat, 0.4), abs=1e-7)
 
     def test_centroid_maps_to_half(self):
         model = SmoothModel(0.6, 2, np.empty(0), 800, centroid=-2.0, width=0.5)
@@ -116,7 +116,7 @@ class TestFitRecovery:
 
     def test_zero_fluctuation_series(self):
         s, model = synthetic_spectrum(0.5, 400)
-        series = level_motion(s, model)
+        series = motion_series(s, model)
         assert np.max(np.abs(series.delta)) < 1e-6
         assert series.delta_rms < 1e-6
 
@@ -151,9 +151,9 @@ class TestMonotoneResidual:
         result = decompose_member(s, q, (2, 4))
         assert len(result.series[2].delta) == s.dimension
         assert len(result.series[4].e_hat) == s.dimension
-        # decompose_member agrees exactly with the one-shot fit + level_motion path
+        # decompose_member agrees exactly with the one-shot fit evaluated at the levels
         model = fit_smooth_model(s, q, 4)
-        direct = level_motion(s, model)
+        direct = motion_series(s, model)
         assert np.array_equal(direct.delta, result.series[4].delta)
         assert np.array_equal(direct.e_hat, result.series[4].e_hat)
         assert direct.delta_rms == result.series[4].delta_rms
@@ -165,7 +165,7 @@ class TestGaussianSwitch:
         s = Spectrum(np.sort(rng.standard_normal(500)))
         fitted = fit_smooth_model(s, 1.0 - 1e-6, 4)
         assert fitted.q == 1.0
-        series = level_motion(s, fitted)
+        series = motion_series(s, fitted)
         assert np.isfinite(series.delta_rms)
 
     def test_decomposition_keeps_given_q_and_member(self):

@@ -7,9 +7,8 @@ from scipy import integrate
 from egoek import qhermite
 from egoek.qhermite import (
     cumulative_weighted_integrals,
-    fqn_cdf,
     fqn_density,
-    hermite_q,
+    hermite_table,
     qfactorial,
     qnumber,
     support_halfwidth,
@@ -26,6 +25,16 @@ from oracles import (
 
 # Both sides of the weight's switch to its transformed form at q = 0.5.
 SERIES_QS = [0.0, 0.3, 0.5, 0.7, 0.93, 0.98, 0.995]
+
+
+def cdf(x, q):
+    """The distribution function as the pipeline evaluates it: channel 0 of the cumulative table."""
+    return float(cumulative_weighted_integrals(np.array([x]), q, ())[0][0])
+
+
+def hermite(n, x, q):
+    """H_n(x|q), the last row of the q-Hermite table."""
+    return hermite_table(n, x, q)[n]
 
 
 class TestQNumbers:
@@ -75,8 +84,8 @@ def closed_form(n, x, q):
 
 class TestRecurrence:
     def test_spot_values(self):
-        assert hermite_q(2, 2.0, 0.31) == 3.0
-        assert hermite_q(3, 1.0, 0.5) == -1.5
+        assert hermite(2, 2.0, 0.31) == 3.0
+        assert hermite(3, 1.0, 0.5) == -1.5
 
     def test_closed_forms_random_points(self):
         rng = np.random.default_rng(12)
@@ -85,7 +94,7 @@ class TestRecurrence:
             q = float(rng.uniform(0, 1))
             for n in range(7):
                 want = float(closed_form(n, x, q))
-                got = hermite_q(n, x, q)
+                got = float(hermite(n, x, q))
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
     def test_chebyshev_reduction_at_q_zero(self):
@@ -94,7 +103,7 @@ class TestRecurrence:
             for x in np.linspace(-1.95, 1.95, 17):
                 t = math.acos(x / 2.0)
                 want = math.sin((n + 1) * t) / math.sin(t)
-                assert hermite_q(n, float(x), 0.0) == pytest.approx(want, rel=1e-10, abs=1e-10)
+                assert float(hermite(n, x, 0.0)) == pytest.approx(want, rel=1e-10, abs=1e-10)
 
     def test_probabilists_hermite_at_q_one(self):
         for n in range(7):
@@ -102,12 +111,25 @@ class TestRecurrence:
             coeffs[n] = 1.0
             for x in np.linspace(-2.5, 2.5, 11):
                 want = np.polynomial.hermite_e.hermeval(x, coeffs)
-                assert hermite_q(n, float(x), 1.0) == pytest.approx(want, rel=1e-12, abs=1e-12)
+                assert float(hermite(n, x, 1.0)) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_vectorized_matches_scalar(self):
         xs = np.linspace(-2, 2, 9)
-        vec = hermite_q(4, xs, 0.3)
-        assert np.allclose(vec, [hermite_q(4, float(x), 0.3) for x in xs])
+        vec = hermite(4, xs, 0.3)
+        assert np.allclose(vec, [hermite(4, float(x), 0.3) for x in xs])
+
+    @pytest.mark.parametrize("q", [0.0, 0.465, 1.0])
+    def test_rows_independent_of_table_height(self, q):
+        # Every curve reads one table: its rows must not depend on how many there are.
+        xs = np.linspace(-3.0, 3.0, 13).reshape(13, 1)
+        tall = hermite_table(40, xs, q)
+        assert tall.shape == (41, 13, 1)
+        for n_max in (0, 1, 7, 39):
+            assert np.array_equal(hermite_table(n_max, xs, q), tall[: n_max + 1])
+
+    def test_negative_height_rejected(self):
+        with pytest.raises(ValueError):
+            hermite_table(-1, 0.5, 0.3)
 
 
 class TestDensity:
@@ -139,7 +161,7 @@ class TestDensity:
         "evaluate",
         [
             lambda q: fqn_density(0.5, q),
-            lambda q: fqn_cdf(0.5, q),
+            lambda q: cdf(0.5, q),
             lambda q: cumulative_weighted_integrals(np.array([-0.5, 0.5]), q, (3,)),
         ],
         ids=["density", "cdf", "cumulative"],
@@ -215,7 +237,7 @@ class TestThetaSeries:
         x0 = support_halfwidth(q)
         for theta in (-1.2, -0.5, -0.12, -0.03, 0.0, 0.02, 0.08, 0.35, 1.0):
             x = x0 * math.sin(theta)
-            assert fqn_cdf(x, q) == pytest.approx(fqn_cdf_mp(x, q), abs=1e-13)
+            assert cdf(x, q) == pytest.approx(fqn_cdf_mp(x, q), abs=1e-13)
 
     @pytest.mark.parametrize("q", SERIES_QS)
     def test_matches_product_form(self, q):
@@ -238,12 +260,14 @@ class TestThetaSeries:
 class TestCdf:
     def test_even_density_midpoint(self):
         for q in (0.0, 0.4, 0.9, 1.0):
-            assert fqn_cdf(0.0, q) == pytest.approx(0.5, abs=1e-9)
+            assert cdf(0.0, q) == pytest.approx(0.5, abs=1e-9)
 
     def test_total_mass(self):
-        assert fqn_cdf(support_halfwidth(0.5), 0.5) == pytest.approx(1.0, abs=1e-8)
-        assert fqn_cdf(10.0, 0.5) == 1.0
-        assert fqn_cdf(-10.0, 0.5) == 0.0
+        x0 = support_halfwidth(0.5)
+        assert cdf(x0, 0.5) == pytest.approx(1.0, abs=1e-8)
+        # Points outside the support clamp to the edge values.
+        assert cdf(10.0, 0.5) == cdf(x0, 0.5)
+        assert cdf(-10.0, 0.5) == 0.0
 
     def test_semicircle_closed_form(self):
         # integral of sqrt(4-x^2)/(2 pi) from -2 to x
@@ -251,16 +275,16 @@ class TestCdf:
             return 0.5 + (x * math.sqrt(4 - x**2) / 2 + 2 * math.asin(x / 2)) / (2 * math.pi)
 
         for x in (-1.5, -0.3, 1.0, 1.9):
-            assert fqn_cdf(x, 0.0) == pytest.approx(semicircle_cdf(x), abs=1e-9)
-        assert fqn_cdf(1.0, 0.0) == pytest.approx(0.80449889, abs=1e-7)
+            assert cdf(x, 0.0) == pytest.approx(semicircle_cdf(x), abs=1e-9)
+        assert cdf(1.0, 0.0) == pytest.approx(0.80449889, abs=1e-7)
 
     def test_monotone(self):
         xs = np.linspace(-2.2, 2.2, 23)
-        vals = [fqn_cdf(float(x), 0.37) for x in xs]
+        vals = [cdf(float(x), 0.37) for x in xs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_gaussian_limit(self):
-        assert fqn_cdf(1.0, 1.0) == pytest.approx(0.5 * (1 + math.erf(1 / math.sqrt(2))), rel=1e-12)
+        assert cdf(1.0, 1.0) == pytest.approx(0.5 * (1 + math.erf(1 / math.sqrt(2))), rel=1e-12)
 
 
 class TestOrthogonality:
@@ -291,7 +315,7 @@ class TestCumulativeIntegrals:
         pts = np.array([-1.7, -0.4, 0.0, 0.9, 2.4])
         cum = cumulative_weighted_integrals(pts, 0.5, (3, 4))
         for x, v in zip(pts, cum[0]):
-            assert v == pytest.approx(fqn_cdf(float(x), 0.5), abs=1e-9)
+            assert v == pytest.approx(fqn_cdf_mp(float(x), 0.5), abs=1e-9)
 
     def test_correction_channels_vanish_at_edges(self):
         x0 = support_halfwidth(0.3)
@@ -307,7 +331,7 @@ class TestCumulativeIntegrals:
         cum = cumulative_weighted_integrals(pts, q, (3,))
         for x, v in zip(pts, cum[3]):
             want, _ = integrate.quad(
-                lambda t: hermite_q(3, x0 * math.sin(t), q)
+                lambda t: float(hermite(3, x0 * math.sin(t), q))
                 * fqn_density(x0 * math.sin(t), q)
                 * x0
                 * math.cos(t),
