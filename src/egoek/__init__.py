@@ -5,13 +5,7 @@ eigenvalue density as a q-normal shape with polynomial corrections, and
 quantifies the separation of spectral averages from GOE-type fluctuations.
 """
 
-from .fock import (
-    OccupationConfig,
-    Statistics,
-    dim_boson,
-    dim_fermion,
-    enumerate_basis,
-)
+from .fock import Statistics, basis_rank, dim_boson, dim_fermion, enumerate_basis
 from .ensemble import (
     EnsembleSpec,
     MemberMatrix,
@@ -60,7 +54,6 @@ __all__ = [
     "EnsembleSpec",
     "LevelMotionSeries",
     "MemberMatrix",
-    "OccupationConfig",
     "PeriodogramResult",
     "RunConfig",
     "SpacingHistogram",
@@ -70,6 +63,7 @@ __all__ = [
     "SmoothModel",
     "Statistics",
     "UnfoldedSpectrum",
+    "basis_rank",
     "build_member",
     "decompose_member",
     "delta3",

@@ -140,8 +140,9 @@ def motion_variance(
     """Scaled level-motion variance profile.
 
     Sum over excitation modes of the squared (n-1)-th polynomial weighted by
-    the mode amplitudes, times the squared unit-variance density; zero outside
-    the support.  Modes stop at ``n_max`` or once a term falls below
+    the mode amplitudes, times the squared unit-variance density.  Only the
+    points where the density is positive enter the sum; the profile is 0
+    elsewhere.  Modes stop at ``n_max`` or once a term falls below
     TRUNCATION_RTOL of the running sum; all read one q-Hermite table.
     """
     scale = prefactor(statistics, m, n_sites, k)  # checks the system at bounded cost
@@ -150,16 +151,19 @@ def motion_variance(
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     rho = qhermite.fqn_density(arr, q)
-    table = _hermite_rows(n_max, arr, q)
-    total = np.zeros_like(arr)
+    inside = rho > 0.0
+    rho2 = rho[inside] ** 2
+    table = _hermite_rows(n_max, arr[inside], q)
+    total = np.zeros_like(rho2)
     for n in range(1, n_max + 1):
         term = _mode_term(table[n - 1], n, q, _amplitude(statistics, n, m, n_sites, k))
         total += term
-        sup = float(np.max(term * rho**2))
-        running = float(np.max(total * rho**2))
+        sup = float(np.max(term * rho2, initial=0.0))
+        running = float(np.max(total * rho2, initial=0.0))
         if running > 0.0 and sup < TRUNCATION_RTOL * running:
             break
-    out = scale * rho**2 * total
+    out = np.zeros_like(arr)
+    out[inside] = scale * rho2 * total
     return float(out[0]) if scalar else out
 
 
@@ -168,7 +172,8 @@ def mode_width_curve(
 ) -> np.ndarray:
     """Contribution of the single excitation mode n at each point of an energy grid.
 
-    Raises ValueError when the mode's term does not fit a float64.
+    Zero where the density is zero; raises ValueError when the mode's term
+    does not fit a float64 at a point where the density is positive.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -176,4 +181,8 @@ def mode_width_curve(
     scale = prefactor(statistics, m, n_sites, k)  # checks the system at bounded cost
     amplitude = _amplitude(statistics, n, m, n_sites, k)
     rho = qhermite.fqn_density(grid, q)
-    return scale * rho**2 * _mode_term(_hermite_rows(n, grid, q)[n - 1], n, q, amplitude)
+    inside = rho > 0.0
+    out = np.zeros_like(grid)
+    h = _hermite_rows(n, grid[inside], q)[n - 1]
+    out[inside] = scale * rho[inside] ** 2 * _mode_term(h, n, q, amplitude)
+    return out

@@ -127,7 +127,7 @@ def decompose_member(
         raise ValueError("spectrum has zero width")
     q_fit = 1.0 if q > Q_GAUSSIAN_SWITCH else q
     e_hat = (e - centroid) / width
-    corrections = tuple(range(3, max(max(orders), 3) + 1))
+    corrections = tuple(range(3, max(orders) + 1))
     cumulative = qhermite.cumulative_weighted_integrals(e_hat, q_fit, corrections)
     stair = staircase(spectrum)
     target = stair - d * cumulative[0]

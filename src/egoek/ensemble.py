@@ -18,6 +18,7 @@ from .fock import (
     DEFAULT_BASIS_CAP,
     BasisSizeError,
     Statistics,
+    basis_rank,
     dimension,
     enumerate_basis,
 )
@@ -188,45 +189,6 @@ class EmbeddingPlan:
         return tuple(zip(self.targets, self.kconfigs, self.weights))
 
 
-def _occupations(n_sites: int, particles: int, statistics: Statistics, dtype) -> np.ndarray:
-    """(dimension, N) occupation table of ``enumerate_basis``, in its order."""
-    basis = enumerate_basis(n_sites, particles, statistics)
-    return np.array([cfg.occupations for cfg in basis], dtype=dtype)
-
-
-def _above(occupations: np.ndarray) -> np.ndarray:
-    """Particles on the sites above each site (exclusive suffix sums)."""
-    return np.cumsum(occupations[:, ::-1], axis=1)[:, ::-1] - occupations
-
-
-def _target_ranks(inter: np.ndarray, kocc: np.ndarray, statistics: Statistics, m: int) -> np.ndarray:
-    """Basis index of every state inter[i] + kocc[g], as an (n_inter, d_k) array.
-
-    ``enumerate_basis`` lists occupation vectors in decreasing lexicographic
-    order, so the index of a state counts the states that agree with it below
-    site v and hold more particles at v.  With S particles on the r = N-1-v
-    sites above v that count is C(r, S-1) for an empty fermion site, and
-    C(S-1+r, r) (all placements of at most S-1 particles there) for a boson
-    site.  The counts of a state sum to its index, below the basis size, and
-    every table entry fits int64 (fermion bases have N <= 64).
-    """
-    fermionic = statistics is Statistics.FERMION
-    above_i, above_k = _above(inter), _above(kocc)
-    ranks = np.zeros((len(inter), len(kocc)), dtype=np.int64)
-    for v in range(inter.shape[1]):
-        rest = inter.shape[1] - 1 - v
-        counts = np.array(
-            [0] + [math.comb(rest, s - 1) if fermionic else math.comb(s - 1 + rest, rest)
-                   for s in range(1, m + 1)],
-            dtype=np.int64,
-        )
-        count = counts[above_i[:, v, None] + above_k[None, :, v]]
-        if fermionic:
-            count[(inter[:, v, None] + kocc[None, :, v]) != 0] = 0
-        ranks += count
-    return ranks
-
-
 def _boson_norm_sq(inter: np.ndarray, kocc: np.ndarray, m: int, k: int) -> np.ndarray:
     """Squared amplitudes prod_v C(s_v + nu_v, nu_v) of the normalized k-fold creators.
 
@@ -251,7 +213,8 @@ def build_embedding_plan(
     """Attachment plan of all k-configs to all (m-k)-particle intermediates.
 
     Built at once over the integer occupation tables of the intermediates
-    and of the k-configs (the k-particle basis, in k-config order).  A fermion
+    and of the k-configs (the k-particle basis, in k-config order); each
+    attached pair's target is ``basis_rank`` of its summed occupations.  A fermion
     k-config attaches where it shares no site with the intermediate; creating
     its labels in increasing order gives the sign
     (-1)^(sum_v occupied-below(v) + k(k-1)/2).  Every boson k-config attaches.
@@ -263,9 +226,8 @@ def build_embedding_plan(
     dim = dimension(n_sites, m, statistics)
     if dim > DEFAULT_BASIS_CAP:
         raise BasisSizeError(f"basis dimension {dim} exceeds cap {DEFAULT_BASIS_CAP}")
-    dtype = np.min_scalar_type(-m)  # smallest signed type holding 0..m
-    inter = _occupations(n_sites, m - k, statistics, dtype)
-    kocc = _occupations(n_sites, k, statistics, dtype)
+    dtype = np.min_scalar_type(-m - 1)  # smallest signed type holding 0..m
+    inter, kocc = (enumerate_basis(n_sites, p, statistics).astype(dtype) for p in (m - k, k))
     if statistics is Statistics.FERMION:
         attaches = inter.astype(np.int32) @ kocc.T == 0
         below = np.cumsum(inter, axis=1, dtype=np.int32) - inter
@@ -275,7 +237,7 @@ def build_embedding_plan(
         weights = np.sqrt(_boson_norm_sq(inter, kocc, m, k).astype(float))
     rows, cols = np.nonzero(attaches)
     shape = (len(inter), -1)
-    targets = _target_ranks(inter, kocc, statistics, m)[rows, cols].astype(np.intp)
+    targets = basis_rank(inter[rows] + kocc[cols], statistics).astype(np.intp)
     return EmbeddingPlan(
         dimension=dim,
         targets=targets.reshape(shape),

@@ -1,16 +1,18 @@
-"""Occupation-number bases and their dimensions.
+"""Occupation-number bases: their dimensions, their one order, and ranks in it.
 
 Fermions live in N single-particle states with 0/1 occupations (N <= 64);
-bosons carry unrestricted integer occupations.  Everything here is a pure
-function of immutable inputs.
+bosons carry unrestricted integer occupations.  A basis is a (dimension, N)
+integer table with one occupation vector per row; ``enumerate_basis`` fixes
+the order of its rows and ``basis_rank`` inverts it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
+
+import numpy as np
 
 DEFAULT_BASIS_CAP = 2_000_000
 MAX_SITES = 64
@@ -27,28 +29,6 @@ class FockDomainError(ValueError):
 
 class BasisSizeError(RuntimeError):
     """Requested basis exceeds DEFAULT_BASIS_CAP."""
-
-
-@dataclass(frozen=True)
-class OccupationConfig:
-    """A many-particle basis state |n_1 ... n_N> in occupation representation."""
-
-    statistics: Statistics
-    occupations: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(n < 0 for n in self.occupations):
-            raise FockDomainError("occupations must be non-negative")
-        if self.statistics is Statistics.FERMION and any(n > 1 for n in self.occupations):
-            raise FockDomainError("fermion occupations must be 0 or 1")
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.occupations)
-
-    @property
-    def total(self) -> int:
-        return sum(self.occupations)
 
 
 def binomial(n: int, j: int, limit: int | None) -> int:
@@ -98,29 +78,55 @@ def dimension(
     return dim_boson(n_sites, particles, limit)
 
 
-def enumerate_basis(n_sites: int, particles: int, statistics: Statistics) -> list[OccupationConfig]:
-    """Enumerate all m-particle configurations in a fixed deterministic order.
+def enumerate_basis(n_sites: int, particles: int, statistics: Statistics) -> np.ndarray:
+    """(dimension, N) occupation table of all m-particle states, in a fixed order.
 
     States are generated from occupied-site tuples in lexicographic order, so
-    the first config fills the lowest-labelled sites and the occupation
-    vectors come in decreasing lexicographic order; e.g. for (N=2, m=1)
-    fermions the order is |10>, |01>.  Raises :class:`BasisSizeError` when the
-    dimension exceeds DEFAULT_BASIS_CAP.
+    the first row fills the lowest-labelled sites and the occupation vectors
+    come in decreasing lexicographic order; e.g. for (N=2, m=1) fermions the
+    rows are [1, 0], [0, 1].  Entries have the smallest signed integer type
+    that holds 0..m.  Raises :class:`BasisSizeError` when the dimension
+    exceeds DEFAULT_BASIS_CAP, before anything is built.
     """
     if statistics is Statistics.FERMION and n_sites > MAX_SITES:
         raise FockDomainError(f"fermion bases support at most {MAX_SITES} sites")
     dim = dimension(n_sites, particles, statistics)
     if dim > DEFAULT_BASIS_CAP:
         raise BasisSizeError(f"basis dimension {dim} exceeds cap {DEFAULT_BASIS_CAP}")
-    if statistics is Statistics.FERMION:
-        chooser = combinations(range(n_sites), particles)
-    else:
-        chooser = combinations_with_replacement(range(n_sites), particles)
-    basis = []
-    for sites in chooser:
-        occ = [0] * n_sites
-        for v in sites:
-            occ[v] += 1
-        basis.append(OccupationConfig(statistics, tuple(occ)))
-    assert len(basis) == dim
-    return basis
+    chooser = combinations if statistics is Statistics.FERMION else combinations_with_replacement
+    sites = np.fromiter(chain.from_iterable(chooser(range(n_sites), particles)), dtype=np.intp,
+                        count=dim * particles).reshape(dim, particles)
+    table = np.zeros((dim, n_sites), dtype=np.min_scalar_type(-particles - 1))
+    rows = np.arange(dim)
+    for column in sites.T:
+        table[rows, column] += 1
+    return table
+
+
+def basis_rank(table: np.ndarray, statistics: Statistics) -> np.ndarray:
+    """Row index in ``enumerate_basis`` order of each state (row) of ``table``.
+
+    The rows must be m-particle states in an integer type that holds m.  In
+    decreasing lexicographic order the index of a state counts the states
+    that agree with it below site v and hold more particles at v.  With S
+    particles on the r = N-1-v sites above v that count is C(r, S-1) for an
+    empty fermion site, and C(S-1+r, r) (all placements of at most S-1
+    particles there) for a boson site.  Every count is at most the basis
+    size or C(63, 31) (fermion bases have N <= 64), so int64 holds them.
+    """
+    n_sites, m = table.shape[1], int(table[:1].sum())
+    # Row v: the particles on sites v..N-1 of every state, one contiguous row per site.
+    held = np.cumsum(np.ascontiguousarray(table.T)[::-1], axis=0, dtype=table.dtype)[::-1]
+    ranks = np.zeros(len(table), dtype=np.int64)
+    for v in range(n_sites - 1):  # no site lies above the last one, so it counts 0
+        rest = n_sites - 1 - v
+        counts = np.array(
+            [0] + [math.comb(rest, s - 1) if statistics is Statistics.FERMION
+                   else math.comb(s - 1 + rest, rest) for s in range(1, m + 1)],
+            dtype=np.int64,
+        )
+        count = counts[held[v + 1]]
+        if statistics is Statistics.FERMION:
+            count[held[v] != held[v + 1]] = 0  # an occupied site counts 0
+        ranks += count
+    return ranks

@@ -13,9 +13,9 @@ distribution function (its order-0 channel) and its weighted analogues.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
+from scipy.special import ndtr
 
 # Truncation floor of the weight's theta series.
 PRODUCT_FLOOR = 1e-16
@@ -27,6 +27,7 @@ _Q_MAX = PRODUCT_FLOOR ** (1.0 / 400_000)
 # terms keep its relative accuracy in the tails; at or below it the direct
 # series has at most 10 terms and an edge value prod (1 - q^n)^3 >= 0.02.
 _TRANSFORM_Q = 0.5
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def qnumber(n: int, q: float) -> float:
@@ -146,11 +147,6 @@ def fqn_density(x, q: float):
     return float(out[0]) if scalar else out
 
 
-@lru_cache(maxsize=8)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
-
-
 def cumulative_weighted_integrals(
     points: np.ndarray, q: float, orders: tuple[int, ...]
 ) -> dict[int, np.ndarray]:
@@ -175,11 +171,10 @@ def cumulative_weighted_integrals(
     mesh = np.union1d(base, theta_pts)
     positions = np.searchsorted(mesh, theta_pts)
 
-    gl_x, gl_w = _leggauss(16)
     half = 0.5 * np.diff(mesh)
     mid = 0.5 * (mesh[:-1] + mesh[1:])
-    theta_nodes = mid[:, None] + half[:, None] * gl_x[None, :]
-    node_weights = half[:, None] * gl_w[None, :]
+    theta_nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    node_weights = half[:, None] * _GL_WEIGHTS[None, :]
 
     flat = theta_nodes.ravel()
     weight = _theta_weight(flat, q)
@@ -199,8 +194,6 @@ def _gaussian_cumulative(
     points: np.ndarray, orders: tuple[int, ...]
 ) -> dict[int, np.ndarray]:
     # Antiderivative of phi(x) He_n(x) is -phi(x) He_{n-1}(x) for n >= 1.
-    from scipy.special import ndtr
-
     density = np.exp(-0.5 * points**2) / math.sqrt(2.0 * math.pi)
     nmax = max(orders, default=1)
     table = hermite_table(max(nmax - 1, 0), points, 1.0)

@@ -1,9 +1,11 @@
 """Brute-force second-quantization oracles built from explicit operator matrices.
 
-The per-object amplitude layer (k-configs, attach/detach/transition
-amplitudes on ``OccupationConfig`` states, with fermion states as N-bit
-masks) and the per-state double loop over it that built the embedding plan
-are the parity oracle of the vectorized plan build.  Independent of that
+The per-object amplitude layer (one validated ``OccupationConfig`` per basis
+state and one ``KConfig`` per k-config, both built from itertools in the
+basis order, and attach/detach/transition amplitudes on them, with fermion
+states as N-bit masks) and the per-state double loop over it that built the
+embedding plan are the parity oracle of the vectorized plan build and of
+``fock``'s occupation table and ranks.  Independent of that
 bookkeeping: fermion operators are dense Jordan-Wigner matrices on the full
 2^N space, boson operators live on the total-occupation-truncated product
 space, and k-body operators are formed by literal matrix products.  The GOE
@@ -40,7 +42,44 @@ from scipy import integrate, sparse, special
 
 from egoek import decomposition as dc, periodogram, qhermite
 from egoek.ensemble import EmbeddingPlan
-from egoek.fock import FockDomainError, OccupationConfig, Statistics, enumerate_basis
+from egoek.fock import FockDomainError, Statistics
+
+
+@dataclass(frozen=True)
+class OccupationConfig:
+    """A many-particle basis state |n_1 ... n_N> in occupation representation."""
+
+    statistics: Statistics
+    occupations: tuple[int, ...]
+
+    def __post_init__(self):
+        if any(n < 0 for n in self.occupations):
+            raise FockDomainError("occupations must be non-negative")
+        if self.statistics is Statistics.FERMION and any(n > 1 for n in self.occupations):
+            raise FockDomainError("fermion occupations must be 0 or 1")
+
+    @property
+    def n_sites(self) -> int:
+        return len(self.occupations)
+
+    @property
+    def total(self) -> int:
+        return sum(self.occupations)
+
+
+def basis_configs(n_sites: int, particles: int, statistics: Statistics) -> list[OccupationConfig]:
+    """All m-particle states, one object each, from occupied-site tuples in lexicographic order."""
+    if statistics is Statistics.FERMION:
+        chooser = combinations(range(n_sites), particles)
+    else:
+        chooser = combinations_with_replacement(range(n_sites), particles)
+    basis = []
+    for sites in chooser:
+        occ = [0] * n_sites
+        for v in sites:
+            occ[v] += 1
+        basis.append(OccupationConfig(statistics, tuple(occ)))
+    return basis
 
 
 def bitmask(config: OccupationConfig) -> int:
@@ -211,10 +250,10 @@ def embedding_plan_oracle(
     statistics: Statistics, m: int, n_sites: int, k: int
 ) -> EmbeddingPlan:
     """The embedding plan by a per-state double loop over intermediates and k-configs."""
-    basis = enumerate_basis(n_sites, m, statistics)
+    basis = basis_configs(n_sites, m, statistics)
     index = {cfg.occupations: i for i, cfg in enumerate(basis)}
     kconfigs = enumerate_kconfigs(n_sites, k, statistics)
-    intermediates = enumerate_basis(n_sites, m - k, statistics)
+    intermediates = basis_configs(n_sites, m - k, statistics)
     fermionic = statistics is Statistics.FERMION
 
     targets, kconfig_rows, weight_rows = [], [], []
@@ -355,8 +394,8 @@ def boson_pair_operator(cre, ann, create_labels, annihilate_labels):
 
 
 def sector_indices(n_sites: int, m: int, statistics: Statistics, index=None):
-    """Full-space indices of the m-particle sector, in enumerate_basis order."""
-    basis = enumerate_basis(n_sites, m, statistics)
+    """Full-space indices of the m-particle sector, in basis order."""
+    basis = basis_configs(n_sites, m, statistics)
     if statistics is Statistics.FERMION:
         return [bitmask(cfg) for cfg in basis]
     return [index[cfg.occupations] for cfg in basis]
@@ -712,6 +751,9 @@ def fqn_cdf_mp(x: float, q: float) -> float:
         return float(total)
 
 
+_leggauss = functools.lru_cache(maxsize=8)(np.polynomial.legendre.leggauss)
+
+
 def _integrate_weighted(values, q: float) -> float:
     """Integral of values(x) against the weight, by node-doubling Gauss-Legendre.
 
@@ -722,7 +764,7 @@ def _integrate_weighted(values, q: float) -> float:
     x0 = qhermite.support_halfwidth(q)
     previous = None
     for n_nodes in (128, 256, 512, 1024, 2048, 4096):
-        nodes, weights = qhermite._leggauss(n_nodes)
+        nodes, weights = _leggauss(n_nodes)
         theta = 0.5 * math.pi * nodes
         terms = weights * 0.5 * math.pi * qhermite._theta_weight(theta, q) * values(x0 * np.sin(theta))
         total = float(np.sum(terms))

@@ -195,8 +195,7 @@ def test_criterion_3_qhermite_suite():
 
 
 def _boson_vandermonde_check(n_sites, m, k):
-    basis = enumerate_basis(n_sites, m, B)
-    for cfg in basis:
+    for occupations in enumerate_basis(n_sites, m, B).tolist():
         total = 0
         for labels in combinations_with_replacement(range(n_sites), k):
             mult = {}
@@ -204,10 +203,10 @@ def _boson_vandermonde_check(n_sites, m, k):
                 mult[v] = mult.get(v, 0) + 1
             term = 1
             for v, nu in mult.items():
-                if cfg.occupations[v] < nu:
+                if occupations[v] < nu:
                     term = 0
                     break
-                term *= math.comb(cfg.occupations[v], nu)
+                term *= math.comb(occupations[v], nu)
             total += term
         if total != math.comb(m, k):
             return False

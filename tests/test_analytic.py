@@ -222,13 +222,18 @@ class TestModeWidthCurves:
                 mode_width_curve(F, 10, 20, 2, 0.465, n, np.linspace(-1.0, 1.0, 801))
 
     def test_untruncated_sum_past_float_range_rejected(self):
-        # Outside the support no term is small against the (zero) running sum,
-        # so the sum runs to n_max, and H_(n-1)(10)^2 leaves float64 near n = 150.
+        # Outside the support (x0 ~ 2.73) the density is 0 and so is the value;
+        # H_(n-1)(10)^2 leaves float64 near n = 150, but no mode term is
+        # evaluated where the density vanishes, so nothing overflows.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert motion_variance(F, 10.0, 10, 20, 2, 0.465, n_max=100) == 0.0
-            with pytest.raises(ValueError, match="does not fit a float64"):
-                motion_variance(F, 10.0, 10, 20, 2, 0.465, n_max=200)
+            assert motion_variance(F, 10.0, 10, 20, 2, 0.465, n_max=200) == 0.0
+            values = mode_width_curve(F, 10, 20, 2, 0.465, 200, np.array([0.0, 10.0]))
+        assert values[1] == 0.0
+        assert np.array_equal(
+            values[:1], mode_width_curve(F, 10, 20, 2, 0.465, 200, np.array([0.0]))
+        )
 
     def test_overflow_refused_only_where_read(self):
         # Modes below the overflow keep their finite values, and the rows of

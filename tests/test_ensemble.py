@@ -19,10 +19,11 @@ from egoek.ensemble import (
     spectral_variance,
     splitmix64,
 )
-from egoek.fock import BasisSizeError, Statistics, enumerate_basis
+from egoek.fock import BasisSizeError, Statistics
 from egoek.spectra import eigenvalues, moments
 
 from oracles import (
+    basis_configs,
     embed_loop_oracle,
     embed_oracle,
     embedding_plan_oracle,
@@ -190,7 +191,7 @@ class TestEmbedding:
     def test_embed_matches_transition_double_loop(self, stat, n_sites, m, k):
         spec = EnsembleSpec(stat, m=m, n_sites=n_sites, k=k, members=1, master_seed=2)
         kmat = sample_kbody(spec, 0)
-        basis = enumerate_basis(n_sites, m, stat)
+        basis = basis_configs(n_sites, m, stat)
         kcfgs = enumerate_kconfigs(n_sites, k, stat)
         index = {cfg.occupations: i for i, cfg in enumerate(basis)}
         ham = np.zeros((len(basis), len(basis)))
@@ -213,7 +214,13 @@ def assert_same_plan(plan, reference):
         assert ours.tobytes() == theirs.tobytes(), name
 
 
-@pytest.mark.parametrize("stat,m,n_sites,k", [(F, 6, 12, 2), (B, 10, 5, 2), (B, 10, 5, 6)])
+@pytest.mark.parametrize(
+    "stat,m,n_sites,k",
+    # The reference systems, then bosons whose occupations sum past int8
+    # (m=200) and whose norm bound C(m, k) passes int64, so that the norms
+    # stay Python ints (both).
+    [(F, 6, 12, 2), (B, 10, 5, 2), (B, 10, 5, 6), (B, 200, 2, 150), (B, 70, 2, 35)],
+)
 def test_plan_matches_double_loop_on_reference_systems(stat, m, n_sites, k):
     assert_same_plan(build_embedding_plan(stat, m, n_sites, k), embedding_plan_oracle(stat, m, n_sites, k))
 
@@ -336,7 +343,7 @@ def exact_second_moment(stat, m, n_sites, k, central=False):
     With ``central=True`` the expected centroid fluctuation is subtracted,
     giving the expectation of the per-member central variance.
     """
-    basis = enumerate_basis(n_sites, m, stat)
+    basis = basis_configs(n_sites, m, stat)
     kcfgs = enumerate_kconfigs(n_sites, k, stat)
     d, dk = len(basis), len(kcfgs)
     index = {c.occupations: i for i, c in enumerate(basis)}

@@ -3,12 +3,14 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from egoek.fock import (
     BasisSizeError,
     FockDomainError,
-    OccupationConfig,
     Statistics,
+    basis_rank,
     binomial,
     dim_boson,
     dim_fermion,
@@ -18,7 +20,9 @@ from egoek.fock import (
 
 from oracles import (
     KConfig,
+    OccupationConfig,
     attach_amplitude,
+    basis_configs,
     bitmask,
     boson_operators,
     boson_pair_operator,
@@ -80,7 +84,7 @@ class TestDimensions:
 class TestEnumerateBasis:
     def test_single_fermion_order(self):
         basis = enumerate_basis(2, 1, F)
-        assert [c.occupations for c in basis] == [(1, 0), (0, 1)]
+        assert basis.tolist() == [[1, 0], [0, 1]]
 
     def test_counts_match_dimensions(self):
         assert len(enumerate_basis(12, 6, F)) == 924
@@ -90,17 +94,63 @@ class TestEnumerateBasis:
     @pytest.mark.parametrize("n,m", [(4, 2), (5, 3), (6, 1)])
     def test_no_duplicates_and_totals(self, stat, n, m):
         basis = enumerate_basis(n, m, stat)
-        assert len({c.occupations for c in basis}) == len(basis)
-        assert all(c.total == m for c in basis)
+        assert len({tuple(row) for row in basis.tolist()}) == len(basis)
+        assert np.all(basis.sum(axis=1) == m)
+
+    @pytest.mark.parametrize("stat,n,m", [(F, 12, 6), (F, 7, 0), (F, 64, 2), (B, 5, 10),
+                                          (B, 3, 0), (B, 2, 130)])
+    def test_table_matches_object_basis(self, stat, n, m):
+        # Same rows in the same order as one OccupationConfig per state, in
+        # the smallest signed type that holds 0..m.
+        basis = enumerate_basis(n, m, stat)
+        assert basis.shape == (dimension(n, m, stat), n)
+        assert basis.dtype == (np.int8 if m <= 127 else np.int16)
+        assert [tuple(row) for row in basis.tolist()] == [
+            c.occupations for c in basis_configs(n, m, stat)
+        ]
 
     def test_capacity_error(self):
         # C(64, 32) ~ 1.8e18 states: only the dimension is computed.
         with pytest.raises(BasisSizeError):
             enumerate_basis(64, 32, F)
 
+    def test_too_many_fermion_sites(self):
+        with pytest.raises(FockDomainError):
+            enumerate_basis(65, 1, F)
+
     def test_kconfig_count_matches_dimension(self):
         assert len(enumerate_kconfigs(12, 2, F)) == dim_fermion(12, 2)
         assert len(enumerate_kconfigs(5, 3, B)) == dim_boson(5, 3)
+
+
+@st.composite
+def bases(draw):
+    """(N, m, statistics) of a basis of at most 20,000 states; fermions up to N = 64."""
+    stat = draw(st.sampled_from([F, B]))
+    n_sites = draw(st.integers(1, 64 if stat is F else 8))
+    m = draw(st.integers(0, n_sites if stat is F else 12))
+    if dimension(n_sites, m, stat, limit=20_000) > 20_000:
+        m = min(m, 2)  # C(64, 2) and C(9, 2) states at most
+    return n_sites, m, stat
+
+
+class TestBasisRank:
+    @settings(max_examples=80, deadline=None)
+    @given(system=bases())
+    @example(system=(64, 3, F))  # 41,664 states on the widest fermion table
+    @example(system=(64, 62, F))  # count tables reach C(63, 31) > 2^59, held by int64 only
+    @example(system=(2, 130, B))  # occupations past int8
+    def test_rank_inverts_enumeration(self, system):
+        n_sites, m, stat = system
+        basis = enumerate_basis(n_sites, m, stat)
+        ranks = basis_rank(basis, stat)
+        assert ranks.dtype == np.int64
+        assert np.array_equal(ranks, np.arange(len(basis)))
+
+    def test_rank_of_reordered_rows(self):
+        basis = enumerate_basis(6, 3, B)
+        order = np.random.default_rng(5).permutation(len(basis))
+        assert np.array_equal(basis_rank(basis[order], B), order)
 
 
 class TestConfigValidation:
@@ -165,7 +215,7 @@ class TestTransitionAmplitude:
 
 
 def _fermion_cases(n_sites, k):
-    basis = enumerate_basis(n_sites, k + 1, F) + enumerate_basis(n_sites, k, F)
+    basis = basis_configs(n_sites, k + 1, F) + basis_configs(n_sites, k, F)
     kcfgs = [KConfig(F, c) for c in combinations(range(n_sites), k)]
     return basis, kcfgs
 
@@ -203,7 +253,7 @@ class TestBosonAgainstOracle:
     @pytest.mark.parametrize("n_sites,m,k", [(2, 2, 1), (2, 3, 2), (3, 3, 2), (3, 2, 2)])
     def test_all_matrix_elements(self, n_sites, m, k):
         states, index, cre, ann = boson_operators(n_sites, max_total=m)
-        basis = enumerate_basis(n_sites, m, B)
+        basis = basis_configs(n_sites, m, B)
         kcfgs = [KConfig(B, c) for c in combinations_with_replacement(range(n_sites), k)]
         for create in kcfgs:
             for annihilate in kcfgs:
@@ -222,7 +272,7 @@ class TestBosonAgainstOracle:
 class TestHermiticitySeed:
     @pytest.mark.parametrize("stat,n_sites,m,k", [(F, 5, 3, 2), (B, 3, 4, 2), (B, 4, 3, 3)])
     def test_reverse_transition(self, stat, n_sites, m, k):
-        basis = enumerate_basis(n_sites, m, stat)
+        basis = basis_configs(n_sites, m, stat)
         kcfgs = enumerate_kconfigs(n_sites, k, stat)
         checked = 0
         for src in basis:
@@ -246,7 +296,7 @@ class TestIdentityPropagation:
     # suite against the operator oracle.
     @pytest.mark.parametrize("stat,n_sites,m,k", [(F, 5, 3, 2), (F, 4, 4, 2), (B, 3, 3, 2)])
     def test_summed_diagonal_pairs(self, stat, n_sites, m, k):
-        basis = enumerate_basis(n_sites, m, stat)
+        basis = basis_configs(n_sites, m, stat)
         kcfgs = enumerate_kconfigs(n_sites, k, stat)
         for src in basis:
             total = 0.0
