@@ -5,7 +5,7 @@ eigenvalue density as a q-normal shape with polynomial corrections, and
 quantifies the separation of spectral averages from GOE-type fluctuations.
 """
 
-from .fock import Statistics, basis_rank, dim_boson, dim_fermion, enumerate_basis
+from .fock import Statistics, basis_rank, dimension, enumerate_basis
 from .ensemble import (
     EnsembleSpec,
     MemberMatrix,
@@ -24,7 +24,6 @@ from .qhermite import (
     support_halfwidth,
 )
 from .decomposition import (
-    LevelMotionSeries,
     SmoothModel,
     decompose_member,
     fit_smooth_model,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Delta3Curve",
     "EnsembleSpec",
-    "LevelMotionSeries",
     "MemberMatrix",
     "PeriodogramResult",
     "RunConfig",
@@ -67,8 +65,7 @@ __all__ = [
     "build_member",
     "decompose_member",
     "delta3",
-    "dim_boson",
-    "dim_fermion",
+    "dimension",
     "embed",
     "eigenvalues",
     "enumerate_basis",

@@ -106,9 +106,8 @@ def _write_json(path: Path, payload: dict, config: RunConfig) -> None:
 
 def cmd_generate(args) -> None:
     config = _run_config(args)
-    out = _out_dir(config)
     archive = pipeline.generate_archive(config.ensemble, threads=_threads(args))
-    target = out / ARCHIVE_NAME
+    target = _out_dir(config) / ARCHIVE_NAME
     arc.write_archive(target, archive)
     if args.export_json:
         arc.export_json(archive, args.export_json)
@@ -127,11 +126,10 @@ def cmd_decompose(args) -> None:
     out = _out_dir(config)
     decompositions = pipeline.decompose_archive(archive, config.orders, threads=_threads(args))
 
-    series = ((d.member, o, d.series[o]) for d in decompositions for o in config.orders)
     write_table(
         out / "delta_series.csv",
         ["member", "order", "E_hat", "delta"],
-        (((member, order), (s.e_hat, s.delta)) for member, order, s in series),
+        (((d.member, o), (d.e_hat, d.delta[o])) for d in decompositions for o in config.orders),
     )
 
     summary = {
@@ -156,20 +154,15 @@ def cmd_fluct(args) -> None:
     decompositions = pipeline.decompose_archive(
         archive, config.orders + (policy_order,), threads=_threads(args)
     )
-    grouped = pipeline.periodograms_by_order(
+    results = pipeline.periodograms_by_order(  # row i of each is config.orders[i]
         decompositions, config.orders, trim=config.trim, oversample=config.oversample
     )
 
+    mean_power = np.mean([r.power for r in results], axis=0)
     write_table(
         out / "periodogram.csv",
         ["k", "order", "f", "P_mean"],
-        (
-            (
-                (spec.k, order),
-                (grouped[order][0].frequency, np.mean([r.power for r in grouped[order]], axis=0)),
-            )
-            for order in config.orders
-        ),
+        (((spec.k, o), (results[0].frequency, p)) for o, p in zip(config.orders, mean_power)),
     )
 
     unfolded = pipeline.unfolded_ensemble(archive, decompositions, trim=config.trim)
@@ -193,12 +186,13 @@ def cmd_fluct(args) -> None:
             {
                 "k": spec.k,
                 "order": order,
-                "mean_lambda": float(np.mean(
-                    [pg.significance(r.peak_power, r.n_samples, args.convention) for r in results]
-                )),
-                "mean_f_p": float(np.mean([r.peak_frequency for r in results])),
+                "mean_lambda": float(np.mean([
+                    pg.significance(r.peak_power[i], r.n_samples, args.convention)
+                    for r in results
+                ])),
+                "mean_f_p": float(np.mean([r.peak_frequency[i] for r in results])),
             }
-            for order, results in sorted(grouped.items())
+            for order, i in sorted((order, i) for i, order in enumerate(config.orders))
         ],
         "nnsd_sigma2": hist.sigma2,
         "unfolding_order": policy_order,
@@ -264,14 +258,13 @@ def cmd_table1(args) -> None:
                            members=args.members, master_seed=args.master_seed)
         for entry in grid
     ]
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    threads = _threads(args)
     for spec in specs:  # reject an oversized system before any is generated
-        check_dense_size(spec)
+        check_dense_size(spec, min(threads, spec.members))
 
     blocks, summaries = [], []
     for spec in specs:
-        summary = pipeline.moment_summary(pipeline.generate_archive(spec, threads=_threads(args)))
+        summary = pipeline.moment_summary(pipeline.generate_archive(spec, threads=threads))
         summaries.append(summary.__dict__)
         fixed = (summary.statistics, summary.m, summary.n_sites, summary.k, summary.members)
         shape = (summary.gamma1_mean, summary.gamma1_se, summary.gamma2_mean,
@@ -281,6 +274,8 @@ def cmd_table1(args) -> None:
             f"{summary.statistics} m={summary.m} N={summary.n_sites} k={summary.k}: "
             f"gamma1={summary.gamma1_mean:+.4f} gamma2={summary.gamma2_mean:+.4f}"
         )
+    out = Path(args.out or ".")
+    out.mkdir(parents=True, exist_ok=True)
     write_table(
         out / "table1.csv",
         ["statistics", "m", "N", "k", "members", "gamma1", "gamma1_se", "gamma2", "gamma2_se", "q"],

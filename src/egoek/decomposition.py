@@ -50,15 +50,6 @@ class SmoothModel:
             raise ValueError("coefficient count must equal order - 2")
 
 
-@dataclass(frozen=True)
-class LevelMotionSeries:
-    """Per-level deviation between exact and smooth distribution functions."""
-
-    e_hat: np.ndarray
-    delta: np.ndarray
-    delta_rms: float
-
-
 def staircase(spectrum: Spectrum) -> np.ndarray:
     """Exact distribution function at the eigenvalues, midpoint convention i - 1/2."""
     return np.arange(1, spectrum.dimension + 1) - 0.5
@@ -95,16 +86,19 @@ class MemberDecomposition:
     """All per-member decomposition products for a set of orders.
 
     ``q`` is the shape parameter the member was given; each model holds the
-    one its fit used, 1.0 above ``Q_GAUSSIAN_SWITCH``.
+    one its fit used, 1.0 above ``Q_GAUSSIAN_SWITCH``.  ``delta[order]`` is
+    the level motion (staircase minus smooth values) of that order at every
+    level, all on the member's one standardized axis ``e_hat``.
     """
 
     member: int | None
     q: float
     models: dict[int, SmoothModel]
-    series: dict[int, LevelMotionSeries]
+    e_hat: np.ndarray
+    delta: dict[int, np.ndarray]
 
     def delta_rms(self, order: int) -> float:
-        return self.series[order].delta_rms
+        return float(np.sqrt(np.mean(self.delta[order] ** 2)))
 
 
 def decompose_member(
@@ -132,7 +126,7 @@ def decompose_member(
     stair = staircase(spectrum)
     target = stair - d * cumulative[0]
     columns = [d / qhermite.qfactorial(n, q_fit) * cumulative[n] for n in corrections]
-    models, series = {}, {}
+    models, deltas = {}, {}
     for order in sorted(set(orders)):
         coefficients = np.empty(0)
         if order > MIN_ORDER:
@@ -140,11 +134,9 @@ def decompose_member(
             coefficients, _res, rank, _sv = np.linalg.lstsq(design, target, rcond=None)
             if rank < design.shape[1]:
                 raise SingularFitError(f"design matrix rank {rank} < {design.shape[1]}")
-        model = SmoothModel(q_fit, order, coefficients, d, centroid, width)
-        models[order] = model
-        delta = stair - _smooth_values(model, cumulative)
-        series[order] = LevelMotionSeries(e_hat, delta, float(np.sqrt(np.mean(delta**2))))
-    return MemberDecomposition(member=spectrum.member, q=q, models=models, series=series)
+        models[order] = SmoothModel(q_fit, order, coefficients, d, centroid, width)
+        deltas[order] = stair - _smooth_values(models[order], cumulative)
+    return MemberDecomposition(spectrum.member, q, models, e_hat, deltas)
 
 
 def fit_smooth_model(spectrum: Spectrum, q: float, order: int) -> SmoothModel:

@@ -276,18 +276,23 @@ def embed(kmat: MemberMatrix, spec: EnsembleSpec) -> MemberMatrix:
     return MemberMatrix(matrix=ham, member=kmat.member, seed=kmat.seed)
 
 
-def check_dense_size(spec: EnsembleSpec) -> None:
-    """Reject a system whose dense Hamiltonian exceeds MAX_DENSE_DIMENSION rows.
+def check_dense_size(spec: EnsembleSpec, workers: int = 1) -> None:
+    """Reject a run whose ``workers`` dense Hamiltonians pass MAX_DENSE_DIMENSION² entries.
 
-    Only the dimension is computed, stopping early once it passes the bound,
-    so the check costs nothing however large the system is.
+    ``workers`` members are built and diagonalized at once, and each holds
+    its d x d matrix (and ``eigvalsh`` a working copy), so workers·d² may not
+    exceed the entries of one MAX_DENSE_DIMENSION-row matrix.  Only the
+    dimension is computed, stopping early once it passes the bound, so the
+    check costs nothing however large the system is.
     """
-    limit = MAX_DENSE_DIMENSION
+    limit = math.isqrt(MAX_DENSE_DIMENSION**2 // workers)
     if dimension(spec.n_sites, spec.m, spec.statistics, limit=limit) > limit:
-        gib = limit * limit * 8 / 2**30
+        gib = MAX_DENSE_DIMENSION**2 * 8 / 2**30
+        held = "its dense Hamiltonian" if workers == 1 else f"{workers} dense Hamiltonians at once"
         raise DenseMemoryError(
             f"{spec.statistics.value} m={spec.m} N={spec.n_sites} has more than {limit} "
-            f"basis states; its dense Hamiltonian would need over {gib:g} GiB"
+            f"basis states; {held} would need over {gib:g} GiB, the size of one "
+            f"{MAX_DENSE_DIMENSION}-row matrix"
         )
 
 

@@ -1,7 +1,7 @@
 """Spectral unfolding and GOE-type fluctuation measures.
 
 Levels are mapped through the fitted smooth distribution function, read from
-the decomposition's level-motion series, so the mean spacing is one, then
+the decomposition's level motion, so the mean spacing is one, then
 compared with the Wigner/Poisson spacing laws and the Dyson–Mehta rigidity
 references.
 """
@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-from .decomposition import LevelMotionSeries, staircase
+from .decomposition import staircase
 from .decomposition import smooth_distribution_values  # noqa: F401  patched by perfbench/tracer.py
 from .fock import Statistics
 from .spectra import Spectrum
@@ -88,16 +88,16 @@ def central_window(n: int, trim: float) -> slice:
 
 
 def unfold(
-    spectrum: Spectrum, series: LevelMotionSeries, trim: float = DEFAULT_TRIM
+    spectrum: Spectrum, delta: np.ndarray, trim: float = DEFAULT_TRIM
 ) -> UnfoldedSpectrum:
     """Map levels through the smooth distribution function and normalize spacings.
 
-    The smooth values are read back from the member's level-motion series as
-    staircase - delta, over the ``central_window`` of the levels, before
+    The smooth values are read back from the member's level motion ``delta``
+    as staircase - delta, over the ``central_window`` of the levels, before
     rescaling to unit mean spacing.
     """
     window = central_window(spectrum.dimension, trim)
-    mapped = (staircase(spectrum) - series.delta)[window]
+    mapped = (staircase(spectrum) - delta)[window]
     if len(mapped) < 2:
         raise ValueError("trim leaves fewer than two levels")
     steps = np.diff(mapped)

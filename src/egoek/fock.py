@@ -49,33 +49,24 @@ def binomial(n: int, j: int, limit: int | None) -> int:
     return value
 
 
-def dim_fermion(n_sites: int, particles: int, limit: int | None = None) -> int:
-    """Number of m-fermion configurations in N single-particle states, C(N, m)."""
+def dimension(
+    n_sites: int, particles: int, statistics: Statistics, limit: int | None = None
+) -> int:
+    """Basis size, C(N, m) for fermions and C(N+m-1, m) for bosons.
+
+    With ``limit``, a value above ``limit`` means only "larger than limit".
+    """
     if particles < 0 or n_sites < 0:
         raise FockDomainError("negative arguments")
-    if particles > n_sites:
-        raise FockDomainError(f"cannot place {particles} fermions in {n_sites} states")
-    return binomial(n_sites, particles, limit)
-
-
-def dim_boson(n_sites: int, particles: int, limit: int | None = None) -> int:
-    """Number of m-boson configurations in N single-particle states, C(N+m-1, m)."""
-    if particles < 0 or n_sites < 0:
-        raise FockDomainError("negative arguments")
+    if statistics is Statistics.FERMION:
+        if particles > n_sites:
+            raise FockDomainError(f"cannot place {particles} fermions in {n_sites} states")
+        return binomial(n_sites, particles, limit)
     if n_sites == 0:
         if particles > 0:
             raise FockDomainError("no single-particle states to hold bosons")
         return 1
     return binomial(n_sites + particles - 1, particles, limit)
-
-
-def dimension(
-    n_sites: int, particles: int, statistics: Statistics, limit: int | None = None
-) -> int:
-    """Basis size; with ``limit``, a value above ``limit`` means only "larger than limit"."""
-    if statistics is Statistics.FERMION:
-        return dim_fermion(n_sites, particles, limit)
-    return dim_boson(n_sites, particles, limit)
 
 
 def enumerate_basis(n_sites: int, particles: int, statistics: Statistics) -> np.ndarray:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ def generate_archive(spec: EnsembleSpec, threads: int = 1) -> SpectrumArchive:
     """Build and diagonalize every member, in member order regardless of threads."""
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    check_dense_size(spec)
+    check_dense_size(spec, min(threads, spec.members))
     members = range(spec.members)
     records = _map_members(lambda i: eigenvalues(build_member(spec, i)), members, threads)
     return SpectrumArchive(spec=spec, records=tuple(records))
@@ -54,17 +54,14 @@ def periodograms_by_order(
     orders: tuple[int, ...],
     trim: float = fl.DEFAULT_TRIM,
     oversample: int = pg.DEFAULT_OVERSAMPLE,
-) -> dict[int, list[pg.PeriodogramResult]]:
-    """Per-order Lomb-Scargle results over each member's central window, one call per member."""
-    out: dict[int, list[pg.PeriodogramResult]] = {o: [] for o in orders}
+) -> list[pg.PeriodogramResult]:
+    """One Lomb-Scargle call per member over its central window; row i is ``orders[i]``."""
+    results = []
     for decomposition in decompositions:
-        series = [decomposition.series[order] for order in orders]
-        window = fl.central_window(len(series[0].delta), trim)
-        deltas = np.stack([s.delta[window] for s in series])  # all on the member's one e_hat
-        r = pg.lomb_scargle(series[0].e_hat[window], deltas, oversample=oversample)
-        for order, power, f, p in zip(orders, r.power, r.peak_frequency, r.peak_power):
-            out[order].append(replace(r, power=power, peak_frequency=float(f), peak_power=float(p)))
-    return out
+        window = fl.central_window(len(decomposition.e_hat), trim)
+        deltas = np.stack([decomposition.delta[order][window] for order in orders])
+        results.append(pg.lomb_scargle(decomposition.e_hat[window], deltas, oversample=oversample))
+    return results
 
 
 def unfolded_ensemble(
@@ -80,7 +77,7 @@ def unfolded_ensemble(
     spec = archive.spec
     order = fl.unfolding_order(spec.statistics, spec.k)
     return [
-        fl.unfold(spectrum, decomposition.series[order], trim=trim)
+        fl.unfold(spectrum, decomposition.delta[order], trim=trim)
         for spectrum, decomposition in zip(archive.records, decompositions, strict=True)
     ]
 

@@ -22,7 +22,7 @@ The q-normal weight's truncated infinite product is the parity oracle of its
 theta series, and the same product at 40 digits (mpmath) is the accuracy
 oracle of the series and of the distribution function it integrates to.  The
 node-doubling quadrature of moments and orthogonality integrals against the
-weight serves the q-Hermite tests.  ``motion_series`` gives the level motion
+weight serves the q-Hermite tests.  ``level_motion`` gives the level motion
 of a spectrum against a hand-made smooth model, which ``decompose_member``
 (fitting its own) cannot.
 """
@@ -40,7 +40,7 @@ import mpmath
 import numpy as np
 from scipy import integrate, sparse, special
 
-from egoek import decomposition as dc, periodogram, qhermite
+from egoek import decomposition as dc, fluctuations as fl, periodogram, qhermite
 from egoek.ensemble import EmbeddingPlan
 from egoek.fock import FockDomainError, Statistics
 
@@ -567,11 +567,9 @@ def lomb_scargle_direct(
     )
 
 
-def motion_series(spectrum, model) -> dc.LevelMotionSeries:
-    """Staircase minus ``model``'s smooth values at every level, and its RMS."""
-    e_hat = (spectrum.eigenvalues - model.centroid) / model.width
-    delta = dc.staircase(spectrum) - dc.smooth_distribution_values(model, spectrum.eigenvalues)
-    return dc.LevelMotionSeries(e_hat, delta, float(np.sqrt(np.mean(delta**2))))
+def level_motion(spectrum, model) -> np.ndarray:
+    """Staircase minus ``model``'s smooth values at every level."""
+    return dc.staircase(spectrum) - dc.smooth_distribution_values(model, spectrum.eigenvalues)
 
 
 def csv_table(header, rows) -> bytes:
@@ -587,18 +585,31 @@ def delta_series_rows(decompositions, orders) -> list[list]:
     rows = []
     for decomposition in decompositions:
         for order in orders:
-            series = decomposition.series[order]
-            for e_hat, delta in zip(series.e_hat, series.delta):
+            for e_hat, delta in zip(decomposition.e_hat, decomposition.delta[order]):
                 rows.append([decomposition.member, order, f"{e_hat:.12g}", f"{delta:.12g}"])
     return rows
 
 
-def periodogram_rows(k, grouped, orders) -> list[list]:
+def periodogram_rows(k, decompositions, results, orders, trim, oversample) -> list[list]:
+    """Rows of ``periodogram.csv`` for ``orders``, from each member's stacked ``results``.
+
+    The row of a member's result that belongs to an order is found by content,
+    not by position: it is the one closest to that order's one-series
+    periodogram, and must agree with it within 1e-12 of its peak power.
+    """
+    window = fl.central_window(len(decompositions[0].e_hat), trim)
     rows = []
     for order in orders:
-        mean_power = np.mean([r.power for r in grouped[order]], axis=0)
-        freqs = grouped[order][0].frequency
-        for f, p in zip(freqs, mean_power):
+        powers = []
+        for decomposition, result in zip(decompositions, results, strict=True):
+            single = periodogram.lomb_scargle(decomposition.e_hat[window],
+                                              decomposition.delta[order][window],
+                                              oversample=oversample)
+            errors = np.max(np.abs(result.power - single.power), axis=1)
+            assert np.min(errors) <= 1e-12 * single.peak_power, order
+            powers.append(result.power[int(np.argmin(errors))])
+        mean_power = np.mean(powers, axis=0)
+        for f, p in zip(results[0].frequency, mean_power):
             rows.append([k, order, f"{f:.12g}", f"{p:.12g}"])
     return rows
 

@@ -310,11 +310,11 @@ def test_criterion_6_periodogram_thresholds(decompositions):
     }
     lam = {}
     for key, orders in cells.items():
-        grouped = periodograms_by_order(decompositions[key], orders)
-        for order, results in grouped.items():
+        results = periodograms_by_order(decompositions[key], orders)
+        for i, order in enumerate(orders):
             lam[(key, order)] = (
-                float(np.mean([pg.significance(r.peak_power, r.n_samples) for r in results])),
-                float(np.mean([r.peak_power for r in results])),
+                float(np.mean([pg.significance(r.peak_power[i], r.n_samples) for r in results])),
+                float(np.mean([r.peak_power[i] for r in results])),
             )
     for ((stat, k), order), (sig, peak) in sorted(
         lam.items(), key=lambda item: (item[0][0][0].value, item[0][0][1], item[0][1])

@@ -664,10 +664,11 @@ class TestDenseMemoryGuard:
         assert peak < 1 << 20
         capsys.readouterr()
         argv = ["generate", "--statistics", statistics.value, "-m", str(m), "-N", str(n_sites),
-                "-k", "2", "--members", "2", "--threads", "2", "--out", str(tmp_path)]
+                "-k", "2", "--members", "2", "--threads", "2", "--out", str(tmp_path / "out")]
         assert run_cli(*argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "out").exists()
         assert time.perf_counter() - start < 1.0
 
     def test_table1_checks_every_system_first(self, tmp_path, capsys, monkeypatch):
@@ -677,13 +678,48 @@ class TestDenseMemoryGuard:
         grid_path = tmp_path / "grid.json"
         grid_path.write_text(json.dumps(grid))
         capsys.readouterr()
-        assert run_cli("table1", "--grid", str(grid_path), "--out", str(tmp_path)) == 2
+        assert run_cli("table1", "--grid", str(grid_path), "--out", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
-        assert not (tmp_path / "table1.csv").exists()
+        assert not (tmp_path / "out").exists()
+
+    # Fermions m=8 in N=16 states: d = 12,870, over the bound for 2 members at once.
+    @pytest.mark.parametrize("command", ["generate", "table1"])
+    @pytest.mark.parametrize(
+        "members, threads, refused",
+        [("2", "2", True), ("3", "3", True), ("2", "1", False), ("1", "8", False)],
+    )
+    def test_cli_counts_members_in_flight(self, command, members, threads, refused, tmp_path,
+                                          capsys, monkeypatch):
+        monkeypatch.setattr("egoek.pipeline.build_member", self.refuse)
+        if command == "generate":
+            argv = ["generate", "--statistics", "fermion", "-m", "8", "-N", "16", "-k", "2"]
+        else:
+            grid_path = tmp_path / "grid.json"
+            grid_path.write_text(json.dumps([{"statistics": "fermion", "m": 8, "N": 16, "k": 2}]))
+            argv = ["table1", "--grid", str(grid_path)]
+        argv += ["--members", members, "--threads", threads, "--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        if not refused:  # the check passes, and the first member build is reached
+            with pytest.raises(AssertionError, match="work started"):
+                run_cli(*argv)
+        else:
+            assert run_cli(*argv) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:")
+            assert "dense Hamiltonians at once" in err[0]
+        assert not (tmp_path / "out").exists()
 
     def test_largest_dense_system_accepted(self):
         # Fermions m=1 in N=MAX_DENSE_DIMENSION states sit exactly on the bound.
         check_dense_size(EnsembleSpec(F, m=1, n_sites=MAX_DENSE_DIMENSION, k=1))
         with pytest.raises(DenseMemoryError):
             check_dense_size(EnsembleSpec(F, m=1, n_sites=MAX_DENSE_DIMENSION + 1, k=1))
+        # Two members in flight hold at most MAX_DENSE_DIMENSION² entries between them.
+        largest = 11_585
+        assert 2 * largest**2 <= MAX_DENSE_DIMENSION**2 < 2 * (largest + 1) ** 2
+        check_dense_size(EnsembleSpec(F, m=1, n_sites=largest, k=1), workers=2)
+        over = EnsembleSpec(F, m=1, n_sites=largest + 1, k=1)
+        with pytest.raises(DenseMemoryError, match="2 dense Hamiltonians"):
+            check_dense_size(over, workers=2)
+        check_dense_size(over, workers=1)

@@ -10,7 +10,7 @@ import pytest
 from egoek import analytic, fluctuations as fl, pipeline
 from egoek.archive import write_archive
 from egoek.cli import main, write_table
-from egoek.config import RunConfig
+from egoek.config import VALID_ORDERS, RunConfig
 from egoek.decomposition import decompose_member
 from egoek.ensemble import EnsembleSpec
 from egoek.fock import Statistics
@@ -65,29 +65,41 @@ def archive_case(request, tmp_path_factory):
     return archive, path
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_decompose_csv_matches_oracle(archive_case, threads, tmp_path):
+# Each thread count with the default orders and with an unsorted --orders
+# list, whose order the rows keep.
+RUNS = pytest.mark.parametrize("threads, orders", [
+    pytest.param(threads, orders,
+                 id=threads if orders == VALID_ORDERS else f"{threads}-orders-5,2,3")
+    for orders in (VALID_ORDERS, (5, 2, 3)) for threads in ("1", "2")
+])
+
+
+def order_flags(orders):
+    return [] if orders == VALID_ORDERS else ["--orders", ",".join(map(str, orders))]
+
+
+@RUNS
+def test_decompose_csv_matches_oracle(archive_case, threads, orders, tmp_path):
     archive, path = archive_case
     assert main(["decompose", "--archive", str(path), "--out", str(tmp_path),
-                 "--threads", threads]) == 0
-    orders = RunConfig(ensemble=archive.spec).orders
+                 "--threads", threads, *order_flags(orders)]) == 0
     decompositions = pipeline.decompose_archive(archive, orders)
     expected = oracles.csv_table(["member", "order", "E_hat", "delta"],
                                  oracles.delta_series_rows(decompositions, orders))
     assert (tmp_path / "delta_series.csv").read_bytes() == expected
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_fluct_csvs_match_oracle(archive_case, threads, tmp_path):
+@RUNS
+def test_fluct_csvs_match_oracle(archive_case, threads, orders, tmp_path):
     archive, path = archive_case
     assert main(["fluct", "--archive", str(path), "--out", str(tmp_path),
-                 "--threads", threads]) == 0
+                 "--threads", threads, *order_flags(orders)]) == 0
     spec = archive.spec
-    config = RunConfig(ensemble=spec)
+    config = RunConfig(ensemble=spec, orders=orders)
     decompositions = pipeline.decompose_archive(
         archive, config.orders + (fl.unfolding_order(spec.statistics, spec.k),)
     )
-    grouped = pipeline.periodograms_by_order(
+    results = pipeline.periodograms_by_order(
         decompositions, config.orders, trim=config.trim, oversample=config.oversample
     )
     unfolded = pipeline.unfolded_ensemble(archive, decompositions, trim=config.trim)
@@ -96,7 +108,8 @@ def test_fluct_csvs_match_oracle(archive_case, threads, tmp_path):
     expected = {
         "periodogram.csv": oracles.csv_table(
             ["k", "order", "f", "P_mean"],
-            oracles.periodogram_rows(spec.k, grouped, config.orders),
+            oracles.periodogram_rows(spec.k, decompositions, results, config.orders,
+                                     config.trim, config.oversample),
         ),
         "nnsd.csv": oracles.csv_table(
             ["s_low", "s_high", "density", "wigner", "poisson"], oracles.nnsd_rows(hist)
@@ -124,9 +137,8 @@ def test_fluct_separation_matches_direct_periodogram(archive_case, convention, t
     ]
     window = fl.central_window(archive.dimension, config.trim)
     for row, order in zip(summary["separation"], orders):
-        series = [fit.series[order] for fit in fits]
-        peaks = [oracles.lomb_scargle_direct(s.e_hat[window], s.delta[window],
-                                             oversample=config.oversample) for s in series]
+        peaks = [oracles.lomb_scargle_direct(fit.e_hat[window], fit.delta[order][window],
+                                             oversample=config.oversample) for fit in fits]
         lam = np.mean([significance(r.peak_power, r.n_samples, convention) for r in peaks])
         assert row["mean_f_p"] == float(np.mean([r.peak_frequency for r in peaks]))
         assert row["mean_lambda"] == pytest.approx(float(lam), rel=1e-9)

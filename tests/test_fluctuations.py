@@ -32,7 +32,7 @@ from egoek.pipeline import decompose_archive, generate_archive, unfolded_ensembl
 from egoek.qhermite import support_halfwidth
 from egoek.spectra import Spectrum, moments
 
-from oracles import delta3_long_double, goe_delta3, goe_delta3_quad, motion_series
+from oracles import delta3_long_double, goe_delta3, goe_delta3_quad, level_motion
 
 F = Statistics.FERMION
 B = Statistics.BOSON
@@ -65,7 +65,7 @@ def model_and_levels(q, d):
 class TestUnfold:
     def test_zero_fluctuation_spacings_are_unit(self):
         model, spectrum = model_and_levels(0.3, 924)
-        unfolded = unfold(spectrum, motion_series(spectrum, model), trim=0.10)
+        unfolded = unfold(spectrum, level_motion(spectrum, model), trim=0.10)
         assert len(unfolded.levels) == 832  # floor(0.05 * 924) = 46 cut per end
         assert np.allclose(unfolded.spacings, 1.0, atol=1e-3)
         assert np.mean(unfolded.spacings) == pytest.approx(1.0, abs=1e-12)
@@ -75,7 +75,7 @@ class TestUnfold:
         model, spectrum = model_and_levels(0.5, 400)
         jitter = spectrum.eigenvalues + 1e-4 * rng.standard_normal(400)
         jittered = Spectrum(np.sort(jitter))
-        unfolded = unfold(jittered, motion_series(jittered, model))
+        unfolded = unfold(jittered, level_motion(jittered, model))
         assert np.mean(unfolded.spacings) == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(unfolded.levels) > 0)
 
@@ -86,7 +86,7 @@ class TestUnfold:
         rng = np.random.default_rng(5)
         for _ in range(40):
             jitter = Spectrum(np.sort(spectrum.eigenvalues + 1e-3 * rng.standard_normal(1001)))
-            levels = unfold(jitter, motion_series(jitter, model)).levels
+            levels = unfold(jitter, level_motion(jitter, model)).levels
             assert levels[0] == 0.0 and levels[-1] == len(levels) - 1
 
     def test_non_monotone_model_raises(self):
@@ -94,12 +94,12 @@ class TestUnfold:
         # Enormous third-order correction drives the mapped density negative.
         bad = SmoothModel(0.5, 3, np.array([80.0]), 120, centroid=0.0, width=1.0)
         with pytest.raises(UnfoldingError):
-            unfold(spectrum, motion_series(spectrum, bad), trim=0.10)
+            unfold(spectrum, level_motion(spectrum, bad), trim=0.10)
 
     def test_trim_validation(self):
         model, spectrum = model_and_levels(0.5, 50)
         with pytest.raises(ValueError):
-            unfold(spectrum, motion_series(spectrum, model), trim=1.2)
+            unfold(spectrum, level_motion(spectrum, model), trim=1.2)
 
 
 class TestUnfoldedEnsemble:
@@ -121,7 +121,7 @@ class TestUnfoldedEnsemble:
         assert len(unfolded) == spec.members
         for spectrum, got in zip(archive.records, unfolded):
             model = fit_smooth_model(spectrum, moments(spectrum).q_est, policy)
-            want = unfold(spectrum, motion_series(spectrum, model))
+            want = unfold(spectrum, level_motion(spectrum, model))
             assert np.array_equal(got.levels, want.levels)
 
 

@@ -12,8 +12,6 @@ from egoek.fock import (
     Statistics,
     basis_rank,
     binomial,
-    dim_boson,
-    dim_fermion,
     dimension,
     enumerate_basis,
 )
@@ -44,26 +42,26 @@ class TestDimensions:
         [(12, 6, 924), (20, 10, 184756), (5, 0, 1), (8, 8, 1), (8, 0, 1)],
     )
     def test_fermion(self, n, m, expected):
-        assert dim_fermion(n, m) == expected
+        assert dimension(n, m, F) == expected
 
     @pytest.mark.parametrize(
         "n, m, expected",
         [(5, 10, 1001), (10, 20, 10015005), (3, 0, 1), (1, 7, 1)],
     )
     def test_boson(self, n, m, expected):
-        assert dim_boson(n, m) == expected
+        assert dimension(n, m, B) == expected
 
     def test_fermion_domain_errors(self):
         with pytest.raises(FockDomainError):
-            dim_fermion(4, 5)
+            dimension(4, 5, F)
         with pytest.raises(FockDomainError):
-            dim_fermion(4, -1)
+            dimension(4, -1, F)
 
     def test_boson_domain_errors(self):
         with pytest.raises(FockDomainError):
-            dim_boson(0, 3)
+            dimension(0, 3, B)
         with pytest.raises(FockDomainError):
-            dim_boson(3, -2)
+            dimension(3, -2, B)
 
     @pytest.mark.parametrize("limit", [1, 923, 924, 10**6])
     def test_limited_dimension(self, limit):
@@ -75,7 +73,7 @@ class TestDimensions:
                 assert limited == exact
             else:
                 assert limited > limit
-        assert dim_fermion(2 * 10**6, 10**6, limit=10**6) > 10**6
+        assert dimension(2 * 10**6, 10**6, F, limit=10**6) > 10**6
 
     def test_limited_binomial_of_more_than_n_is_zero(self):
         assert binomial(2, 5, None) == binomial(2, 5, 10) == 0
@@ -119,8 +117,8 @@ class TestEnumerateBasis:
             enumerate_basis(65, 1, F)
 
     def test_kconfig_count_matches_dimension(self):
-        assert len(enumerate_kconfigs(12, 2, F)) == dim_fermion(12, 2)
-        assert len(enumerate_kconfigs(5, 3, B)) == dim_boson(5, 3)
+        assert len(enumerate_kconfigs(12, 2, F)) == dimension(12, 2, F)
+        assert len(enumerate_kconfigs(5, 3, B)) == dimension(5, 3, B)
 
 
 @st.composite

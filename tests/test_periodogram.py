@@ -128,21 +128,23 @@ def test_periodograms_by_order_is_one_call_per_member(monkeypatch):
         return lomb_scargle(*args, **kwargs)
 
     monkeypatch.setattr(pg, "lomb_scargle", counted)
-    grouped = pipeline.periodograms_by_order(decompositions, (5, 2, 3, 6, 4), oversample=4)
+    stacked = (5, 2, 3, 6, 4)
+    results = pipeline.periodograms_by_order(decompositions, stacked, oversample=4)
     assert calls == [(5, 64)] * spec.members  # d = 70, 3 levels trimmed per end
-    assert sorted(grouped) == list(orders)
-    for order in orders:
-        assert len(grouped[order]) == spec.members
-        for decomposition, got in zip(decompositions, grouped[order]):
-            series = decomposition.series[order]
-            window = fl.central_window(len(series.delta), fl.DEFAULT_TRIM)
-            single = lomb_scargle(series.e_hat[window], series.delta[window], oversample=4)
+    assert len(results) == spec.members
+    for decomposition, got in zip(decompositions, results, strict=True):
+        assert got.power.shape == (len(stacked), len(got.frequency))
+        assert got.peak_frequency.shape == got.peak_power.shape == (len(stacked),)
+        window = fl.central_window(len(decomposition.e_hat), fl.DEFAULT_TRIM)
+        for i, order in enumerate(stacked):  # row i belongs to stacked[i]
+            single = lomb_scargle(decomposition.e_hat[window], decomposition.delta[order][window],
+                                  oversample=4)
             assert np.array_equal(got.frequency, single.frequency)
             assert got.n_samples == single.n_samples
-            assert np.max(np.abs(got.power - single.power)) <= 1e-12 * single.peak_power
-            assert int(np.argmax(got.power)) == int(np.argmax(single.power))
-            assert type(got.peak_frequency) is float and type(got.peak_power) is float
-            assert got.peak_frequency == single.peak_frequency
+            assert np.max(np.abs(got.power[i] - single.power)) <= 1e-12 * single.peak_power
+            assert int(np.argmax(got.power[i])) == int(np.argmax(single.power))
+            assert got.peak_frequency[i] == single.peak_frequency
+            assert got.peak_power[i] == np.max(got.power[i])
 
 
 class TestProperties:
