@@ -252,7 +252,9 @@ def embed(kmat: MemberMatrix, spec: EnsembleSpec) -> MemberMatrix:
     Implements H[B, A] = sum over (alpha, gamma) of V[alpha, gamma] times the
     pair-transfer amplitude <B|A+(alpha) A(gamma)|A>: one congruence update
     V[g, g] * (w w^T) onto H[a, a] per intermediate, scattered in plan order a
-    chunk at a time.  ``np.add.at`` adds repeated indices one after another
+    chunk at a time.  Every boson k-config attaches to every intermediate, in
+    k-config order, so for bosons V[g, g] is V itself and is broadcast, not
+    gathered.  ``np.add.at`` adds repeated indices one after another
     from zero, so every element sums the same terms in the same order as a
     ``+=`` per intermediate, bitwise.  As w_i w_j is formed before it scales
     V, elements (i, j) and (j, i) of a symmetric V sum equal terms in equal
@@ -268,10 +270,12 @@ def embed(kmat: MemberMatrix, spec: EnsembleSpec) -> MemberMatrix:
     d = plan.dimension
     ham = np.zeros((d, d))
     v = kmat.matrix
+    gather = spec.statistics is Statistics.FERMION
     step = max(1, _CHUNK_TERMS // plan.targets.shape[1] ** 2)
     for i in range(0, len(plan.targets), step):
         a, g, w = (x[i:i + step] for x in (plan.targets, plan.kconfigs, plan.weights))
-        vals = v[g[:, :, None], g[:, None, :]] * (w[:, :, None] * w[:, None, :])
+        block = v[g[:, :, None], g[:, None, :]] if gather else v
+        vals = block * (w[:, :, None] * w[:, None, :])
         np.add.at(ham.ravel(), (a[:, :, None] * d + a[:, None, :]).ravel(), vals.ravel())
     return MemberMatrix(matrix=ham, member=kmat.member, seed=kmat.seed)
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 # Truncation floor of the weight's theta series.
 PRODUCT_FLOOR = 1e-16
@@ -200,7 +199,9 @@ def _gaussian_cumulative(
     results: dict[int, np.ndarray] = {}
     for order in sorted({0, *orders}):
         if order == 0:
-            results[0] = ndtr(points)
+            results[0] = np.array(
+                [0.5 * math.erfc(-x / math.sqrt(2.0)) for x in points.ravel().tolist()]
+            ).reshape(points.shape)
         else:
             results[order] = -density * table[order - 1]
     return results

@@ -10,9 +10,10 @@ bookkeeping: fermion operators are dense Jordan-Wigner matrices on the full
 2^N space, boson operators live on the total-occupation-truncated product
 space, and k-body operators are formed by literal matrix products.  The GOE
 rigidity oracle integrates the two-level cluster function with adaptive
-quadrature; its large-L asymptote is kept here as a reference too, and a
-long-double window-by-window Delta3 is the accuracy oracle of the prefix-sum
-form.  The direct Lomb-Scargle form, four trig calls per (frequency, sample)
+quadrature, and scipy's sine integral is the accuracy oracle of the
+Gauss-Legendre one inside the exact rigidity; the rigidity's large-L
+asymptote is kept here as a reference too, and a long-double
+window-by-window Delta3 is the accuracy oracle of the prefix-sum form.  The direct Lomb-Scargle form, four trig calls per (frequency, sample)
 pair, is the parity oracle of the recurrence.  One ``+=`` update per
 intermediate over the embedding plan is the bitwise oracle of embed's chunked
 scatter.
@@ -458,6 +459,11 @@ def goe_cluster_y2(r: float) -> float:
     s = math.sin(x) / x
     ds = math.cos(x) / r - math.sin(x) / (x * r)
     return s * s + ds * (0.5 - special.sici(x)[0] / math.pi)
+
+
+def sine_integral_over_pi(r: np.ndarray) -> np.ndarray:
+    """Si(pi r) / pi from ``special.sici``."""
+    return special.sici(math.pi * np.asarray(r, dtype=float))[0] / math.pi
 
 
 def goe_delta3_quad(length: float) -> float:

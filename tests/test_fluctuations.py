@@ -32,7 +32,13 @@ from egoek.pipeline import decompose_archive, generate_archive, unfolded_ensembl
 from egoek.qhermite import support_halfwidth
 from egoek.spectra import Spectrum, moments
 
-from oracles import delta3_long_double, goe_delta3, goe_delta3_quad, level_motion
+from oracles import (
+    delta3_long_double,
+    goe_delta3,
+    goe_delta3_quad,
+    level_motion,
+    sine_integral_over_pi,
+)
 
 F = Statistics.FERMION
 B = Statistics.BOSON
@@ -286,6 +292,21 @@ class TestGoeDelta3Exact:
     @pytest.mark.parametrize("length", [0.5, 1.0, 2.0, 2.5, 4.0, 10.0, 30.0, 60.0])
     def test_matches_quadrature_oracle(self, length):
         assert goe_delta3_exact([length])[0] == pytest.approx(goe_delta3_quad(length), abs=1e-6)
+
+    def test_sine_integral_matches_scipy(self):
+        r = np.linspace(0.0, 61.0, 200_001)[1:]
+        whole = np.floor(r).astype(np.intp)
+        got = egoek.fluctuations._si_over_pi(whole, r - whole)
+        assert np.max(np.abs(got - sine_integral_over_pi(r))) <= 2e-15
+
+    def test_matches_same_formula_with_scipy_sine_integral(self, monkeypatch):
+        lengths = np.arange(2, 61, 2.0)
+        got = goe_delta3_exact(lengths)
+        monkeypatch.setattr(
+            egoek.fluctuations, "_si_over_pi", lambda whole, frac: sine_integral_over_pi(whole + frac)
+        )
+        want = goe_delta3_exact(lengths)
+        assert np.max(np.abs(got - want) / want) <= 1e-13
 
     def test_between_zero_and_poisson(self):
         lengths = np.concatenate((np.geomspace(1e-3, 1.0, 60), np.linspace(1.0, 60.0, 400)))

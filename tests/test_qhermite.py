@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from egoek import qhermite
 from egoek.qhermite import (
@@ -348,6 +348,13 @@ class TestCumulativeIntegrals:
         phi = np.exp(-0.5 * pts**2) / math.sqrt(2 * math.pi)
         assert np.allclose(cum[0], 0.5 * (1 + np.vectorize(math.erf)(pts / math.sqrt(2))))
         assert np.allclose(cum[3], -phi * (pts**2 - 1.0), atol=1e-12)
+
+    def test_gaussian_cdf_matches_scipy_ndtr(self):
+        x = np.linspace(-37.0, 9.0, 46_001)
+        want = special.ndtr(x)
+        kept = want > 1e-300
+        got = qhermite._gaussian_cumulative(x, (2, 3))[0]
+        assert np.max(np.abs(got[kept] - want[kept]) / want[kept]) <= 1e-12
 
     def test_handles_duplicate_and_unsorted_points(self):
         pts = np.array([0.5, -0.5, 0.5, 0.0])
