@@ -34,7 +34,6 @@ from .analytic import mode_width_curve, motion_variance, preset_q, sn2
 from .fluctuations import (
     Delta3Curve,
     SpacingHistogram,
-    UnfoldedSpectrum,
     delta3,
     goe_delta3_exact,
     nnsd,
@@ -60,7 +59,6 @@ __all__ = [
     "SpectrumArchive",
     "SmoothModel",
     "Statistics",
-    "UnfoldedSpectrum",
     "basis_rank",
     "build_member",
     "decompose_member",

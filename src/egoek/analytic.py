@@ -109,62 +109,61 @@ def prefactor(statistics: Statistics, m: int, n_sites: int, k: int) -> float:
     return scale
 
 
-def _hermite_rows(n_max: int, e_hat: np.ndarray, q: float) -> np.ndarray:
-    """Rows 0..n_max-1 of the q-Hermite table at ``e_hat``, the one table of a curve.
+def _mode_sum(
+    statistics: Statistics, e_hat: np.ndarray, m: int, n_sites: int, k: int, q: float,
+    modes: range,
+) -> np.ndarray:
+    """scale rho^2 sum_n a_n H_(n-1)^2 / ([n]_q!)^2 over ``modes``, at each point of ``e_hat``.
 
-    A row past float64 range holds inf or nan, without a warning, and
-    ``_mode_term`` refuses it if a curve reads it.
-    """
-    if n_max * e_hat.size > MAX_TABLE_ENTRIES:
-        raise ValueError(f"mode index times grid points must not pass {MAX_TABLE_ENTRIES}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return qhermite.hermite_table(n_max - 1, e_hat, q)
-
-
-def _mode_term(h: np.ndarray, n: int, q: float, amplitude: float) -> np.ndarray:
-    """a_n H_(n-1)^2 / ([n]_q!)^2 from the table row h = H_(n-1); ValueError past float64."""
-    try:
-        weight = amplitude / qhermite.qfactorial(n, q) ** 2
-    except OverflowError:
-        weight = math.nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        term = weight * h**2
-    if not np.all(np.isfinite(term)):
-        raise ValueError(f"mode {n} at q={q:.12g} does not fit a float64")
-    return term
-
-
-def motion_variance(
-    statistics: Statistics, e_hat, m: int, n_sites: int, k: int, q: float, n_max: int = 50
-) -> np.ndarray | float:
-    """Scaled level-motion variance profile.
-
-    Sum over excitation modes of the squared (n-1)-th polynomial weighted by
-    the mode amplitudes, times the squared unit-variance density.  Only the
-    points where the density is positive enter the sum; the profile is 0
-    elsewhere.  Modes stop at ``n_max`` or once a term falls below
-    TRUNCATION_RTOL of the running sum; all read one q-Hermite table.
+    rho is the unit-variance density; only the points where it is positive
+    enter the sum, and the curve is 0 elsewhere.  All modes read one q-Hermite
+    table, and the sum stops once a term falls below TRUNCATION_RTOL of the
+    running sum.  Raises ValueError for a system or mode outside the domain, a
+    table above MAX_TABLE_ENTRIES entries, or a term past float64 range.
     """
     scale = prefactor(statistics, m, n_sites, k)  # checks the system at bounded cost
-    _amplitude(statistics, n_max, m, n_sites, k)  # checks n_max up front
-    arr = np.asarray(e_hat, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    rho = qhermite.fqn_density(arr, q)
+    top = modes.stop - 1
+    _amplitude(statistics, top, m, n_sites, k)  # checks the highest mode up front
+    rho = qhermite.fqn_density(e_hat, q)
     inside = rho > 0.0
     rho2 = rho[inside] ** 2
-    table = _hermite_rows(n_max, arr[inside], q)
+    if top * rho2.size > MAX_TABLE_ENTRIES:
+        raise ValueError(f"mode index times grid points must not pass {MAX_TABLE_ENTRIES}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a row past float64 is refused below
+        table = qhermite.hermite_table(top - 1, e_hat[inside], q)
     total = np.zeros_like(rho2)
-    for n in range(1, n_max + 1):
-        term = _mode_term(table[n - 1], n, q, _amplitude(statistics, n, m, n_sites, k))
+    for n in modes:
+        amplitude = _amplitude(statistics, n, m, n_sites, k)
+        try:
+            weight = amplitude / qhermite.qfactorial(n, q) ** 2
+        except OverflowError:
+            weight = math.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            term = weight * table[n - 1] ** 2
+        if not np.all(np.isfinite(term)):
+            raise ValueError(f"mode {n} at q={q:.12g} does not fit a float64")
         total += term
         sup = float(np.max(term * rho2, initial=0.0))
         running = float(np.max(total * rho2, initial=0.0))
         if running > 0.0 and sup < TRUNCATION_RTOL * running:
             break
-    out = np.zeros_like(arr)
+    out = np.zeros_like(e_hat)
     out[inside] = scale * rho2 * total
-    return float(out[0]) if scalar else out
+    return out
+
+
+def motion_variance(
+    statistics: Statistics, e_hat, m: int, n_sites: int, k: int, q: float, n_max: int = 50
+) -> np.ndarray | float:
+    """Scaled level-motion variance profile: ``_mode_sum`` over modes 1..n_max.
+
+    Sum over excitation modes of the squared (n-1)-th polynomial weighted by
+    the mode amplitudes, times the squared unit-variance density; 0 where
+    the density is 0.  A scalar ``e_hat`` gives a float.
+    """
+    arr = np.asarray(e_hat, dtype=float)
+    out = _mode_sum(statistics, np.atleast_1d(arr), m, n_sites, k, q, range(1, n_max + 1))
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def mode_width_curve(
@@ -178,11 +177,4 @@ def mode_width_curve(
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be non-empty")
-    scale = prefactor(statistics, m, n_sites, k)  # checks the system at bounded cost
-    amplitude = _amplitude(statistics, n, m, n_sites, k)
-    rho = qhermite.fqn_density(grid, q)
-    inside = rho > 0.0
-    out = np.zeros_like(grid)
-    h = _hermite_rows(n, grid[inside], q)[n - 1]
-    out[inside] = scale * rho[inside] ** 2 * _mode_term(h, n, q, amplitude)
-    return out
+    return _mode_sum(statistics, grid, m, n_sites, k, q, range(n, n + 1))

@@ -101,7 +101,9 @@ def config_from_dict(data) -> RunConfig:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid analysis block: {exc}") from exc
     if "out_dir" in data:
-        settings["out_dir"] = str(data["out_dir"])
+        if not isinstance(data["out_dir"], str):
+            raise ConfigError(f"out_dir must be a string, got {data['out_dir']!r}")
+        settings["out_dir"] = data["out_dir"]
     return RunConfig(ensemble=ensemble, **settings)
 
 

@@ -19,6 +19,7 @@ from .fock import (
     BasisSizeError,
     Statistics,
     basis_rank,
+    binomial,
     dimension,
     enumerate_basis,
 )
@@ -32,6 +33,7 @@ MAX_DENSE_DIMENSION = 16_384
 #: Terms per chunk of ``embed``'s scatter; bounds its temporaries to a few MiB.
 _CHUNK_TERMS = 1 << 17
 
+_FLOAT_LIMIT = 2**1024  # every int above it overflows a float64
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -94,6 +96,12 @@ class EnsembleSpec:
             raise ValueError("members must be at least 1")
         if not 0 < self.nu2 < math.inf:
             raise ValueError("nu2 must be finite and positive")
+        if self.statistics is Statistics.BOSON:
+            try:  # C(m, k) is the largest squared boson amplitude
+                float(binomial(self.m, self.k, _FLOAT_LIMIT))
+            except OverflowError:
+                raise ValueError(f"boson amplitudes reach C(m, k) = C({self.m}, {self.k}), "
+                                 "which does not fit a float64") from None
 
     @property
     def dimension(self) -> int:

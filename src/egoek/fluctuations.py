@@ -40,17 +40,6 @@ class UnfoldingError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class UnfoldedSpectrum:
-    """Unfolded levels with unit mean spacing over the retained window."""
-
-    levels: np.ndarray
-
-    @property
-    def spacings(self) -> np.ndarray:
-        return np.diff(self.levels)
-
-
-@dataclass(frozen=True)
 class SpacingHistogram:
     bin_edges: np.ndarray
     density: np.ndarray
@@ -86,10 +75,8 @@ def central_window(n: int, trim: float) -> slice:
     return slice(cut, n - cut)
 
 
-def unfold(
-    spectrum: Spectrum, delta: np.ndarray, trim: float = DEFAULT_TRIM
-) -> UnfoldedSpectrum:
-    """Map levels through the smooth distribution function and normalize spacings.
+def unfold(spectrum: Spectrum, delta: np.ndarray, trim: float = DEFAULT_TRIM) -> np.ndarray:
+    """Levels mapped through the smooth distribution function, at unit mean spacing.
 
     The smooth values are read back from the member's level motion ``delta``
     as staircase - delta, over the ``central_window`` of the levels, before
@@ -108,8 +95,7 @@ def unfold(
         )
     # Unit mean spacing with the end points exactly 0 and len - 1, so that
     # delta3's window count does not hinge on the last bit of the span.
-    levels = (len(mapped) - 1) * ((mapped - mapped[0]) / (mapped[-1] - mapped[0]))
-    return UnfoldedSpectrum(levels=levels)
+    return (len(mapped) - 1) * ((mapped - mapped[0]) / (mapped[-1] - mapped[0]))
 
 
 def wigner_pdf(s) -> np.ndarray:
@@ -124,7 +110,7 @@ def poisson_pdf(s) -> np.ndarray:
 
 
 def nnsd(
-    ensemble: Sequence[UnfoldedSpectrum],
+    ensemble: Sequence[np.ndarray],
     bin_width: float = DEFAULT_BIN_WIDTH,
     s_max: float = DEFAULT_SPACING_MAX,
 ) -> SpacingHistogram:
@@ -136,7 +122,7 @@ def nnsd(
     """
     if not ensemble:
         raise ValueError("need at least one unfolded spectrum")
-    pooled = np.concatenate([u.spacings for u in ensemble])
+    pooled = np.concatenate([np.diff(levels) for levels in ensemble])
     edges = np.arange(0.0, s_max + 0.5 * bin_width, bin_width)
     counts, _ = np.histogram(pooled, bins=edges)
     density = counts / (pooled.size * bin_width)
@@ -259,7 +245,7 @@ def _delta3_member(levels: np.ndarray, lengths: np.ndarray, window_step: float) 
     return totals / n_windows
 
 
-def delta3(ensemble: Sequence[UnfoldedSpectrum], l_max: int = DEFAULT_L_MAX) -> Delta3Curve:
+def delta3(ensemble: Sequence[np.ndarray], l_max: int = DEFAULT_L_MAX) -> Delta3Curve:
     """Ensemble-averaged Dyson-Mehta rigidity over window lengths up to l_max.
 
     Windows advance in steps of WINDOW_STEP from the first retained level;
@@ -268,11 +254,11 @@ def delta3(ensemble: Sequence[UnfoldedSpectrum], l_max: int = DEFAULT_L_MAX) -> 
     if not ensemble:
         raise ValueError("need at least one unfolded spectrum")
     longest = float(L_STEP * (l_max // L_STEP))
-    span = min(u.levels[-1] - u.levels[0] for u in ensemble)
+    span = min(levels[-1] - levels[0] for levels in ensemble)
     if longest > span:
         raise ValueError(f"window length {longest} exceeds retained span {span:.1f}")
     lengths = np.arange(L_STEP, l_max + 1, L_STEP, dtype=float)
-    values = np.mean([_delta3_member(u.levels, lengths, WINDOW_STEP) for u in ensemble], axis=0)
+    values = np.mean([_delta3_member(levels, lengths, WINDOW_STEP) for levels in ensemble], axis=0)
     return Delta3Curve(
         lengths=lengths,
         values=values,

@@ -68,8 +68,8 @@ def unfolded_ensemble(
     archive: SpectrumArchive,
     decompositions: list[dc.MemberDecomposition],
     trim: float = fl.DEFAULT_TRIM,
-) -> list[fl.UnfoldedSpectrum]:
-    """Unfold every member from its level motion at the policy order.
+) -> list[np.ndarray]:
+    """Unfolded levels of every member, from its level motion at the policy order.
 
     ``decompositions`` come from ``decompose_archive`` and must include the
     order ``fluctuations.unfolding_order`` picks for the archive's system.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,19 +60,31 @@ def moments(spectrum: Spectrum) -> SpectralMoments:
     """Centroid, variance, skewness, excess, and the implied shape parameter q.
 
     Population normalization (divide by d) throughout; ``q_est`` is
-    1 + excess clipped to [0, 1 - 1e-6].
+    1 + excess clipped to [0, 1 - 1e-6].  Raises ValueError, without a
+    RuntimeWarning, when a centred power mean is not finite or the squared
+    variance overflows or underflows to 0.
     """
     e = spectrum.eigenvalues
     if len(e) < 4:
         raise ValueError("need at least 4 levels for spectral moments")
-    centroid = float(np.mean(e))
-    centered = e - centroid
-    variance = float(np.mean(centered**2))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        centroid = float(np.mean(e))
+        centered = e - centroid
+        variance = float(np.mean(centered**2))
+        third, fourth = np.mean(centered**3), np.mean(centered**4)
     if variance == 0.0:
         raise DegenerateSpectrumError("spectrum has zero variance")
+    try:
+        variance_sq = variance**2
+    except OverflowError:
+        variance_sq = math.inf
+    if not (0.0 < variance_sq < math.inf and np.isfinite(third) and np.isfinite(fourth)):
+        who = "" if spectrum.member is None else f"member {spectrum.member}: "
+        raise ValueError(f"{who}the centred moments of levels up to {np.max(np.abs(e)):.3g} "
+                         "in magnitude leave the float64 range")
     sigma = np.sqrt(variance)
-    skewness = float(np.mean(centered**3) / sigma**3)
-    excess = float(np.mean(centered**4) / variance**2 - 3.0)
+    skewness = float(third / sigma**3)
+    excess = float(fourth / variance_sq - 3.0)
     q_est = float(np.clip(1.0 + excess, 0.0, Q_CAP))
     return SpectralMoments(
         centroid=centroid,

@@ -193,6 +193,10 @@ HOSTILE_ARCHIVES = {
     "huge_binomial": lambda data: _with_header(
         data, lambda h: {**h, "m": 10**6, "N": 2 * 10**6}
     ),
+    # Boson amplitudes reach C(m, k) = C(1e12, 5e11): its float64 check stops early.
+    "huge_boson_binomial": lambda data: _with_header(
+        data, lambda h: {**h, "statistics": "boson", "m": 10**12, "k": 5 * 10**11}
+    ),
     "float_dimension": lambda data: _with_header(data, lambda h: {**h, "dimension": 20.0}),
     "bool_master_seed": lambda data: _with_header(data, lambda h: {**h, "master_seed": True}),
     "infinite_nu2": lambda data: _with_header(data, lambda h: {**h, "nu2": math.inf}),
@@ -599,11 +603,33 @@ INVALID_COMMAND_LINES = {
     ),
     "analytic_fermion_scale_overflow": lambda p: _analytic(p, "fermion", 600, 1200, 2, 0.5),
     "analytic_boson_scale_overflow": lambda p: _analytic(p, "boson", 600, 1200, 2, 0.5),
+    "analytic_empty_modes": lambda p: ANALYTIC + ["--modes", ",", "--out", str(p)],
+    "analytic_zero_mode": lambda p: ANALYTIC + ["--modes", "0", "--out", str(p)],
+    "decompose_without_archive": lambda p: ["decompose", "--out", str(p)],
+    "table1_grid_not_list": lambda p: _table1(p, SYSTEM),
+    "config_trim_one": lambda p: _generate_analysis(p, {"trim": 1.0}),
+    "config_l_max_one": lambda p: _generate_analysis(p, {"l_max": 1}),
+    "config_zero_bin_width": lambda p: _generate_analysis(p, {"bin_width": 0}),
+    "config_zero_spacing_max": lambda p: _generate_analysis(p, {"spacing_max": 0}),
+    # No --out, so the config's out_dir is the one read.
+    "config_null_out_dir": lambda p: ["generate", "--config",
+                                      _config(p, {"ensemble": SYSTEM, "out_dir": None})],
+    "config_numeric_out_dir": lambda p: ["generate", "--config",
+                                         _config(p, {"ensemble": SYSTEM, "out_dir": 5})],
+    "config_list_out_dir": lambda p: ["generate", "--config",
+                                      _config(p, {"ensemble": SYSTEM, "out_dir": []})],
+    # The largest squared boson amplitude, C(1100, 550) ~ 2^1096, passes float64.
+    "generate_boson_amplitude_overflow": lambda p: [
+        "generate", "--statistics", "boson", "-m", "1100", "-N", "2", "-k", "550",
+        "--members", "1", "--out", str(p / "out")],
+    "table1_boson_amplitude_overflow": lambda p: _table1(
+        p, [{"statistics": "boson", "m": 1100, "N": 2, "k": 550}], members="1"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(INVALID_COMMAND_LINES))
-def test_invalid_command_line_exits_2_with_one_error_line(case, tmp_path, capsys):
+def test_invalid_command_line_exits_2_with_one_error_line(case, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a relative output path that slips through lands here
     argv = INVALID_COMMAND_LINES[case](tmp_path)
     capsys.readouterr()
     assert run_cli(*argv) == 2
@@ -627,6 +653,31 @@ def test_analytic_rejected_size_creates_no_output(case, tmp_path):
     argv = INVALID_COMMAND_LINES[case](tmp_path)
     assert run_cli(*argv) == 2
     assert not (tmp_path / "ana").exists()
+
+
+class TestMomentsPastFloat64:
+    """Levels whose centred powers leave float64 end in one error line, exit 1."""
+
+    @pytest.mark.parametrize("scale", [1e100, 1e160])
+    @pytest.mark.parametrize("command", ["decompose", "fluct"])
+    def test_scaled_archive(self, command, scale, tmp_path, capsys):
+        archive = generate_archive(SMALL)
+        records = tuple(Spectrum(r.eigenvalues * scale, r.member, r.seed) for r in archive.records)
+        path = tmp_path / "scaled.egoearc"
+        write_archive(path, SpectrumArchive(spec=SMALL, records=records))
+        capsys.readouterr()
+        assert run_cli(command, "--archive", str(path), "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "float64" in err[0]
+
+    def test_table1_levels_near_1e180(self, tmp_path, capsys):
+        # Boson m=600, N=2, k=300 (d=601): C(600, 300) fits a float64, the levels'
+        # squares do not.
+        argv = _table1(tmp_path, [{"statistics": "boson", "m": 600, "N": 2, "k": 300}], "1")
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "float64" in err[0]
 
 
 class TestDelta3WindowGuard:

@@ -15,7 +15,6 @@ from egoek.decomposition import (
 from egoek.ensemble import EnsembleSpec
 from egoek.fluctuations import (
     Delta3Curve,
-    UnfoldedSpectrum,
     UnfoldingError,
     _delta3_member,
     delta3,
@@ -72,9 +71,9 @@ class TestUnfold:
     def test_zero_fluctuation_spacings_are_unit(self):
         model, spectrum = model_and_levels(0.3, 924)
         unfolded = unfold(spectrum, level_motion(spectrum, model), trim=0.10)
-        assert len(unfolded.levels) == 832  # floor(0.05 * 924) = 46 cut per end
-        assert np.allclose(unfolded.spacings, 1.0, atol=1e-3)
-        assert np.mean(unfolded.spacings) == pytest.approx(1.0, abs=1e-12)
+        assert len(unfolded) == 832  # floor(0.05 * 924) = 46 cut per end
+        assert np.allclose(np.diff(unfolded), 1.0, atol=1e-3)
+        assert np.mean(np.diff(unfolded)) == pytest.approx(1.0, abs=1e-12)
 
     def test_unit_mean_spacing_generic(self):
         rng = np.random.default_rng(0)
@@ -82,8 +81,8 @@ class TestUnfold:
         jitter = spectrum.eigenvalues + 1e-4 * rng.standard_normal(400)
         jittered = Spectrum(np.sort(jitter))
         unfolded = unfold(jittered, level_motion(jittered, model))
-        assert np.mean(unfolded.spacings) == pytest.approx(1.0, abs=1e-12)
-        assert np.all(np.diff(unfolded.levels) > 0)
+        assert np.mean(np.diff(unfolded)) == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.diff(unfolded) > 0)
 
     def test_end_points_are_exact(self):
         # delta3 counts floor((span - L) / step) + 1 windows, so a span one ulp
@@ -92,7 +91,7 @@ class TestUnfold:
         rng = np.random.default_rng(5)
         for _ in range(40):
             jitter = Spectrum(np.sort(spectrum.eigenvalues + 1e-3 * rng.standard_normal(1001)))
-            levels = unfold(jitter, level_motion(jitter, model)).levels
+            levels = unfold(jitter, level_motion(jitter, model))
             assert levels[0] == 0.0 and levels[-1] == len(levels) - 1
 
     def test_non_monotone_model_raises(self):
@@ -128,7 +127,7 @@ class TestUnfoldedEnsemble:
         for spectrum, got in zip(archive.records, unfolded):
             model = fit_smooth_model(spectrum, moments(spectrum).q_est, policy)
             want = unfold(spectrum, level_motion(spectrum, model))
-            assert np.array_equal(got.levels, want.levels)
+            assert np.array_equal(got, want)
 
 
 def wigner_sample(n, rng):
@@ -137,8 +136,7 @@ def wigner_sample(n, rng):
 
 def unfolded_from_spacings(spacings):
     spacings = spacings / spacings.mean()
-    levels = np.concatenate(([0.0], np.cumsum(spacings)))
-    return UnfoldedSpectrum(levels=levels)
+    return np.concatenate(([0.0], np.cumsum(spacings)))
 
 
 class TestNnsd:
@@ -219,7 +217,7 @@ class TestDelta3:
 
     def test_matches_long_double_windows(self):
         levels = self.unfolded_levels()
-        curve = delta3([UnfoldedSpectrum(levels=levels)], l_max=60)
+        curve = delta3([levels], l_max=60)
         picked = [0, 4, 14, 29]  # L = 2, 10, 30, 60
         reference = delta3_long_double(levels, curve.lengths[picked])
         assert np.allclose(curve.values[picked], reference, rtol=1e-12, atol=0.0)
@@ -251,8 +249,8 @@ class TestDelta3:
 
     def test_invariant_under_level_shift(self):
         levels = self.unfolded_levels()
-        plain = delta3([UnfoldedSpectrum(levels=levels)], l_max=60)
-        shifted = delta3([UnfoldedSpectrum(levels=levels + 1e4)], l_max=60)
+        plain = delta3([levels], l_max=60)
+        shifted = delta3([levels + 1e4], l_max=60)
         assert np.allclose(shifted.values, plain.values, rtol=1e-12, atol=0.0)
 
     def test_poisson_ensemble_mean(self):
@@ -260,7 +258,7 @@ class TestDelta3:
         ensemble = []
         for _ in range(40):
             levels = np.cumsum(rng.exponential(1.0, 900))
-            ensemble.append(UnfoldedSpectrum(levels=levels - levels[0]))
+            ensemble.append(levels - levels[0])
         curve = delta3(ensemble, l_max=30)
         at_30 = curve.values[-1]
         assert at_30 == pytest.approx(2.0, abs=0.3)
@@ -272,7 +270,7 @@ class TestDelta3:
 
     def test_window_length_guard(self):
         levels = np.arange(40, dtype=float)
-        ensemble = [UnfoldedSpectrum(levels=levels)]
+        ensemble = [levels]
         with pytest.raises(ValueError):
             delta3(ensemble, l_max=60)
         # Rejected before the length grid is allocated (4 PB at this l_max).
@@ -282,7 +280,7 @@ class TestDelta3:
     def test_curve_shape(self):
         rng = np.random.default_rng(23)
         levels = np.cumsum(rng.exponential(1.0, 500))
-        curve = delta3([UnfoldedSpectrum(levels=levels - levels[0])], l_max=20)
+        curve = delta3([levels - levels[0]], l_max=20)
         assert isinstance(curve, Delta3Curve)
         assert np.array_equal(curve.lengths, np.arange(2, 21, 2))
         assert np.all(curve.values >= 0)
@@ -325,5 +323,5 @@ class TestGoeDelta3Exact:
     def test_delta3_curve_uses_exact_reference(self):
         rng = np.random.default_rng(24)
         levels = np.cumsum(rng.exponential(1.0, 500))
-        curve = delta3([UnfoldedSpectrum(levels=levels - levels[0])], l_max=20)
+        curve = delta3([levels - levels[0]], l_max=20)
         assert np.array_equal(curve.goe, goe_delta3_exact(curve.lengths))

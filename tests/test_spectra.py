@@ -64,3 +64,11 @@ class TestMoments:
         with pytest.raises(DegenerateSpectrumError):
             moments(Spectrum(np.full(6, 2.5)))
 
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e100, 1e160])
+    def test_powers_past_float64_raise(self, scale):
+        # Variance, third or fourth power mean past float64 range (or a squared
+        # variance below its normal range): refused, with no RuntimeWarning.
+        e = np.sort(np.random.default_rng(3).standard_normal(200)) * scale
+        with pytest.raises(ValueError, match="float64"):
+            moments(Spectrum(e, member=4))
