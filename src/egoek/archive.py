@@ -2,8 +2,9 @@
 
 Layout: 8 magic bytes, a little-endian uint32 header length, the header as
 UTF-8 JSON, then one fixed-size record per member (uint32 member index,
-uint64 member seed, ``dimension`` little-endian float64 eigenvalues in
-ascending order).  Writing the same data twice produces identical bytes.
+uint64 member seed, ``dimension`` little-endian float64 eigenvalues, finite
+and ascending, which writer and reader both check).  Writing the same data
+twice produces identical bytes.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ def _header_dict(spec: EnsembleSpec) -> dict:
     }
 
 
+def _ascending_finite(levels: np.ndarray) -> bool:
+    return bool(np.all(np.isfinite(levels)) and np.all(levels[1:] >= levels[:-1]))
+
+
 def write_archive(path: str | Path, archive: SpectrumArchive) -> None:
     """Write ``archive``; every record is checked (ValueError) before the file is opened."""
     spec = archive.spec
@@ -58,6 +63,8 @@ def write_archive(path: str | Path, archive: SpectrumArchive) -> None:
     for r in archive.records:
         if np.shape(r.eigenvalues) != (spec.dimension,):
             raise ValueError(f"member {r.member}: expected {spec.dimension} eigenvalues")
+        if not _ascending_finite(np.asarray(r.eigenvalues)):
+            raise ValueError(f"member {r.member}: levels must be finite and ascending")
         try:
             heads.append(_RECORD_HEAD.pack(r.member, r.seed))
         except struct.error as exc:
@@ -116,6 +123,9 @@ def read_archive(path: str | Path) -> SpectrumArchive:
         for _ in range(spec.members):
             member, seed = _RECORD_HEAD.unpack(fh.read(_RECORD_HEAD.size))
             eig = np.frombuffer(fh.read(8 * claimed), dtype="<f8").copy()
+            if not _ascending_finite(eig):
+                raise ArchiveFormatError(f"{path}: member {member}: levels are not finite "
+                                         "and ascending")
             records.append(Spectrum(eigenvalues=eig, member=member, seed=seed))
     return SpectrumArchive(spec=spec, records=tuple(records))
 

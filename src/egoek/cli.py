@@ -27,7 +27,14 @@ from .config import (
     read_json,
 )
 from .decomposition import goe_delta_rms
-from .ensemble import DEFAULT_MEMBERS, DEFAULT_SEED, DenseMemoryError, check_dense_size
+from .ensemble import (
+    DEFAULT_MEMBERS,
+    DEFAULT_SEED,
+    DenseMemoryError,
+    LevelScaleError,
+    check_dense_size,
+    check_level_scale,
+)
 from .fock import Statistics
 from .qhermite import support_halfwidth
 
@@ -261,6 +268,7 @@ def cmd_table1(args) -> None:
     threads = _threads(args)
     for spec in specs:  # reject an oversized system before any is generated
         check_dense_size(spec, min(threads, spec.members))
+        check_level_scale(spec)
 
     blocks, summaries = [], []
     for spec in specs:
@@ -360,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ConfigError, DenseMemoryError) as exc:
+    except (ConfigError, DenseMemoryError, LevelScaleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, OSError) as exc:

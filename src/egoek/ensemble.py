@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -34,12 +35,19 @@ MAX_DENSE_DIMENSION = 16_384
 _CHUNK_TERMS = 1 << 17
 
 _FLOAT_LIMIT = 2**1024  # every int above it overflows a float64
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_LOG_FLOAT_TINY = math.log(sys.float_info.min)  # smallest normal float64
+_VARIANCE_SLACK = 16  # a member's level variance over spectral_variance, at most
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
 class DenseMemoryError(ValueError):
     """The m-particle basis is too large for a dense Hamiltonian."""
+
+
+class LevelScaleError(ValueError):
+    """The levels' centred fourth powers would leave the float64 range."""
 
 
 def whole_number(value, name: str) -> int:
@@ -291,11 +299,12 @@ def embed(kmat: MemberMatrix, spec: EnsembleSpec) -> MemberMatrix:
 def check_dense_size(spec: EnsembleSpec, workers: int = 1) -> None:
     """Reject a run whose ``workers`` dense Hamiltonians pass MAX_DENSE_DIMENSION² entries.
 
-    ``workers`` members are built and diagonalized at once, and each holds
-    its d x d matrix (and ``eigvalsh`` a working copy), so workers·d² may not
-    exceed the entries of one MAX_DENSE_DIMENSION-row matrix.  Only the
-    dimension is computed, stopping early once it passes the bound, so the
-    check costs nothing however large the system is.
+    ``workers`` members are built at once, and each holds its d x d matrix
+    until its ``eigvalsh`` returns; only the calls in ``pipeline``'s
+    ``eigvalsh`` slots also hold the working copy ``eigvalsh`` makes.
+    workers·d² may not exceed the entries of one MAX_DENSE_DIMENSION-row
+    matrix.  Only the dimension is computed, stopping early once it passes
+    the bound, so the check costs nothing however large the system is.
     """
     limit = math.isqrt(MAX_DENSE_DIMENSION**2 // workers)
     if dimension(spec.n_sites, spec.m, spec.statistics, limit=limit) > limit:
@@ -305,6 +314,42 @@ def check_dense_size(spec: EnsembleSpec, workers: int = 1) -> None:
             f"{spec.statistics.value} m={spec.m} N={spec.n_sites} has more than {limit} "
             f"basis states; {held} would need over {gib:g} GiB, the size of one "
             f"{MAX_DENSE_DIMENSION}-row matrix"
+        )
+
+
+def _log_binomial(n: int, j: int) -> float:
+    return math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+
+
+def check_level_scale(spec: EnsembleSpec) -> None:
+    """Reject a spec whose levels' fourth centred moment would leave float64.
+
+    Call it after ``check_dense_size``, which bounds the dimension d it reads.
+    A member's level variance V is taken to lie within a factor
+    _VARIANCE_SLACK of ``spectral_variance(spec)``, whose formula is taken
+    here in logarithms (log-gamma binomials), so the check holds where
+    ``spectral_variance`` itself overflows.  A level's centred square is at
+    most d·V, so the centred fourth powers and their mean fit a float64 when
+    (d·V)² does, and the mean stays a normal float64 when V² does.
+    """
+    m, n_sites, k = spec.m, spec.n_sites, spec.k
+    log_d = math.log(spec.dimension)
+    try:
+        if spec.statistics is Statistics.FERMION:
+            log_pair = _log_binomial(n_sites - m + k, k)
+            log_pair += math.log1p(math.exp(-log_pair))  # C(N-m+k, k) + 1
+        else:
+            log_pair = _log_binomial(n_sites + m - 1, k)
+        log_variance = _log_binomial(m, k) + log_pair + math.log(spec.nu2)
+    except OverflowError:  # sizes past float64 put V past it too
+        log_variance = math.inf
+    slack = math.log(_VARIANCE_SLACK)
+    if not (2 * (log_variance - slack) >= _LOG_FLOAT_TINY
+            and 2 * (log_d + log_variance + slack) <= _LOG_FLOAT_MAX):
+        raise LevelScaleError(
+            f"{spec.statistics.value} m={m} N={n_sites} k={k} with nu2={spec.nu2:g}: levels "
+            f"of scale about 10^{log_variance / math.log(100):.0f} would put their fourth "
+            "centred moment outside the float64 range"
         )
 
 

@@ -7,6 +7,8 @@ changes wall time but never results.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -16,8 +18,51 @@ from . import decomposition as dc
 from . import fluctuations as fl
 from . import periodogram as pg
 from .archive import SpectrumArchive
-from .ensemble import EnsembleSpec, build_member, check_dense_size
+from .ensemble import EnsembleSpec, build_member, check_dense_size, check_level_scale
 from .spectra import eigenvalues, moments
+
+#: Read by OpenBLAS when it loads, in this order; the first positive integer wins.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def usable_cores() -> int:
+    """Cores this process may run on (its affinity set where the OS reports one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def eigvalsh_slots(cores: int) -> int:
+    """How many ``eigvalsh`` calls fit on ``cores`` at once: max(1, cores // BLAS threads).
+
+    Each call is taken to run on the BLAS thread count the environment sets
+    through ``BLAS_THREAD_VARIABLES``, or on one thread per core when none
+    holds a positive integer.  That is OpenBLAS's pool as it loads; a build's
+    thread cap below the core count, or a pool resized at run time, is not
+    seen, so on a host with more cores than the cap the count is too low.
+    """
+    blas_threads = cores
+    for name in BLAS_THREAD_VARIABLES:
+        try:
+            value = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            blas_threads = value
+            break
+    return max(1, cores // blas_threads)
+
+
+# Pool threads beyond these slots would only split the cores one BLAS call
+# already uses between calls.
+_EIGVALSH_SLOTS = threading.BoundedSemaphore(eigvalsh_slots(usable_cores()))
+
+
+def _diagonalize(matrix):
+    """``eigenvalues`` of one member once an ``eigvalsh`` slot is free."""
+    with _EIGVALSH_SLOTS:
+        return eigenvalues(matrix)
 
 
 def _map_members(function, items, threads: int) -> list:
@@ -29,12 +74,18 @@ def _map_members(function, items, threads: int) -> list:
 
 
 def generate_archive(spec: EnsembleSpec, threads: int = 1) -> SpectrumArchive:
-    """Build and diagonalize every member, in member order regardless of threads."""
+    """Build and diagonalize every member, in member order regardless of threads.
+
+    Members are built on up to ``threads`` pool threads, but only
+    ``_EIGVALSH_SLOTS`` of them diagonalize at once, so one member's build
+    overlaps another's ``eigvalsh``.
+    """
     if threads < 1:
         raise ValueError("threads must be at least 1")
     check_dense_size(spec, min(threads, spec.members))
+    check_level_scale(spec)
     members = range(spec.members)
-    records = _map_members(lambda i: eigenvalues(build_member(spec, i)), members, threads)
+    records = _map_members(lambda i: _diagonalize(build_member(spec, i)), members, threads)
     return SpectrumArchive(spec=spec, records=tuple(records))
 
 

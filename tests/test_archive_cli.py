@@ -4,6 +4,7 @@ import os
 import struct
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,25 +20,28 @@ from egoek.archive import (
     write_archive,
 )
 from egoek.analytic import PRESET_SYSTEMS
-from egoek.cli import build_parser, main
+from egoek.cli import DEFAULT_TABLE_GRID, build_parser, main
 from egoek.config import (
     MAX_SPACING_BINS,
     VALID_ORDERS,
     ConfigError,
     RunConfig,
     config_from_dict,
+    ensemble_from_dict,
     read_json,
 )
 from egoek.ensemble import (
     MAX_DENSE_DIMENSION,
     DenseMemoryError,
     EnsembleSpec,
+    LevelScaleError,
     check_dense_size,
+    check_level_scale,
 )
 from egoek.fock import Statistics
 from egoek.periodogram import MAX_OVERSAMPLE
 from egoek.pipeline import generate_archive
-from egoek.spectra import Spectrum, eigenvalues
+from egoek.spectra import Spectrum, eigenvalues, moments
 
 F = Statistics.FERMION
 
@@ -114,7 +118,7 @@ class TestArchiveWriterContract:
 
 @st.composite
 def small_archives(draw):
-    """Archives of small systems holding arbitrary float64 levels (nan and inf too)."""
+    """Archives of small systems holding any finite float64 levels in ascending order."""
     stat = draw(st.sampled_from([F, Statistics.BOSON]))
     n_sites = draw(st.integers(1, 6 if stat is F else 4))
     m = draw(st.integers(1, n_sites if stat is F else 4))
@@ -127,7 +131,11 @@ def small_archives(draw):
         master_seed=draw(st.integers(0, 2**64 - 1)),
         nu2=draw(st.floats(1e-3, 1e3)),
     )
-    levels = st.lists(st.floats(width=64), min_size=spec.dimension, max_size=spec.dimension)
+    levels = st.lists(
+        st.floats(allow_nan=False, allow_infinity=False, width=64),
+        min_size=spec.dimension,
+        max_size=spec.dimension,
+    ).map(sorted)
     records = tuple(
         Spectrum(
             member=draw(st.integers(0, 2**32 - 1)),
@@ -670,14 +678,135 @@ class TestMomentsPastFloat64:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "float64" in err[0]
 
-    def test_table1_levels_near_1e180(self, tmp_path, capsys):
+    def test_table1_levels_near_1e180(self, tmp_path, capsys, monkeypatch):
         # Boson m=600, N=2, k=300 (d=601): C(600, 300) fits a float64, the levels'
-        # squares do not.
+        # squares do not, so the level-scale check refuses it before any member.
+        monkeypatch.setattr("egoek.pipeline.build_member", TestLevelScaleGuard.refuse)
         argv = _table1(tmp_path, [{"statistics": "boson", "m": 600, "N": 2, "k": 300}], "1")
         capsys.readouterr()
-        assert run_cli(*argv) == 1
+        assert run_cli(*argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "float64" in err[0]
+        assert not (tmp_path / "tab").exists()
+
+
+class TestLevelScaleGuard:
+    """Specs whose levels' fourth centred moment would leave float64 are refused up front.
+
+    ``table1`` grids carry no nu2; its refusal is ``test_table1_levels_near_1e180``.
+    """
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("a member was built before the level-scale check")
+
+    @pytest.fixture(autouse=True)
+    def no_member(self, monkeypatch):
+        monkeypatch.setattr("egoek.pipeline.build_member", self.refuse)
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            # Levels near 6e151, past float64 in their fourth power.
+            {"statistics": "boson", "m": 10, "N": 5, "k": 2, "nu2": 1e300},
+            # Boson m=600, N=2, k=300 (d=601): C(600, 300) fits a float64, the
+            # levels' squares (near 1e359) do not, nor does spectral_variance.
+            {"statistics": "boson", "m": 600, "N": 2, "k": 300},
+            # Levels near 6e-79, whose fourth powers fall below float64's normal range.
+            {"statistics": "boson", "m": 10, "N": 5, "k": 2, "nu2": 1e-160},
+            # d = 1, so the dense check passes; sizes past float64 put the variance past it.
+            {"statistics": "fermion", "m": 10**400, "N": 10**400, "k": 1},
+        ],
+        ids=["nu2-1e300", "boson-m600", "nu2-1e-160", "sizes-past-float64"],
+    )
+    def test_generate_refuses_before_any_member(self, system, tmp_path, capsys):
+        config = _config(tmp_path, {"ensemble": {**system, "members": 2}})
+        capsys.readouterr()
+        assert run_cli("generate", "--config", config, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "float64" in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_generate_archive_refuses(self):
+        spec = EnsembleSpec(Statistics.BOSON, m=10, n_sites=5, k=2, members=1, nu2=1e300)
+        with pytest.raises(LevelScaleError, match="10\\^152"):
+            generate_archive(spec)
+
+    # The default grid holds every benchmark system.
+    @pytest.mark.parametrize("entry", DEFAULT_TABLE_GRID + [
+        {"statistics": "fermion", "m": 1, "N": MAX_DENSE_DIMENSION, "k": 1},
+        {"statistics": "boson", "m": 1100, "N": 2, "k": 1},
+    ])
+    def test_reference_systems_accepted(self, entry):
+        check_level_scale(ensemble_from_dict(entry, keys=("statistics", "m", "N", "k")))
+
+
+@pytest.mark.parametrize("nu2", [2e146, 6e-157])
+def test_level_scale_bound_is_safe(nu2):
+    """Boson m=10 N=5 k=2 at the edges of the accepted nu2 has finite moments."""
+    spec = EnsembleSpec(Statistics.BOSON, m=10, n_sites=5, k=2, members=1, nu2=nu2)
+    check_level_scale(spec)
+    with pytest.raises(LevelScaleError):
+        check_level_scale(replace(spec, nu2=nu2 * 1.1 if nu2 > 1 else nu2 / 1.1))
+    scaled = moments(generate_archive(spec).records[0])
+    reference = moments(generate_archive(replace(spec, nu2=1.0)).records[0])
+    assert scaled.excess == pytest.approx(reference.excess, rel=1e-9)
+    assert scaled.skewness == pytest.approx(reference.skewness, rel=1e-9, abs=1e-12)
+
+
+def _with_levels(data: bytes, dimension: int, edit) -> bytes:
+    """Archive bytes with every record's levels replaced by ``edit(levels)``."""
+    (length,) = struct.unpack("<I", data[8:12])
+    start, record = 12 + length, 12 + 8 * dimension
+    out = bytearray(data)
+    for offset in range(start, len(data), record):
+        levels = np.frombuffer(data, "<f8", dimension, offset + 12)
+        out[offset + 12 : offset + record] = np.asarray(edit(levels), "<f8").tobytes()
+    return bytes(out)
+
+
+BAD_LEVELS = {
+    "descending": lambda levels: levels[::-1],
+    "nan": lambda levels: np.concatenate([levels[:-1], [np.nan]]),
+    "inf": lambda levels: np.concatenate([levels[:-1], [np.inf]]),
+}
+
+
+class TestArchiveLevels:
+    """Records whose levels are not finite and ascending are refused on write and read."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_LEVELS))
+    def test_writer_refuses_before_opening(self, case, tmp_path):
+        archive = generate_archive(SMALL)
+        records = archive.records[:1] + tuple(
+            Spectrum(BAD_LEVELS[case](r.eigenvalues), r.member, r.seed)
+            for r in archive.records[1:]
+        )
+        path = tmp_path / "a.egoearc"
+        with pytest.raises(ValueError, match="member 1: levels must be finite and ascending"):
+            write_archive(path, SpectrumArchive(spec=SMALL, records=records))
+        assert not path.exists()
+
+    def test_ties_accepted(self, tmp_path):
+        spec = replace(SMALL, members=1)
+        record = Spectrum(np.repeat([-1.0, 0.0, 2.0, 5.0], 5), member=0, seed=0)
+        write_archive(tmp_path / "a.egoearc", SpectrumArchive(spec=spec, records=(record,)))
+        assert read_archive(tmp_path / "a.egoearc").records[0].eigenvalues.tobytes() == (
+            record.eigenvalues.tobytes())
+
+    @pytest.mark.parametrize("case", sorted(BAD_LEVELS))
+    @pytest.mark.parametrize("command", ["decompose", "fluct"])
+    def test_reader_refuses(self, case, command, tmp_path, capsys):
+        path = tmp_path / "a.egoearc"
+        write_archive(path, generate_archive(SMALL))
+        path.write_bytes(_with_levels(path.read_bytes(), SMALL.dimension, BAD_LEVELS[case]))
+        with pytest.raises(ArchiveFormatError, match="member 0: levels are not finite"):
+            read_archive(path)
+        capsys.readouterr()
+        assert run_cli(command, "--archive", str(path), "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "ascending" in err[0]
+        assert not (tmp_path / "out").exists()
 
 
 class TestDelta3WindowGuard:
