@@ -2,9 +2,10 @@
 
 Layout: 8 magic bytes, a little-endian uint32 header length, the header as
 UTF-8 JSON, then one fixed-size record per member (uint32 member index,
-uint64 member seed, ``dimension`` little-endian float64 eigenvalues, finite
-and ascending, which writer and reader both check).  Writing the same data
-twice produces identical bytes.
+uint64 member seed, ``dimension`` little-endian float64 eigenvalues).  Writer
+and reader both check that record i is member i with seed
+``member_seed(master_seed, i)`` and that its levels are finite and ascending.
+Writing the same data twice produces identical bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import EnsembleSpec
+from .ensemble import EnsembleSpec, member_seed
 from .fock import dimension
 from .spectra import Spectrum
 
@@ -54,29 +55,32 @@ def _ascending_finite(levels: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(levels)) and np.all(levels[1:] >= levels[:-1]))
 
 
+def _check_label(spec: EnsembleSpec, i: int, member, seed, error=ValueError) -> None:
+    """Raise ``error`` unless record i is member i with seed ``member_seed(master_seed, i)``."""
+    expected = member_seed(spec.master_seed, i)
+    if (member, seed) != (i, expected):
+        raise error(f"record {i} is labelled member {member!r}, seed {seed!r}; the header "
+                    f"implies member {i}, seed {expected}")
+
+
 def write_archive(path: str | Path, archive: SpectrumArchive) -> None:
     """Write ``archive``; every record is checked (ValueError) before the file is opened."""
     spec = archive.spec
     if len(archive.records) != spec.members:
         raise ValueError("record count does not match member count")
-    heads = []
-    for r in archive.records:
+    for i, r in enumerate(archive.records):
+        _check_label(spec, i, r.member, r.seed)
         if np.shape(r.eigenvalues) != (spec.dimension,):
-            raise ValueError(f"member {r.member}: expected {spec.dimension} eigenvalues")
+            raise ValueError(f"member {i}: expected {spec.dimension} eigenvalues")
         if not _ascending_finite(np.asarray(r.eigenvalues)):
-            raise ValueError(f"member {r.member}: levels must be finite and ascending")
-        try:
-            heads.append(_RECORD_HEAD.pack(r.member, r.seed))
-        except struct.error as exc:
-            raise ValueError(f"member {r.member!r}, seed {r.seed!r}: an archive record needs "
-                             "an integer member in [0, 2**32) and seed in [0, 2**64)") from exc
+            raise ValueError(f"member {i}: levels must be finite and ascending")
     header = json.dumps(_header_dict(spec), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        for head, record in zip(heads, archive.records):
-            fh.write(head)
+        for i, record in enumerate(archive.records):
+            fh.write(_RECORD_HEAD.pack(i, member_seed(spec.master_seed, i)))
             fh.write(np.ascontiguousarray(record.eigenvalues, dtype="<f8").tobytes())
 
 
@@ -120,8 +124,9 @@ def read_archive(path: str | Path) -> SpectrumArchive:
         if dimension(spec.n_sites, spec.m, spec.statistics, limit=claimed) != claimed:
             raise ArchiveFormatError(f"{path}: header dimension {claimed} inconsistent with spec")
         records = []
-        for _ in range(spec.members):
+        for i in range(spec.members):
             member, seed = _RECORD_HEAD.unpack(fh.read(_RECORD_HEAD.size))
+            _check_label(spec, i, member, seed, lambda e: ArchiveFormatError(f"{path}: {e}"))
             eig = np.frombuffer(fh.read(8 * claimed), dtype="<f8").copy()
             if not _ascending_finite(eig):
                 raise ArchiveFormatError(f"{path}: member {member}: levels are not finite "

@@ -35,6 +35,7 @@ MAX_DENSE_DIMENSION = 16_384
 _CHUNK_TERMS = 1 << 17
 
 _FLOAT_LIMIT = 2**1024  # every int above it overflows a float64
+_TERMS_LIMIT = 2**2048  # variance terms above it break the level bound at any nu2
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _LOG_FLOAT_TINY = math.log(sys.float_info.min)  # smallest normal float64
 _VARIANCE_SLACK = 16  # a member's level variance over spectral_variance, at most
@@ -44,10 +45,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 class DenseMemoryError(ValueError):
     """The m-particle basis is too large for a dense Hamiltonian."""
-
-
-class LevelScaleError(ValueError):
-    """The levels' centred fourth powers would leave the float64 range."""
 
 
 def whole_number(value, name: str) -> int:
@@ -110,6 +107,20 @@ class EnsembleSpec:
             except OverflowError:
                 raise ValueError(f"boson amplitudes reach C(m, k) = C({self.m}, {self.k}), "
                                  "which does not fit a float64") from None
+        # A member's level variance V is taken to lie within _VARIANCE_SLACK of
+        # spectral_variance, and a level's centred square is at most d·V: the levels'
+        # fourth centred moment is a normal float64 when (d·V)² fits one and V² stays
+        # normal.  d and the variance terms stop early past limits that already break it.
+        log_d = math.log(dimension(self.n_sites, self.m, self.statistics, limit=_FLOAT_LIMIT))
+        log_v = math.log(_variance_terms(self, limit=_TERMS_LIMIT)) + math.log(self.nu2)
+        slack = math.log(_VARIANCE_SLACK)
+        if not (2 * (log_v - slack) >= _LOG_FLOAT_TINY
+                and 2 * (log_d + log_v + slack) <= _LOG_FLOAT_MAX):
+            raise ValueError(
+                f"{self.statistics.value} m={self.m} N={self.n_sites} k={self.k} with "
+                f"nu2={self.nu2:g}: levels of scale about 10^{log_v / math.log(100):.0f} would "
+                "put their fourth centred moment outside the float64 range"
+            )
 
     @property
     def dimension(self) -> int:
@@ -317,45 +328,19 @@ def check_dense_size(spec: EnsembleSpec, workers: int = 1) -> None:
         )
 
 
-def _log_binomial(n: int, j: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
-
-
-def check_level_scale(spec: EnsembleSpec) -> None:
-    """Reject a spec whose levels' fourth centred moment would leave float64.
-
-    Call it after ``check_dense_size``, which bounds the dimension d it reads.
-    A member's level variance V is taken to lie within a factor
-    _VARIANCE_SLACK of ``spectral_variance(spec)``, whose formula is taken
-    here in logarithms (log-gamma binomials), so the check holds where
-    ``spectral_variance`` itself overflows.  A level's centred square is at
-    most d·V, so the centred fourth powers and their mean fit a float64 when
-    (d·V)² does, and the mean stays a normal float64 when V² does.
-    """
-    m, n_sites, k = spec.m, spec.n_sites, spec.k
-    log_d = math.log(spec.dimension)
-    try:
-        if spec.statistics is Statistics.FERMION:
-            log_pair = _log_binomial(n_sites - m + k, k)
-            log_pair += math.log1p(math.exp(-log_pair))  # C(N-m+k, k) + 1
-        else:
-            log_pair = _log_binomial(n_sites + m - 1, k)
-        log_variance = _log_binomial(m, k) + log_pair + math.log(spec.nu2)
-    except OverflowError:  # sizes past float64 put V past it too
-        log_variance = math.inf
-    slack = math.log(_VARIANCE_SLACK)
-    if not (2 * (log_variance - slack) >= _LOG_FLOAT_TINY
-            and 2 * (log_d + log_variance + slack) <= _LOG_FLOAT_MAX):
-        raise LevelScaleError(
-            f"{spec.statistics.value} m={m} N={n_sites} k={k} with nu2={spec.nu2:g}: levels "
-            f"of scale about 10^{log_variance / math.log(100):.0f} would put their fourth "
-            "centred moment outside the float64 range"
-        )
-
-
 def build_member(spec: EnsembleSpec, member: int) -> MemberMatrix:
     """Sample one member's k-particle matrix and embed it."""
     return embed(sample_kbody(spec, member), spec)
+
+
+def _variance_terms(spec: EnsembleSpec, limit: int | None = None) -> int:
+    """``spectral_variance`` over nu2, an exact integer; past ``limit``, some value above it."""
+    m, n_sites, k = spec.m, spec.n_sites, spec.k
+    if spec.statistics is Statistics.FERMION:
+        pair = binomial(n_sites - m + k, k, limit) + 1
+    else:
+        pair = binomial(n_sites + m - 1, k, limit)
+    return binomial(m, k, limit) * pair
 
 
 def spectral_variance(spec: EnsembleSpec) -> float:
@@ -367,7 +352,4 @@ def spectral_variance(spec: EnsembleSpec) -> float:
     centroid fluctuation are left out.  At m=10, N=5, k=2 it gives 4095
     where the exact expectation of the per-member variance is 4320.
     """
-    m, n_sites, k = spec.m, spec.n_sites, spec.k
-    if spec.statistics is Statistics.FERMION:
-        return math.comb(m, k) * (math.comb(n_sites - m + k, k) + 1) * spec.nu2
-    return math.comb(m, k) * math.comb(n_sites + m - 1, k) * spec.nu2
+    return _variance_terms(spec) * spec.nu2

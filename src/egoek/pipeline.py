@@ -18,7 +18,7 @@ from . import decomposition as dc
 from . import fluctuations as fl
 from . import periodogram as pg
 from .archive import SpectrumArchive
-from .ensemble import EnsembleSpec, build_member, check_dense_size, check_level_scale
+from .ensemble import EnsembleSpec, build_member, check_dense_size
 from .spectra import eigenvalues, moments
 
 #: Read by OpenBLAS when it loads, in this order; the first positive integer wins.
@@ -83,7 +83,6 @@ def generate_archive(spec: EnsembleSpec, threads: int = 1) -> SpectrumArchive:
     if threads < 1:
         raise ValueError("threads must be at least 1")
     check_dense_size(spec, min(threads, spec.members))
-    check_level_scale(spec)
     members = range(spec.members)
     records = _map_members(lambda i: _diagonalize(build_member(spec, i)), members, threads)
     return SpectrumArchive(spec=spec, records=tuple(records))

@@ -599,6 +599,9 @@ def delta_series_rows(decompositions, orders) -> list[list]:
 def periodogram_rows(k, decompositions, results, orders, trim, oversample) -> list[list]:
     """Rows of ``periodogram.csv`` for ``orders``, from each member's stacked ``results``.
 
+    ``f`` and ``P_mean`` are the member means of the frequency and the power
+    at each grid index.
+
     The row of a member's result that belongs to an order is found by content,
     not by position: it is the one closest to that order's one-series
     periodogram, and must agree with it within 1e-12 of its peak power.
@@ -615,7 +618,8 @@ def periodogram_rows(k, decompositions, results, orders, trim, oversample) -> li
             assert np.min(errors) <= 1e-12 * single.peak_power, order
             powers.append(result.power[int(np.argmin(errors))])
         mean_power = np.mean(powers, axis=0)
-        for f, p in zip(results[0].frequency, mean_power):
+        mean_f = np.mean([result.frequency for result in results], axis=0)
+        for f, p in zip(mean_f, mean_power):
             rows.append([k, order, f"{f:.12g}", f"{p:.12g}"])
     return rows
 

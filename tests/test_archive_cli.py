@@ -34,9 +34,8 @@ from egoek.ensemble import (
     MAX_DENSE_DIMENSION,
     DenseMemoryError,
     EnsembleSpec,
-    LevelScaleError,
     check_dense_size,
-    check_level_scale,
+    member_seed,
 )
 from egoek.fock import Statistics
 from egoek.periodogram import MAX_OVERSAMPLE
@@ -94,13 +93,13 @@ class TestArchiveRoundTrip:
 
 
 class TestArchiveWriterContract:
-    """A record's member index and seed must fit the uint32 and uint64 fields."""
+    """Record i must be member i with seed member_seed(master_seed, i)."""
 
     SPEC = EnsembleSpec(F, m=1, n_sites=4, k=1, members=1)
 
     def rejected(self, tmp_path, record):
         path = tmp_path / "a.egoearc"
-        with pytest.raises(ValueError, match="archive record needs"):
+        with pytest.raises(ValueError, match="record 0 is labelled .*; the header implies member"):
             write_archive(path, SpectrumArchive(spec=self.SPEC, records=(record,)))
         assert not path.exists()
 
@@ -138,11 +137,11 @@ def small_archives(draw):
     ).map(sorted)
     records = tuple(
         Spectrum(
-            member=draw(st.integers(0, 2**32 - 1)),
-            seed=draw(st.integers(0, 2**64 - 1)),
+            member=i,
+            seed=member_seed(spec.master_seed, i),
             eigenvalues=np.array(draw(levels), dtype=float),
         )
-        for _ in range(spec.members)
+        for i in range(spec.members)
     )
     return SpectrumArchive(spec=spec, records=records)
 
@@ -208,6 +207,8 @@ HOSTILE_ARCHIVES = {
     "float_dimension": lambda data: _with_header(data, lambda h: {**h, "dimension": 20.0}),
     "bool_master_seed": lambda data: _with_header(data, lambda h: {**h, "master_seed": True}),
     "infinite_nu2": lambda data: _with_header(data, lambda h: {**h, "nu2": math.inf}),
+    # Levels near 6e151, whose fourth centred moment leaves float64: the spec refuses it.
+    "level_scale_nu2": lambda data: _with_header(data, lambda h: {**h, "nu2": 1e300}),
     "future_format_version": lambda data: _with_header(
         data, lambda h: {**h, "format_version": "99"}
     ),
@@ -244,7 +245,10 @@ REAL_FIELDS = [("ensemble", "nu2")] + [
 
 @st.composite
 def run_configs(draw):
-    """Valid run configurations over small systems."""
+    """Valid run configurations over small systems.
+
+    nu2 spans 1e-100 to 1e100, inside the level-scale domain every such system accepts.
+    """
     stat = draw(st.sampled_from([F, Statistics.BOSON]))
     m = draw(st.integers(1, 6))
     positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -256,7 +260,7 @@ def run_configs(draw):
         k=draw(st.integers(1, m)),
         members=draw(st.integers(1, 10**6)),
         master_seed=draw(st.integers(0, 2**64 - 1)),
-        nu2=draw(positive),
+        nu2=draw(st.floats(1e-100, 1e100)),
     )
     orders = draw(st.permutations(VALID_ORDERS))[: draw(st.integers(1, len(VALID_ORDERS)))]
     return RunConfig(
@@ -716,21 +720,27 @@ class TestLevelScaleGuard:
             {"statistics": "boson", "m": 10, "N": 5, "k": 2, "nu2": 1e-160},
             # d = 1, so the dense check passes; sizes past float64 put the variance past it.
             {"statistics": "fermion", "m": 10**400, "N": 10**400, "k": 1},
+            # d = 1 again; an exact C(1e9, 5e8) in the variance would stall.
+            {"statistics": "fermion", "m": 10**9, "N": 10**9, "k": 5 * 10**8},
         ],
-        ids=["nu2-1e300", "boson-m600", "nu2-1e-160", "sizes-past-float64"],
+        ids=["nu2-1e300", "boson-m600", "nu2-1e-160", "sizes-past-float64", "fermion-k5e8"],
     )
     def test_generate_refuses_before_any_member(self, system, tmp_path, capsys):
         config = _config(tmp_path, {"ensemble": {**system, "members": 2}})
         capsys.readouterr()
+        start = time.perf_counter()
         assert run_cli("generate", "--config", config, "--out", str(tmp_path / "out")) == 2
+        assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "float64" in err[0]
         assert not (tmp_path / "out").exists()
 
-    def test_generate_archive_refuses(self):
-        spec = EnsembleSpec(Statistics.BOSON, m=10, n_sites=5, k=2, members=1, nu2=1e300)
-        with pytest.raises(LevelScaleError, match="10\\^152"):
-            generate_archive(spec)
+    def test_spec_refuses(self):
+        with pytest.raises(ValueError, match="10\\^152"):
+            EnsembleSpec(Statistics.BOSON, m=10, n_sites=5, k=2, members=1, nu2=1e300)
+        spec = EnsembleSpec(Statistics.BOSON, m=10, n_sites=5, k=2, members=1)
+        with pytest.raises(ValueError, match="10\\^152"):
+            replace(spec, nu2=1e300)
 
     # The default grid holds every benchmark system.
     @pytest.mark.parametrize("entry", DEFAULT_TABLE_GRID + [
@@ -738,16 +748,15 @@ class TestLevelScaleGuard:
         {"statistics": "boson", "m": 1100, "N": 2, "k": 1},
     ])
     def test_reference_systems_accepted(self, entry):
-        check_level_scale(ensemble_from_dict(entry, keys=("statistics", "m", "N", "k")))
+        ensemble_from_dict(entry, keys=("statistics", "m", "N", "k"))
 
 
 @pytest.mark.parametrize("nu2", [2e146, 6e-157])
 def test_level_scale_bound_is_safe(nu2):
     """Boson m=10 N=5 k=2 at the edges of the accepted nu2 has finite moments."""
     spec = EnsembleSpec(Statistics.BOSON, m=10, n_sites=5, k=2, members=1, nu2=nu2)
-    check_level_scale(spec)
-    with pytest.raises(LevelScaleError):
-        check_level_scale(replace(spec, nu2=nu2 * 1.1 if nu2 > 1 else nu2 / 1.1))
+    with pytest.raises(ValueError, match="float64"):
+        replace(spec, nu2=nu2 * 1.1 if nu2 > 1 else nu2 / 1.1)
     scaled = moments(generate_archive(spec).records[0])
     reference = moments(generate_archive(replace(spec, nu2=1.0)).records[0])
     assert scaled.excess == pytest.approx(reference.excess, rel=1e-9)
@@ -789,7 +798,8 @@ class TestArchiveLevels:
 
     def test_ties_accepted(self, tmp_path):
         spec = replace(SMALL, members=1)
-        record = Spectrum(np.repeat([-1.0, 0.0, 2.0, 5.0], 5), member=0, seed=0)
+        record = Spectrum(np.repeat([-1.0, 0.0, 2.0, 5.0], 5), member=0,
+                          seed=member_seed(spec.master_seed, 0))
         write_archive(tmp_path / "a.egoearc", SpectrumArchive(spec=spec, records=(record,)))
         assert read_archive(tmp_path / "a.egoearc").records[0].eigenvalues.tobytes() == (
             record.eigenvalues.tobytes())
@@ -806,6 +816,55 @@ class TestArchiveLevels:
         assert run_cli(command, "--archive", str(path), "--out", str(tmp_path / "out")) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "ascending" in err[0]
+        assert not (tmp_path / "out").exists()
+
+
+_HEAD = struct.Struct("<IQ")
+
+# Each edits the (member, seed) labels of SMALL's three records.
+BAD_LABELS = {
+    "repeated_member": lambda heads: [heads[0]] * len(heads),
+    "swapped_members": lambda heads: [heads[1], heads[0], *heads[2:]],
+    "wrong_seed": lambda heads: [heads[0], (heads[1][0], heads[1][1] ^ 1), *heads[2:]],
+}
+
+
+def _relabelled(data: bytes, dimension: int, edit) -> bytes:
+    """Archive bytes with the records' (member, seed) heads replaced by ``edit(heads)``."""
+    (length,) = struct.unpack("<I", data[8:12])
+    offsets = range(12 + length, len(data), 12 + 8 * dimension)
+    out = bytearray(data)
+    for offset, head in zip(offsets, edit([_HEAD.unpack_from(data, o) for o in offsets])):
+        _HEAD.pack_into(out, offset, *head)
+    return bytes(out)
+
+
+class TestArchiveLabels:
+    """Record i must be member i with seed member_seed(master_seed, i), on write and read."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_LABELS))
+    def test_writer_refuses_before_opening(self, case, tmp_path):
+        archive = generate_archive(SMALL)
+        heads = BAD_LABELS[case]([(r.member, r.seed) for r in archive.records])
+        records = tuple(Spectrum(r.eigenvalues, member, seed)
+                        for r, (member, seed) in zip(archive.records, heads, strict=True))
+        path = tmp_path / "a.egoearc"
+        with pytest.raises(ValueError, match="the header implies member"):
+            write_archive(path, SpectrumArchive(spec=SMALL, records=records))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("case", sorted(BAD_LABELS))
+    @pytest.mark.parametrize("command", ["decompose", "fluct"])
+    def test_reader_refuses(self, case, command, tmp_path, capsys):
+        path = tmp_path / "a.egoearc"
+        write_archive(path, generate_archive(SMALL))
+        path.write_bytes(_relabelled(path.read_bytes(), SMALL.dimension, BAD_LABELS[case]))
+        with pytest.raises(ArchiveFormatError, match="the header implies member"):
+            read_archive(path)
+        capsys.readouterr()
+        assert run_cli(command, "--archive", str(path), "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "is labelled" in err[0]
         assert not (tmp_path / "out").exists()
 
 
