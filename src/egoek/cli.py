@@ -40,13 +40,6 @@ DEFAULT_TABLE_GRID = (
 )
 
 
-def _threads(args) -> int:
-    """Worker threads from --threads (default 1); at least 1."""
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
-    return args.threads
-
-
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     """Comma-separated integers from a command-line flag."""
     try:
@@ -73,8 +66,9 @@ def _run_config(args, archive: arc.SpectrumArchive | None = None) -> RunConfig:
     return config_from_dict(merge_layers(*layers))
 
 
-def _out_dir(config: RunConfig) -> Path:
-    out = Path(config.out_dir)
+def _out_dir(path: str) -> Path:
+    """The output directory, made with its parents; called once a command's work is done."""
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -106,8 +100,8 @@ def _write_json(path: Path, payload: dict, config: RunConfig) -> None:
 
 def cmd_generate(args) -> None:
     config = _run_config(args)
-    archive = pipeline.generate_archive(config.ensemble, threads=_threads(args))
-    target = _out_dir(config) / ARCHIVE_NAME
+    archive = pipeline.generate_archive(config.ensemble, threads=args.threads)
+    target = _out_dir(config.out_dir) / ARCHIVE_NAME
     arc.write_archive(target, archive)
     if args.export_json:
         arc.export_json(archive, args.export_json)
@@ -123,15 +117,7 @@ def _read_archive(args) -> arc.SpectrumArchive:
 def cmd_decompose(args) -> None:
     archive = _read_archive(args)
     config = _run_config(args, archive)
-    out = _out_dir(config)
-    decompositions = pipeline.decompose_archive(archive, config.orders, threads=_threads(args))
-
-    write_table(
-        out / "delta_series.csv",
-        ["member", "order", "E_hat", "delta"],
-        (((d.member, o), (d.e_hat, d.delta[o])) for d in decompositions for o in config.orders),
-    )
-
+    decompositions = pipeline.decompose_archive(archive, config.orders, threads=args.threads)
     summary = {
         "mean_delta_rms": {
             str(order): float(np.mean([d.delta_rms(order) for d in decompositions]))
@@ -140,6 +126,12 @@ def cmd_decompose(args) -> None:
         "member_q": {str(d.member): d.q for d in decompositions},
         "goe_delta_rms": goe_delta_rms(archive.dimension),
     }
+    out = _out_dir(config.out_dir)
+    write_table(
+        out / "delta_series.csv",
+        ["member", "order", "E_hat", "delta"],
+        (((d.member, o), (d.e_hat, d.delta[o])) for d in decompositions for o in config.orders),
+    )
     _write_json(out / "decompose_summary.json", summary, config)
     print(f"wrote {out / 'delta_series.csv'} and decompose_summary.json")
 
@@ -147,12 +139,11 @@ def cmd_decompose(args) -> None:
 def cmd_fluct(args) -> None:
     archive = _read_archive(args)
     config = _run_config(args, archive)
-    out = _out_dir(config)
     spec = archive.spec
 
     policy_order = fl.unfolding_order(spec.statistics, spec.k)
     decompositions = pipeline.decompose_archive(
-        archive, config.orders + (policy_order,), threads=_threads(args)
+        archive, config.orders + (policy_order,), threads=args.threads
     )
     results = pipeline.periodograms_by_order(  # row i of each is config.orders[i]
         decompositions, config.orders, trim=config.trim, oversample=config.oversample
@@ -161,27 +152,9 @@ def cmd_fluct(args) -> None:
     # Each member's grid has its own step, so a row is the member mean at one grid index.
     mean_f = np.mean([r.frequency for r in results], axis=0)
     mean_power = np.mean([r.power for r in results], axis=0)
-    write_table(
-        out / "periodogram.csv",
-        ["k", "order", "f", "P_mean"],
-        (((spec.k, o), (mean_f, p)) for o, p in zip(config.orders, mean_power)),
-    )
-
     unfolded = pipeline.unfolded_ensemble(archive, decompositions, trim=config.trim)
     hist = fl.nnsd(unfolded, bin_width=config.bin_width, s_max=config.spacing_max)
-    write_table(
-        out / "nnsd.csv",
-        ["s_low", "s_high", "density", "wigner", "poisson"],
-        [((), (hist.bin_edges[:-1], hist.bin_edges[1:], hist.density, hist.wigner, hist.poisson))],
-    )
-
     curve = fl.delta3(unfolded, l_max=config.l_max)
-    write_table(
-        out / "delta3.csv",
-        ["L", "delta3", "goe", "poisson"],
-        [((), (curve.lengths, curve.values, curve.goe, curve.poisson))],
-    )
-
     summary = {
         "lambda_convention": args.convention,
         "separation": [
@@ -199,6 +172,22 @@ def cmd_fluct(args) -> None:
         "nnsd_sigma2": hist.sigma2,
         "unfolding_order": policy_order,
     }
+    out = _out_dir(config.out_dir)
+    write_table(
+        out / "periodogram.csv",
+        ["k", "order", "f", "P_mean"],
+        (((spec.k, o), (mean_f, p)) for o, p in zip(config.orders, mean_power)),
+    )
+    write_table(
+        out / "nnsd.csv",
+        ["s_low", "s_high", "density", "wigner", "poisson"],
+        [((), (hist.bin_edges[:-1], hist.bin_edges[1:], hist.density, hist.wigner, hist.poisson))],
+    )
+    write_table(
+        out / "delta3.csv",
+        ["L", "delta3", "goe", "poisson"],
+        [((), (curve.lengths, curve.values, curve.goe, curve.poisson))],
+    )
     _write_json(out / "fluct_summary.json", summary, config)
     print(f"wrote periodogram.csv, nnsd.csv, delta3.csv, fluct_summary.json in {out}")
 
@@ -206,20 +195,9 @@ def cmd_fluct(args) -> None:
 def cmd_analytic(args) -> None:
     statistics = Statistics(args.statistics)
     modes = _parse_ints(args.modes, "modes")
-    if any(n < 1 for n in modes):
-        raise ConfigError("modes must be positive integers")
     ks = _parse_ints(args.k_list, "k-list")
     if not 1 <= args.grid_points <= MAX_GRID_POINTS:
         raise ConfigError(f"--grid-points must lie in [1, {MAX_GRID_POINTS}]")
-    if args.q is not None and not 0.0 <= args.q <= 1.0:
-        raise ConfigError("--q must lie in [0, 1]")
-    # Reject a rank outside the closed forms' domain, or a scale beyond
-    # float64, before any curve; every curve is computed before any output.
-    for k in ks:
-        try:
-            analytic.prefactor(statistics, args.m, args.N, k)
-        except ValueError as exc:
-            raise ConfigError(f"k={k}: {exc}") from exc
 
     blocks = []
     for k in ks:
@@ -232,17 +210,16 @@ def cmd_analytic(args) -> None:
                 raise ConfigError(
                     f"no preset shape parameter for this system; pass --q ({exc})"
                 ) from exc
-        half = support_halfwidth(q) if q < 1.0 else 6.0
-        grid = np.linspace(-half, half, args.grid_points)
-        for n in modes:
-            try:
+        try:  # analytic owns the mode, q, rank, table-size and float64 rules
+            half = support_halfwidth(q) if q < 1.0 else 6.0
+            grid = np.linspace(-half, half, args.grid_points)
+            for n in modes:
                 values = analytic.mode_width_curve(statistics, args.m, args.N, k, q, n, grid)
-            except ValueError as exc:  # a mode table too large, or a term past float64
-                raise ConfigError(f"k={k}: {exc}") from exc
-            fixed = (statistics.value, args.m, args.N, k, f"{q:.12g}", n)
-            blocks.append((fixed, (grid, values)))
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
+                fixed = (statistics.value, args.m, args.N, k, f"{q:.12g}", n)
+                blocks.append((fixed, (grid, values)))
+        except ValueError as exc:
+            raise ConfigError(f"k={k}: {exc}") from exc
+    out = _out_dir(args.out or ".")
     write_table(
         out / "mode_widths.csv",
         ["statistics", "m", "N", "k", "q", "n", "E_hat", "value"],
@@ -260,13 +237,12 @@ def cmd_table1(args) -> None:
                            members=args.members, master_seed=args.master_seed)
         for entry in grid
     ]
-    threads = _threads(args)
     for spec in specs:  # reject an oversized system before any is generated
-        check_dense_size(spec, min(threads, spec.members))
+        check_dense_size(spec, min(args.threads, spec.members))
 
     blocks, summaries = [], []
     for spec in specs:
-        summary = pipeline.moment_summary(pipeline.generate_archive(spec, threads=threads))
+        summary = pipeline.moment_summary(pipeline.generate_archive(spec, threads=args.threads))
         summaries.append(summary.__dict__)
         fixed = (summary.statistics, summary.m, summary.n_sites, summary.k, summary.members)
         shape = (summary.gamma1_mean, summary.gamma1_se, summary.gamma2_mean,
@@ -276,8 +252,7 @@ def cmd_table1(args) -> None:
             f"{summary.statistics} m={summary.m} N={summary.n_sites} k={summary.k}: "
             f"gamma1={summary.gamma1_mean:+.4f} gamma2={summary.gamma2_mean:+.4f}"
         )
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out or ".")
     write_table(
         out / "table1.csv",
         ["statistics", "m", "N", "k", "members", "gamma1", "gamma1_se", "gamma2", "gamma2_se", "q"],
@@ -361,6 +336,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:  # analytic has no --threads
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         args.func(args)
     except (ConfigError, DenseMemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -101,16 +101,11 @@ class EnsembleSpec:
             raise ValueError("members must be at least 1")
         if not 0 < self.nu2 < math.inf:
             raise ValueError("nu2 must be finite and positive")
-        if self.statistics is Statistics.BOSON:
-            try:  # C(m, k) is the largest squared boson amplitude
-                float(binomial(self.m, self.k, _FLOAT_LIMIT))
-            except OverflowError:
-                raise ValueError(f"boson amplitudes reach C(m, k) = C({self.m}, {self.k}), "
-                                 "which does not fit a float64") from None
         # A member's level variance V is taken to lie within _VARIANCE_SLACK of
         # spectral_variance, and a level's centred square is at most d·V: the levels'
         # fourth centred moment is a normal float64 when (d·V)² fits one and V² stays
         # normal.  d and the variance terms stop early past limits that already break it.
+        # Boson terms are at least C(m, k)², so the boson amplitudes then fit a float64 too.
         log_d = math.log(dimension(self.n_sites, self.m, self.statistics, limit=_FLOAT_LIMIT))
         log_v = math.log(_variance_terms(self, limit=_TERMS_LIMIT)) + math.log(self.nu2)
         slack = math.log(_VARIANCE_SLACK)
@@ -350,6 +345,8 @@ def spectral_variance(spec: EnsembleSpec) -> float:
     Bosons: C(m,k) C(N+m-1,k) nu2, only the direct term of <Tr H^2>/d and
     not the BEGOE ensemble-averaged variance: the exchange term and the
     centroid fluctuation are left out.  At m=10, N=5, k=2 it gives 4095
-    where the exact expectation of the per-member variance is 4320.
+    where the exact expectation of the per-member variance is 4320.  The exact
+    product of the integer terms and nu2 is rounded once, so it never overflows early.
     """
-    return _variance_terms(spec) * spec.nu2
+    numerator, denominator = spec.nu2.as_integer_ratio()
+    return _variance_terms(spec) * numerator / denominator

@@ -17,6 +17,7 @@ import numpy as np
 from .decomposition import staircase
 from .decomposition import smooth_distribution_values  # noqa: F401  patched by perfbench/tracer.py
 from .fock import Statistics
+from .qhermite import _GL_NODES, _GL_WEIGHTS
 from .spectra import Spectrum
 
 DEFAULT_TRIM = 0.10
@@ -27,7 +28,6 @@ DEFAULT_L_MAX = 60
 # advance by WINDOW_STEP unfolded spacings.
 L_STEP = 2
 WINDOW_STEP = 2.0
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # (L - r)^3 (2L^2 - 9Lr - 3r^2) = sum_j coeff_j L^(5 - j) r^j
 _KERNEL_POWERS = np.array([0, 1, 2, 3, 5])
 _KERNEL_COEFFS = np.array([2.0, -15.0, 30.0, -20.0, 3.0])

@@ -200,7 +200,7 @@ HOSTILE_ARCHIVES = {
     "huge_binomial": lambda data: _with_header(
         data, lambda h: {**h, "m": 10**6, "N": 2 * 10**6}
     ),
-    # Boson amplitudes reach C(m, k) = C(1e12, 5e11): its float64 check stops early.
+    # Boson amplitudes reach C(m, k) = C(1e12, 5e11): the level rule's binomials stop early.
     "huge_boson_binomial": lambda data: _with_header(
         data, lambda h: {**h, "statistics": "boson", "m": 10**12, "k": 5 * 10**11}
     ),
@@ -562,6 +562,18 @@ GENERATE = ["generate", "--statistics", "fermion", "-m", "3", "-N", "6", "-k", "
 ANALYTIC = ["analytic", "--statistics", "fermion", "-m", "10", "-N", "20", "--k-list", "2"]
 
 
+def _small_archive(tmp_path):
+    """The SMALL ensemble written to an archive under tmp_path; returns its path."""
+    path = tmp_path / "small.egoearc"
+    write_archive(path, generate_archive(SMALL))
+    return str(path)
+
+
+def _tree(root):
+    """Every path under root, mapped to its bytes (None for a directory)."""
+    return {path: None if path.is_dir() else path.read_bytes() for path in root.rglob("*")}
+
+
 def _analytic(tmp_path, statistics, m, n_sites, k, q):
     """An analytic run of one rank at an explicit q, into a fresh output directory."""
     return ["analytic", "--statistics", statistics, "-m", str(m), "-N", str(n_sites),
@@ -597,6 +609,10 @@ INVALID_COMMAND_LINES = {
     "config_unknown_top_key": lambda p: _generate_config(p, {"ensemble": SYSTEM, "ensembel": {}}),
     "table1_bool_k": lambda p: _table1(p, [{**SYSTEM, "k": True}]),
     "generate_zero_threads": lambda p: GENERATE + ["--threads", "0", "--out", str(p)],
+    "decompose_zero_threads": lambda p: ["decompose", "--archive", _small_archive(p),
+                                         "--threads", "0", "--out", str(p / "out")],
+    "fluct_zero_threads": lambda p: ["fluct", "--archive", _small_archive(p),
+                                     "--threads", "0", "--out", str(p / "out")],
     "analytic_zero_grid_points": lambda p: ANALYTIC + ["--grid-points", "0", "--out", str(p)],
     "analytic_q_above_one": lambda p: ANALYTIC + ["--q", "1.5", "--out", str(p)],
     "analytic_q_negative": lambda p: ANALYTIC + ["--q", "-0.5", "--out", str(p)],
@@ -630,7 +646,8 @@ INVALID_COMMAND_LINES = {
                                          _config(p, {"ensemble": SYSTEM, "out_dir": 5})],
     "config_list_out_dir": lambda p: ["generate", "--config",
                                       _config(p, {"ensemble": SYSTEM, "out_dir": []})],
-    # The largest squared boson amplitude, C(1100, 550) ~ 2^1096, passes float64.
+    # The largest squared boson amplitude, C(1100, 550) ~ 2^1096, passes float64,
+    # so the level-scale rule refuses the spec.
     "generate_boson_amplitude_overflow": lambda p: [
         "generate", "--statistics", "boson", "-m", "1100", "-N", "2", "-k", "550",
         "--members", "1", "--out", str(p / "out")],
@@ -643,10 +660,12 @@ INVALID_COMMAND_LINES = {
 def test_invalid_command_line_exits_2_with_one_error_line(case, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)  # a relative output path that slips through lands here
     argv = INVALID_COMMAND_LINES[case](tmp_path)
+    before = _tree(tmp_path)
     capsys.readouterr()
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    assert _tree(tmp_path) == before  # no directory made, no file written
 
 
 def test_analytic_rank_outside_domain_creates_no_output(tmp_path):
@@ -874,7 +893,22 @@ class TestDelta3WindowGuard:
         path = tmp_path / "tiny.egoearc"
         write_archive(path, generate_archive(spec))
         code = run_cli("fluct", "--archive", str(path), "--out", str(tmp_path / "out"))
-        assert code == 1  # d=15 cannot host L=60 windows
+        assert code == 1  # d=15 gives the periodogram fewer than its 16 samples
+
+    def test_failed_fluct_writes_nothing(self, tmp_path, capsys):
+        # d=20 suffices for the periodograms and the NNSD, but not for L=60 Delta3 windows.
+        archive, out = _small_archive(tmp_path), tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli("fluct", "--archive", archive, "--out", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "window length" in err[0]
+        assert not out.exists()
+        config = _config(tmp_path, {"analysis": {"l_max": 4}})
+        assert run_cli("fluct", "--archive", archive, "--config", config, "--out", str(out)) == 0
+        before = _tree(out)
+        assert len(before) == 4
+        assert run_cli("fluct", "--archive", archive, "--out", str(out)) == 1
+        assert _tree(out) == before
 
 
 class TestDenseMemoryGuard:

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -19,7 +21,7 @@ from egoek.ensemble import (
     spectral_variance,
     splitmix64,
 )
-from egoek.fock import BasisSizeError, Statistics
+from egoek.fock import BasisSizeError, Statistics, binomial
 from egoek.spectra import eigenvalues, moments
 
 from oracles import (
@@ -273,6 +275,33 @@ def small_systems(draw):
     return EnsembleSpec(stat, m=m, n_sites=n_sites, k=k, members=1)
 
 
+@st.composite
+def boson_specs(draw):
+    """Boson (m, N, k, nu2) up to 10^13, biased to small k and m - k, nu2 down to subnormals."""
+    m = draw(st.one_of(st.integers(1, 2000), st.integers(1, 10**13)))
+    k = draw(st.one_of(st.integers(1, min(m, 64)), st.integers(1, m),
+                       st.integers(max(1, m - 64), m)))
+    n_sites = draw(st.one_of(st.integers(1, 64), st.integers(1, 10**13)))
+    return m, n_sites, k, draw(st.floats(5e-324, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=boson_specs())
+@example(system=(600, 2, 300, 1e-250))
+@example(system=(1100, 2, 550, 5e-324))
+def test_accepted_boson_amplitudes_fit_float64(system):
+    """The level-scale rule alone keeps every boson amplitude within float64."""
+    m, n_sites, k, nu2 = system
+    try:
+        EnsembleSpec(B, m=m, n_sites=n_sites, k=k, members=1, nu2=nu2)
+    except ValueError:
+        return
+    assert binomial(m, k, 2**1024) < 2**1024  # stops early, so a huge C(m, k) fails fast
+    # C(m, k), the largest squared amplitude, is that of one site holding all m bosons.
+    norm_sq = ensemble._boson_norm_sq(np.array([[m - k]]), np.array([[k]]), m, k)
+    assert math.isfinite(np.sqrt(norm_sq.astype(float))[0, 0])
+
+
 def random_symmetric(dk, seed):
     v = np.random.default_rng(seed).standard_normal((dk, dk))
     return v + v.T
@@ -368,6 +397,21 @@ class TestSpectralVariancePropagation:
     def test_formula_values(self):
         assert spectral_variance(EnsembleSpec(F, m=6, n_sites=12, k=2)) == 435
         assert spectral_variance(EnsembleSpec(B, m=10, n_sites=5, k=2)) == 4095
+
+    def test_terms_past_float64(self):
+        # Boson m=600, N=2, k=300 (d=601): the terms C(600, 300) C(601, 300) pass
+        # float64, and nu2 = 1e-250 brings the variance back to about 3.6e108.
+        spec = EnsembleSpec(B, m=600, n_sites=2, k=300, nu2=1e-250)
+        terms = math.comb(600, 300) * math.comb(601, 300)
+        assert terms > 2**1024
+        assert spectral_variance(spec) == float(Fraction(terms) * Fraction(1e-250))
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=small_systems(), nu2=st.floats(1e-100, 1e100))
+    def test_small_terms_match_float_product(self, spec, nu2):
+        terms = ensemble._variance_terms(spec)
+        assert terms < 2**53
+        assert spectral_variance(replace(spec, nu2=nu2)) == terms * nu2
 
     def test_fermion_formula_is_exact(self):
         # The embedded second moment reproduces the propagation formula to
