@@ -30,7 +30,7 @@ from .decomposition import (
     goe_delta_rms,
     staircase,
 )
-from .analytic import mode_width_curve, motion_variance, preset_q, sn2
+from .analytic import ensemble_q, mode_width_curve, motion_variance, sn2
 from .fluctuations import (
     Delta3Curve,
     SpacingHistogram,
@@ -66,6 +66,7 @@ __all__ = [
     "dimension",
     "embed",
     "eigenvalues",
+    "ensemble_q",
     "enumerate_basis",
     "fit_smooth_model",
     "fqn_density",
@@ -79,7 +80,6 @@ __all__ = [
     "motion_variance",
     "nnsd",
     "poisson_delta3",
-    "preset_q",
     "qfactorial",
     "qnumber",
     "read_archive",

@@ -7,34 +7,18 @@ scale, which the curves leave at 1.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
 import numpy as np
 
 from . import qhermite
-from .fock import Statistics, binomial, dimension
+from .fock import Statistics, binomial, dimension, lambda_nu
 
 TRUNCATION_RTOL = 1e-16
 # Entries (rows x grid points) of one curve's q-Hermite table: 128 MiB of float64.
 MAX_TABLE_ENTRIES = 2**24
-
-# Shape parameters quoted for the reference systems (fermions: m=10 in N=20;
-# bosons: m=20 in N=10), keyed by interaction rank.
-FERMION_PRESET_Q = {2: 0.465, 3: 0.176, 4: 0.044, 5: 0.007}
-BOSON_PRESET_Q = {2: 0.932, 3: 0.84, 4: 0.712, 5: 0.556}
-PRESET_SYSTEMS = {
-    Statistics.FERMION: (10, 20, FERMION_PRESET_Q),
-    Statistics.BOSON: (20, 10, BOSON_PRESET_Q),
-}
-
-
-def preset_q(statistics: Statistics, m: int, n_sites: int, k: int) -> float:
-    """Bundled shape parameter for the reference systems; KeyError otherwise."""
-    preset_m, preset_n, table = PRESET_SYSTEMS[statistics]
-    if (m, n_sites) != (preset_m, preset_n) or k not in table:
-        raise KeyError(f"no preset q for {statistics.value} m={m} N={n_sites} k={k}")
-    return table[k]
 
 
 def _check_system(statistics: Statistics, m: int, n_sites: int, k: int, n: int = 1) -> None:
@@ -44,8 +28,8 @@ def _check_system(statistics: Statistics, m: int, n_sites: int, k: int, n: int =
     if statistics is Statistics.FERMION:
         if not 1 <= k <= m <= n_sites:
             raise ValueError("require 1 <= k <= m <= N")
-    elif not 1 <= k <= n_sites or m < 1:
-        raise ValueError("require m >= 1 and 1 <= k <= N")
+    elif not 1 <= k <= min(m, n_sites):
+        raise ValueError("require 1 <= k <= min(m, N)")
 
 
 def _amplitude(statistics: Statistics, n: int, m: int, n_sites: int, k: int) -> float:
@@ -107,6 +91,20 @@ def prefactor(statistics: Statistics, m: int, n_sites: int, k: int) -> float:
         raise ValueError(f"the scale d^2 C(m,k)^2 / C(N,k)^2 of m={m}, N={n_sites}, k={k} "
                          "does not fit a float64")
     return scale
+
+
+def ensemble_q(statistics: Statistics, m: int, n_sites: int, k: int) -> float:
+    """The ensemble's q from U(N) algebra (Kota, LNP 884, 2014), exact in integers, rounded once.
+
+    q = sum over nu <= min(k, m-k) of L(nu, m-k) L(nu, k) (D_nu^2 - D_(nu-1)^2) / (D_m L(0, k)^2),
+    with L = ``lambda_nu`` and D_p the p-particle basis size (D_-1 = 0).  ``prefactor`` checks
+    the system first (ValueError outside the domain or past float64), bounding every integer.
+    """
+    prefactor(statistics, m, n_sites, k)
+    lam = functools.partial(lambda_nu, statistics, n_sites, m)
+    sq = [0] + [dimension(n_sites, p, statistics) ** 2 for p in range(min(k, m - k) + 1)]
+    total = sum(lam(nu, m - k) * lam(nu, k) * (sq[nu + 1] - sq[nu]) for nu in range(len(sq) - 1))
+    return total / (dimension(n_sites, m, statistics) * lam(0, k) ** 2)
 
 
 def _mode_sum(

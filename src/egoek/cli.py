@@ -101,10 +101,10 @@ def _write_json(path: Path, payload: dict, config: RunConfig) -> None:
 def cmd_generate(args) -> None:
     config = _run_config(args)
     archive = pipeline.generate_archive(config.ensemble, threads=args.threads)
-    target = _out_dir(config.out_dir) / ARCHIVE_NAME
-    arc.write_archive(target, archive)
     if args.export_json:
         arc.export_json(archive, args.export_json)
+    target = _out_dir(config.out_dir) / ARCHIVE_NAME
+    arc.write_archive(target, archive)
     print(f"wrote {target} ({config.ensemble.members} members, d={archive.dimension})")
 
 
@@ -201,16 +201,8 @@ def cmd_analytic(args) -> None:
 
     blocks = []
     for k in ks:
-        if args.q is not None:
-            q = args.q
-        else:
-            try:
-                q = analytic.preset_q(statistics, args.m, args.N, k)
-            except KeyError as exc:
-                raise ConfigError(
-                    f"no preset shape parameter for this system; pass --q ({exc})"
-                ) from exc
         try:  # analytic owns the mode, q, rank, table-size and float64 rules
+            q = analytic.ensemble_q(statistics, args.m, args.N, k) if args.q is None else args.q
             half = support_halfwidth(q) if q < 1.0 else 6.0
             grid = np.linspace(-half, half, args.grid_points)
             for n in modes:
@@ -315,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("-m", type=int, required=True)
     p_ana.add_argument("-N", type=int, required=True)
     p_ana.add_argument("--k-list", required=True, help="comma-separated interaction ranks")
-    p_ana.add_argument("--q", type=float, help="explicit shape parameter (else preset)")
+    p_ana.add_argument("--q", type=float, help="shape parameter (else the ensemble's own)")
     p_ana.add_argument("--modes", default="2,3,4,6", help="comma-separated mode indices")
     p_ana.add_argument("--grid-points", type=int, default=801)
     p_ana.add_argument("--out")

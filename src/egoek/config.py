@@ -38,8 +38,6 @@ class RunConfig:
             raise ConfigError(f"orders must be a non-empty subset of {VALID_ORDERS}")
         if len(set(self.orders)) != len(self.orders):
             raise ConfigError(f"orders must not repeat, got {list(self.orders)}")
-        if not 0.0 <= self.trim < 1.0:
-            raise ConfigError("trim must lie in [0, 1)")
         if self.l_max < 2:
             raise ConfigError("l_max must be at least 2")
         if not self.bin_width > 0:
@@ -49,6 +47,7 @@ class RunConfig:
         if self.spacing_max / self.bin_width > MAX_SPACING_BINS:
             raise ConfigError(f"spacing_max / bin_width exceeds {MAX_SPACING_BINS} histogram bins")
         try:
+            fl.central_window(MIN_SAMPLES, self.trim)
             grid_size(MIN_SAMPLES, self.oversample)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

@@ -23,6 +23,7 @@ from .fock import (
     binomial,
     dimension,
     enumerate_basis,
+    lambda_nu,
 )
 
 DEFAULT_MEMBERS = 50
@@ -330,12 +331,10 @@ def build_member(spec: EnsembleSpec, member: int) -> MemberMatrix:
 
 def _variance_terms(spec: EnsembleSpec, limit: int | None = None) -> int:
     """``spectral_variance`` over nu2, an exact integer; past ``limit``, some value above it."""
-    m, n_sites, k = spec.m, spec.n_sites, spec.k
+    terms = lambda_nu(spec.statistics, spec.n_sites, spec.m, 0, spec.k, limit)
     if spec.statistics is Statistics.FERMION:
-        pair = binomial(n_sites - m + k, k, limit) + 1
-    else:
-        pair = binomial(n_sites + m - 1, k, limit)
-    return binomial(m, k, limit) * pair
+        terms += binomial(spec.m, spec.k, limit)
+    return terms
 
 
 def spectral_variance(spec: EnsembleSpec) -> float:

@@ -69,6 +69,18 @@ def dimension(
     return binomial(n_sites + particles - 1, particles, limit)
 
 
+def lambda_nu(
+    statistics: Statistics, n_sites: int, particles: int, nu: int, r: int, limit: int | None = None
+) -> int:
+    """U(N) factor Λ^ν(N, m, r) (Kota, LNP 884, 2014), a product of two ``binomial``s.
+
+    Fermions: C(m-ν, r) C(N-m+r-ν, r); bosons: C(m-ν, r) C(N+m+ν-1, r).
+    """
+    fermion = statistics is Statistics.FERMION
+    other = n_sites - particles + r - nu if fermion else n_sites + particles + nu - 1
+    return binomial(particles - nu, r, limit) * binomial(other, r, limit)
+
+
 def enumerate_basis(n_sites: int, particles: int, statistics: Statistics) -> np.ndarray:
     """(dimension, N) occupation table of all m-particle states, in a fixed order.
 

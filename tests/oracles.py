@@ -26,6 +26,10 @@ node-doubling quadrature of moments and orthogonality integrals against the
 weight serves the q-Hermite tests.  ``level_motion`` gives the level motion
 of a spectrum against a hand-made smooth model, which ``decompose_member``
 (fitting its own) cannot.
+Reference data: the q values quoted for the paper's systems and the reference
+table of ensemble-averaged shape parameters, with Kota's U(N) sum for q written
+out in ``math.comb`` and ``Fraction`` as the exact oracle of
+``analytic.ensemble_q`` (and of the boson ranks k > N that it refuses).
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import functools
 import io
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import mpmath
@@ -44,6 +49,65 @@ from scipy import integrate, sparse, special
 from egoek import decomposition as dc, fluctuations as fl, periodogram, qhermite
 from egoek.ensemble import EmbeddingPlan
 from egoek.fock import FockDomainError, Statistics
+
+F = Statistics.FERMION
+B = Statistics.BOSON
+
+# Shape parameters quoted for the paper's systems (fermions: m=10 in N=20;
+# bosons: m=20 in N=10), keyed by interaction rank, to their printed decimals.
+QUOTED_Q = {
+    F: (10, 20, {2: 0.465, 3: 0.176, 4: 0.044, 5: 0.007}),
+    B: (20, 10, {2: 0.932, 3: 0.84, 4: 0.712, 5: 0.556}),
+}
+
+# The reference systems (m, N) and their ensemble-averaged (gamma1, gamma2) per rank.
+REFERENCE_SYSTEMS = {F: (6, 12), B: (10, 5)}
+TABLE1 = {
+    (F, 2): (0.0023, -0.7172),
+    (F, 3): (-0.0002, -0.9422),
+    (F, 4): (0.0001, -0.9945),
+    (F, 5): (0.0001, -0.9980),
+    (F, 6): (-0.0003, -0.9991),
+    (B, 2): (-0.0025, -0.1463),
+    (B, 3): (-0.0125, -0.3083),
+    (B, 4): (0.0024, -0.5834),
+    (B, 5): (0.0013, -0.8205),
+    (B, 6): (0.0005, -0.9504),
+    (B, 7): (0.0000, -0.9909),
+    (B, 8): (0.0000, -0.9950),
+    (B, 9): (0.0000, -0.9984),
+    (B, 10): (0.0000, -0.9995),
+}
+
+
+def ensemble_q_exact(statistics: Statistics, m: int, n_sites: int, k: int) -> Fraction:
+    """q = sum_nu L^nu(m-k) L^nu(k) d(g_nu) / (d L^0(k)^2), nu = 0..min(k, m-k), exactly.
+
+    Fermions: L^nu(r) = C(m-nu, r) C(N-m+r-nu, r), d(g_nu) = C(N,nu)^2 - C(N,nu-1)^2.
+    Bosons: L^nu(r) = C(m-nu, r) C(N+m+nu-1, r),
+    d(g_nu) = C(N+nu-1,nu)^2 - C(N+nu-2,nu-1)^2.  Needs 1 <= k <= m (and m <= N
+    for fermions).
+    """
+    comb = math.comb
+    if statistics is F:
+        def lam(nu, r):
+            return comb(m - nu, r) * comb(n_sites - m + r - nu, r)
+
+        def irrep(nu):
+            return comb(n_sites, nu) ** 2 - (comb(n_sites, nu - 1) ** 2 if nu else 0)
+
+        d = comb(n_sites, m)
+    else:
+        def lam(nu, r):
+            return comb(m - nu, r) * comb(n_sites + m + nu - 1, r)
+
+        def irrep(nu):
+            return comb(n_sites + nu - 1, nu) ** 2 - (
+                comb(n_sites + nu - 2, nu - 1) ** 2 if nu else 0)
+
+        d = comb(n_sites + m - 1, m)
+    total = sum(lam(nu, m - k) * lam(nu, k) * irrep(nu) for nu in range(min(k, m - k) + 1))
+    return Fraction(total, d * lam(0, k) ** 2)
 
 
 @dataclass(frozen=True)

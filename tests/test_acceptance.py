@@ -34,6 +34,9 @@ from egoek.qhermite import qfactorial, support_halfwidth
 from egoek.spectra import moments
 
 from oracles import (
+    QUOTED_Q,
+    REFERENCE_SYSTEMS,
+    TABLE1,
     density_moment,
     identity_embedding_oracle,
     orthogonality_integral,
@@ -50,27 +53,9 @@ ALL_ORDERS = (2, 3, 4, 5, 6)
 EGOE_KS = (2, 3, 4, 5, 6)
 BEGOE_KS = tuple(range(2, 11))
 
-# Reference ensemble-averaged shape parameters per interaction rank.
-TABLE1 = {
-    (F, 2): (0.0023, -0.7172),
-    (F, 3): (-0.0002, -0.9422),
-    (F, 4): (0.0001, -0.9945),
-    (F, 5): (0.0001, -0.9980),
-    (F, 6): (-0.0003, -0.9991),
-    (B, 2): (-0.0025, -0.1463),
-    (B, 3): (-0.0125, -0.3083),
-    (B, 4): (0.0024, -0.5834),
-    (B, 5): (0.0013, -0.8205),
-    (B, 6): (0.0005, -0.9504),
-    (B, 7): (0.0000, -0.9909),
-    (B, 8): (0.0000, -0.9950),
-    (B, 9): (0.0000, -0.9984),
-    (B, 10): (0.0000, -0.9995),
-}
-
 
 def system(stat):
-    return (6, 12) if stat is F else (10, 5)
+    return REFERENCE_SYSTEMS[stat]
 
 
 def spec_for(stat, k, members=MEMBERS, seed=MASTER_SEED):
@@ -391,7 +376,7 @@ def test_criterion_8_analytic_curves():
     # factors responsible for the decay in both n and k.
     ok = True
     for stat in (F, B):
-        m, n_sites, presets = analytic.PRESET_SYSTEMS[stat]
+        m, n_sites, presets = QUOTED_Q[stat]
         for k, q in presets.items():
             half = support_halfwidth(q)
             grid = np.linspace(-half, half, 4001)

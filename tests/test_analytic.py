@@ -5,20 +5,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egoek import qhermite
 from egoek.analytic import (
-    BOSON_PRESET_Q,
-    FERMION_PRESET_Q,
     MAX_TABLE_ENTRIES,
+    ensemble_q,
     mode_width_curve,
     motion_variance,
     prefactor,
-    preset_q,
     sn2,
 )
 from egoek.fock import Statistics, dimension
 from egoek.qhermite import fqn_density, hermite_table, qfactorial, support_halfwidth
+
+from oracles import QUOTED_Q, REFERENCE_SYSTEMS, TABLE1, ensemble_q_exact
 
 F = Statistics.FERMION
 B = Statistics.BOSON
@@ -63,14 +65,32 @@ class TestModeAmplitudes:
 
 class TestPresets:
     def test_caption_values(self):
-        assert preset_q(F, 10, 20, 2) == 0.465
-        assert preset_q(F, 10, 20, 5) == 0.007
-        assert preset_q(B, 20, 10, 2) == 0.932
-        assert preset_q(B, 20, 10, 5) == 0.556
+        for statistics, (m, n_sites, quoted) in QUOTED_Q.items():
+            for k, q in quoted.items():
+                assert round(ensemble_q(statistics, m, n_sites, k), 3) == q
 
-    def test_unknown_system(self):
-        with pytest.raises(KeyError):
-            preset_q(F, 6, 12, 2)
+    @pytest.mark.parametrize("statistics, k", sorted(TABLE1))
+    def test_excess_within_table1_band(self, statistics, k):
+        # q - 1 is the closed-form excess; criterion 1 holds the measured one
+        # within 0.06 of the table.  Boson ranks k > N lie outside analytic's
+        # domain, so only the exact sum is read there.
+        m, n_sites = REFERENCE_SYSTEMS[statistics]
+        q = ensemble_q_exact(statistics, m, n_sites, k)
+        if k <= n_sites:
+            assert ensemble_q(statistics, m, n_sites, k) == float(q)
+        else:
+            with pytest.raises(ValueError, match="min"):
+                ensemble_q(statistics, m, n_sites, k)
+        assert abs(float(q) - 1 - TABLE1[statistics, k][1]) <= 0.06
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), statistics=st.sampled_from([F, B]), n_sites=st.integers(1, 40))
+    def test_equals_exact_sum(self, data, statistics, n_sites):
+        m = data.draw(st.integers(1, n_sites if statistics is F else 40))
+        k = data.draw(st.integers(1, m if statistics is F else min(m, n_sites)))
+        q = ensemble_q(statistics, m, n_sites, k)
+        assert q == float(ensemble_q_exact(statistics, m, n_sites, k))
+        assert 0.0 < q <= 1.0
 
 
 class TestMotionVariance:
@@ -180,7 +200,8 @@ class TestModeWidthCurves:
             assert sign_changes == n - 1
 
     def test_support_ratio_between_presets(self):
-        q2, q5 = preset_q(F, 10, 20, 2), preset_q(F, 10, 20, 5)
+        quoted = QUOTED_Q[F][2]
+        q2, q5 = quoted[2], quoted[5]
         grid = np.linspace(-3.0, 3.0, 6001)
         c2 = mode_width_curve(F, 10, 20, 2, q2, 2, grid)
         c5 = mode_width_curve(F, 10, 20, 5, q5, 2, grid)
@@ -192,7 +213,7 @@ class TestModeWidthCurves:
 
     def test_peak_decreasing_in_mode_index_boson(self):
         m, n_sites = 20, 10
-        for k, q in BOSON_PRESET_Q.items():
+        for k, q in QUOTED_Q[B][2].items():
             peaks = [
                 np.max(mode_width_curve(B, m, n_sites, k, q, n, self.grid(q)))
                 for n in (2, 3, 4, 6)
@@ -204,7 +225,7 @@ class TestModeWidthCurves:
         for n in (2, 3, 4, 6):
             peaks = [
                 np.max(mode_width_curve(F, m, n_sites, k, q, n, self.grid(q)))
-                for k, q in sorted(FERMION_PRESET_Q.items())
+                for k, q in sorted(QUOTED_Q[F][2].items())
             ]
             assert all(b < a for a, b in zip(peaks, peaks[1:]))
 
@@ -250,7 +271,7 @@ class TestModeWidthCurves:
 class TestPrefactor:
     @pytest.mark.parametrize(
         "stat, m, n_sites, k", [(F, 10, 20, 2), (F, 6, 12, 5), (B, 20, 10, 3), (B, 10, 5, 4),
-                                (B, 2, 10, 5)],
+                                (B, 5, 10, 5)],
     )
     def test_equals_float_formula_bitwise(self, stat, m, n_sites, k):
         expected = (

@@ -19,7 +19,6 @@ from egoek.archive import (
     read_archive,
     write_archive,
 )
-from egoek.analytic import PRESET_SYSTEMS
 from egoek.cli import DEFAULT_TABLE_GRID, build_parser, main
 from egoek.config import (
     MAX_SPACING_BINS,
@@ -41,6 +40,8 @@ from egoek.fock import Statistics
 from egoek.periodogram import MAX_OVERSAMPLE
 from egoek.pipeline import generate_archive
 from egoek.spectra import Spectrum, eigenvalues, moments
+
+from oracles import QUOTED_Q
 
 F = Statistics.FERMION
 
@@ -395,6 +396,16 @@ class TestCliGenerate:
         archive = read_archive(out / "spectra.egoearc")
         assert archive.spec.members == 3
 
+    def test_failed_export_writes_no_archive(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli("generate", "--statistics", "fermion", "-m", "3", "-N", "6",
+                       "-k", "2", "--members", "2", "--out", str(out),
+                       "--export-json", str(tmp_path / "missing" / "dump.json")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
+
     def test_export_json_flag(self, tmp_path):
         out = tmp_path / "dump"
         dump = tmp_path / "dump.json"
@@ -517,10 +528,11 @@ class TestCliAnalysis:
                        "--k-list", k_list, "--modes", modes, "--out", str(tmp_path))
         assert code == 2
 
-    def test_analytic_requires_preset_or_q(self, tmp_path):
-        code = run_cli("analytic", "--statistics", "fermion", "-m", "6", "-N", "12",
-                       "--k-list", "2", "--out", str(tmp_path))
-        assert code == 2  # no preset for that system and no explicit q
+    def test_analytic_without_q_reads_ensemble_q(self, tmp_path):
+        assert run_cli("analytic", "--statistics", "fermion", "-m", "6", "-N", "12",
+                       "--k-list", "2", "--out", str(tmp_path)) == 0
+        rows = (tmp_path / "mode_widths.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[4] for row in rows} == {"0.286989795918"}
 
     def test_table_grid(self, tmp_path):
         grid = [{"statistics": "fermion", "m": 3, "N": 6, "k": k} for k in (2, 3)]
@@ -618,6 +630,14 @@ INVALID_COMMAND_LINES = {
     "analytic_q_negative": lambda p: ANALYTIC + ["--q", "-0.5", "--out", str(p)],
     "analytic_q_nan": lambda p: ANALYTIC + ["--q", "nan", "--out", str(p)],
     "analytic_boson_k_above_N": lambda p: _analytic(p, "boson", 10, 5, 6, 0.9),
+    "analytic_boson_k_above_m": lambda p: _analytic(p, "boson", 2, 10, 5, 0.5),
+    # Without --q: q = 1 - 8.9e-6, past the bounded-support weight's limit.
+    "analytic_boson_q_near_one": lambda p: [
+        "analytic", "--statistics", "boson", "-m", "1000", "-N", "10", "--k-list", "1",
+        "--out", str(p / "ana")],
+    "analytic_fermion_scale_overflow_without_q": lambda p: [
+        "analytic", "--statistics", "fermion", "-m", "1000000", "-N", "1000000",
+        "--k-list", "500000", "--out", str(p / "ana")],
     "analytic_fermion_k_above_m": lambda p: _analytic(p, "fermion", 6, 12, 7, 0.3),
     "analytic_fermion_m_above_N": lambda p: _analytic(p, "fermion", 13, 12, 2, 0.3),
     "analytic_too_many_grid_points": lambda p: (
@@ -684,6 +704,14 @@ def test_analytic_rejected_size_creates_no_output(case, tmp_path):
     argv = INVALID_COMMAND_LINES[case](tmp_path)
     assert run_cli(*argv) == 2
     assert not (tmp_path / "ana").exists()
+
+
+def test_analytic_closed_form_q_refuses_oversized_system_fast(tmp_path):
+    # The scale check runs before the U(N) sum, whose binomials would have 10^6 bits.
+    argv = INVALID_COMMAND_LINES["analytic_fermion_scale_overflow_without_q"](tmp_path)
+    start = time.perf_counter()
+    assert run_cli(*argv) == 2
+    assert time.perf_counter() - start < 1.0
 
 
 class TestMomentsPastFloat64:
@@ -924,7 +952,7 @@ class TestDenseMemoryGuard:
 
     @pytest.mark.parametrize("statistics", [F, Statistics.BOSON], ids=["fermion", "boson"])
     def test_preset_systems_rejected_without_allocation(self, statistics, tmp_path, capsys):
-        m, n_sites, _ = PRESET_SYSTEMS[statistics]
+        m, n_sites, _ = QUOTED_Q[statistics]
         spec = EnsembleSpec(statistics, m=m, n_sites=n_sites, k=2, members=2)
         start = time.perf_counter()
         tracemalloc.start()

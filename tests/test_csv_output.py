@@ -18,6 +18,7 @@ from egoek.periodogram import significance
 from egoek.spectra import moments
 
 import oracles
+from oracles import QUOTED_Q
 
 F, B = Statistics.FERMION, Statistics.BOSON
 
@@ -146,7 +147,7 @@ def test_fluct_separation_matches_direct_periodogram(archive_case, convention, t
 
 @pytest.mark.parametrize(
     "statistics, m, n_sites, q",
-    [(F, 10, 20, None), (B, 20, 10, None), (B, 4, 6, 0.3)],
+    [(F, *QUOTED_Q[F][:2], None), (B, *QUOTED_Q[B][:2], None), (B, 4, 6, 0.3)],
     ids=["fermion-preset", "boson-preset", "explicit-q"],
 )
 def test_analytic_csv_matches_oracle(statistics, m, n_sites, q, tmp_path):
@@ -157,7 +158,7 @@ def test_analytic_csv_matches_oracle(statistics, m, n_sites, q, tmp_path):
     assert main(argv + (["--q", str(q)] if q is not None else [])) == 0
     curves = []
     for k in ks:
-        q_k = q if q is not None else analytic.preset_q(statistics, m, n_sites, k)
+        q_k = q if q is not None else analytic.ensemble_q(statistics, m, n_sites, k)
         grid = np.linspace(-2.0 / np.sqrt(1.0 - q_k), 2.0 / np.sqrt(1.0 - q_k), points)
         curves += [(statistics, m, n_sites, k, q_k, n, grid,
                     analytic.mode_width_curve(statistics, m, n_sites, k, q_k, n, grid))

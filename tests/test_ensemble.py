@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -412,6 +413,24 @@ class TestSpectralVariancePropagation:
         terms = ensemble._variance_terms(spec)
         assert terms < 2**53
         assert spectral_variance(replace(spec, nu2=nu2)) == terms * nu2
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), statistics=st.sampled_from([F, B]),
+           limit=st.sampled_from([None, 2**8, 2**64, 2**1024, 2**2048]))
+    def test_terms_are_the_limited_binomial_product(self, data, statistics, limit):
+        # Lambda^0(N, m, k), plus C(m, k) for fermions, is the product of limited
+        # binomials it replaced, bitwise, also past the limit.  The stand-in spec
+        # skips EnsembleSpec's own level rule, which reads these terms.
+        top = 2000 if limit is None else 10**13
+        m = data.draw(st.one_of(st.integers(1, 60), st.integers(1, top)))
+        n_sites = data.draw(st.integers(m if statistics is F else 1, m + top))
+        k = data.draw(st.one_of(st.integers(1, min(m, 60)), st.integers(max(1, m - 60), m)))
+        spec = SimpleNamespace(statistics=statistics, m=m, n_sites=n_sites, k=k)
+        if statistics is F:
+            pair = binomial(n_sites - m + k, k, limit) + 1
+        else:
+            pair = binomial(n_sites + m - 1, k, limit)
+        assert ensemble._variance_terms(spec, limit) == binomial(m, k, limit) * pair
 
     def test_fermion_formula_is_exact(self):
         # The embedded second moment reproduces the propagation formula to
