@@ -102,7 +102,8 @@ def cmd_generate(args) -> None:
     config = _run_config(args)
     archive = pipeline.generate_archive(config.ensemble, threads=args.threads)
     if args.export_json:
-        arc.export_json(archive, args.export_json)
+        dump = Path(args.export_json)
+        arc.export_json(archive, _out_dir(dump.parent) / dump.name)
     target = _out_dir(config.out_dir) / ARCHIVE_NAME
     arc.write_archive(target, archive)
     print(f"wrote {target} ({config.ensemble.members} members, d={archive.dimension})")

@@ -85,7 +85,6 @@ def _check_bounded(q: float) -> None:
 
 def _theta_coefficients(q: float) -> np.ndarray:
     """Theta-series coefficients t_j = q^(j(j+1)/2), j >= 0, down to PRODUCT_FLOOR."""
-    _check_bounded(q)
     count = 1
     while q ** (count * (count + 1) // 2) >= PRODUCT_FLOOR:
         count += 1

@@ -398,21 +398,25 @@ class TestCliGenerate:
 
     def test_failed_export_writes_no_archive(self, tmp_path, capsys):
         out = tmp_path / "out"
+        blocker = tmp_path / "file"
+        blocker.write_text("")
         capsys.readouterr()
         assert run_cli("generate", "--statistics", "fermion", "-m", "3", "-N", "6",
                        "-k", "2", "--members", "2", "--out", str(out),
-                       "--export-json", str(tmp_path / "missing" / "dump.json")) == 1
+                       "--export-json", str(blocker / "dump.json")) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert not out.exists()
 
     def test_export_json_flag(self, tmp_path):
-        out = tmp_path / "dump"
-        dump = tmp_path / "dump.json"
+        # The dump's directory is made like --out's, here the same new one.
+        out = tmp_path / "s1" / "f2"
+        dump = out / "dump.json"
         assert run_cli("generate", "--statistics", "fermion", "-m", "3", "-N", "6",
                        "-k", "2", "--members", "2", "--seed", "8",
                        "--out", str(out), "--export-json", str(dump)) == 0
         assert json.loads(dump.read_text())["header"]["m"] == 3
+        assert read_archive(out / "spectra.egoearc").spec.members == 2
 
     def test_validation_exit_code(self, tmp_path):
         # k > m is a domain violation -> exit 2 via config validation

@@ -26,3 +26,15 @@ def test_no_scipy_on_the_import_path():
         [sys.executable, "-c", code], cwd=SRC, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_package_imports_no_module():
+    """Names are imported from their modules; the package re-exports none of them."""
+    code = (
+        "import sys, egoek.fock\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'egoek'))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=SRC, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "['egoek', 'egoek.fock']"
