@@ -32,6 +32,9 @@ DEFAULT_NU2 = 1.0
 
 #: Largest basis whose dense float64 Hamiltonian is built (d x d: 2 GiB here).
 MAX_DENSE_DIMENSION = 16_384
+#: Peak bytes of ``sample_kbody`` per d_k² entry; of ``build_embedding_plan`` per
+#: ((m-k)-state, k-config) entry, and per attached pair plus 3 per site.
+_KBODY_BYTES, _PLAN_BYTES, _PAIR_BYTES = 40, 17, 33
 #: Terms per chunk of ``embed``'s scatter; bounds its temporaries to a few MiB.
 _CHUNK_TERMS = 1 << 17
 
@@ -304,24 +307,31 @@ def embed(kmat: MemberMatrix, spec: EnsembleSpec) -> MemberMatrix:
 
 
 def check_dense_size(spec: EnsembleSpec, workers: int = 1) -> None:
-    """Reject a run whose ``workers`` dense Hamiltonians pass MAX_DENSE_DIMENSION² entries.
+    """Reject a run whose dense arrays would pass the bytes of one MAX_DENSE_DIMENSION-row matrix.
 
-    ``workers`` members are built at once, and each holds its d x d matrix
-    until its ``eigvalsh`` returns; only the calls in ``pipeline``'s
-    ``eigvalsh`` slots also hold the working copy ``eigvalsh`` makes.
-    workers·d² may not exceed the entries of one MAX_DENSE_DIMENSION-row
-    matrix.  Only the dimension is computed, stopping early once it passes
-    the bound, so the check costs nothing however large the system is.
+    Those are workers·8·d² for the ``workers`` Hamiltonians built at once
+    (each held until its ``eigvalsh`` returns; the calls in ``pipeline``'s
+    slots also hold a working copy), workers·_KBODY_BYTES·d_k² for their
+    k-body draws, and the one plan build.  Dimensions stop early past their
+    bounds, so any size is checked at once.
     """
-    limit = math.isqrt(MAX_DENSE_DIMENSION**2 // workers)
-    if dimension(spec.n_sites, spec.m, spec.statistics, limit=limit) > limit:
-        gib = MAX_DENSE_DIMENSION**2 * 8 / 2**30
-        held = "its dense Hamiltonian" if workers == 1 else f"{workers} dense Hamiltonians at once"
-        raise DenseMemoryError(
-            f"{spec.statistics.value} m={spec.m} N={spec.n_sites} has more than {limit} "
-            f"basis states; {held} would need over {gib:g} GiB, the size of one "
-            f"{MAX_DENSE_DIMENSION}-row matrix"
-        )
+    n, m, k, statistics = spec.n_sites, spec.m, spec.k, spec.statistics
+    budget = MAX_DENSE_DIMENSION**2 * 8
+    for particles, size, states, held in ((m, 8, "basis states", "dense Hamiltonian"),
+                                          (k, _KBODY_BYTES, f"{k}-particle states", "k-body draw")):
+        limit = math.isqrt(budget // (size * workers))
+        if dimension(n, particles, statistics, limit=limit) > limit:
+            held = f"its {held}" if workers == 1 else f"{workers} {held}s at once"
+            raise DenseMemoryError(
+                f"{statistics.value} m={m} N={n} has more than {limit} {states}; {held} would need "
+                f"over {budget / 2**30:g} GiB, the size of one {MAX_DENSE_DIMENSION}-row matrix"
+            )
+    d_k = dimension(n, k, statistics)  # each (m-k)-state attaches s of the d_k k-configs
+    s = dimension(n - m + k, k, statistics) if statistics is Statistics.FERMION else d_k
+    limit = budget // (_PLAN_BYTES * d_k + (_PAIR_BYTES + 3 * n) * s)
+    if dimension(n, m - k, statistics, limit=limit) > limit:
+        raise DenseMemoryError(f"{statistics.value} m={m} N={n} k={k}: its embedding plan would "
+                               f"need over {budget / 2**30:g} GiB")
 
 
 def build_member(spec: EnsembleSpec, member: int) -> MemberMatrix:

@@ -6,6 +6,8 @@ changes wall time but never results.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
 import os
 import threading
@@ -15,48 +17,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import decomposition as dc
+from . import ensemble
 from . import fluctuations as fl
 from . import periodogram as pg
 from .archive import SpectrumArchive
 from .ensemble import EnsembleSpec, build_member, check_dense_size
 from .spectra import eigenvalues, moments
 
-#: Read by OpenBLAS when it loads, in this order; the first positive integer wins.
-BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
+def eigvalsh_slots() -> int:
+    """How many ``eigvalsh`` calls fit at once: max(1, processors // pool threads).
 
-def usable_cores() -> int:
-    """Cores this process may run on (its affinity set where the OS reports one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def eigvalsh_slots(cores: int) -> int:
-    """How many ``eigvalsh`` calls fit on ``cores`` at once: max(1, cores // BLAS threads).
-
-    Each call is taken to run on the BLAS thread count the environment sets
-    through ``BLAS_THREAD_VARIABLES``, or on one thread per core when none
-    holds a positive integer.  That is OpenBLAS's pool as it loads; a build's
-    thread cap below the core count, or a pool resized at run time, is not
-    seen, so on a host with more cores than the cap the count is too low.
+    Both counts are OpenBLAS's own, asked by their numpy 2, numpy 1.x and
+    system OpenBLAS names, first of the handle of numpy's linalg extension,
+    which resolves the libraries it links, then of the OpenBLAS numpy's wheel
+    bundles (all Windows can ask).  A BLAS that answers none gets one slot.
     """
-    blas_threads = cores
-    for name in BLAS_THREAD_VARIABLES:
-        try:
-            value = int(os.environ.get(name, ""))
-        except ValueError:
-            continue
-        if value > 0:
-            blas_threads = value
-            break
-    return max(1, cores // blas_threads)
+    bundled = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*"))
+    for library in map(ctypes.CDLL, [np.linalg._umath_linalg.__file__, *bundled]):
+        for name in ("scipy_openblas_get_num_{}64_", "openblas_get_num_{}64_",
+                     "openblas_get_num_{}"):
+            procs, threads = (getattr(library, name.format(n), None) for n in ("procs", "threads"))
+            if procs and threads:
+                return max(1, procs() // threads())
+    return 1
 
 
 # Pool threads beyond these slots would only split the cores one BLAS call
 # already uses between calls.
-_EIGVALSH_SLOTS = threading.BoundedSemaphore(eigvalsh_slots(usable_cores()))
+_EIGVALSH_SLOTS = threading.BoundedSemaphore(eigvalsh_slots())
 
 
 def _diagonalize(matrix):
@@ -78,11 +67,12 @@ def generate_archive(spec: EnsembleSpec, threads: int = 1) -> SpectrumArchive:
 
     Members are built on up to ``threads`` pool threads, but only
     ``_EIGVALSH_SLOTS`` of them diagonalize at once, so one member's build
-    overlaps another's ``eigvalsh``.
+    overlaps another's ``eigvalsh``.  The plan is built once, before the pool.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
     check_dense_size(spec, min(threads, spec.members))
+    ensemble.build_embedding_plan(spec.statistics, spec.m, spec.n_sites, spec.k)
     members = range(spec.members)
     records = _map_members(lambda i: _diagonalize(build_member(spec, i)), members, threads)
     return SpectrumArchive(spec=spec, records=tuple(records))

@@ -678,6 +678,26 @@ INVALID_COMMAND_LINES = {
     "table1_boson_amplitude_overflow": lambda p: _table1(
         p, [{"statistics": "boson", "m": 1100, "N": 2, "k": 550}], members="1"),
 }
+# Fermion systems whose d x d Hamiltonian fits but whose k-body draw or embedding plan does not.
+PAST_DENSE_MEMORY = {
+    "kbody_c30_15": (29, 30, 15),  # d = 30, d_k = 155,117,520
+    "kbody_c40_3": (39, 40, 3),  # d = 40, d_k = 9,880: 3.9 GB of draw, 15 GB of plan
+    "plan_c50_2": (48, 50, 2),  # d = d_k = 1,225 and 230,300 (m-k)-states: 4.8 GB of plan
+}
+
+
+def _past_dense_memory(tmp_path, command, system):
+    m, n_sites, k = PAST_DENSE_MEMORY[system]
+    if command == "table1":
+        return _table1(tmp_path, [{"statistics": "fermion", "m": m, "N": n_sites, "k": k}], "1")
+    return ["generate", "--statistics", "fermion", "-m", str(m), "-N", str(n_sites), "-k", str(k),
+            "--members", "1", "--out", str(tmp_path / "out")]
+
+
+INVALID_COMMAND_LINES.update({
+    f"{command}_{system}": lambda p, c=command, s=system: _past_dense_memory(p, c, s)
+    for command in ("generate", "table1") for system in PAST_DENSE_MEMORY
+})
 
 
 @pytest.mark.parametrize("case", sorted(INVALID_COMMAND_LINES))
@@ -1016,15 +1036,54 @@ class TestDenseMemoryGuard:
         assert not (tmp_path / "out").exists()
 
     def test_largest_dense_system_accepted(self):
-        # Fermions m=1 in N=MAX_DENSE_DIMENSION states sit exactly on the bound.
-        check_dense_size(EnsembleSpec(F, m=1, n_sites=MAX_DENSE_DIMENSION, k=1))
+        # Bosons m in N=2 states have d = m + 1 and d_k = 2 at k=1, so only the
+        # Hamiltonian binds; m = MAX_DENSE_DIMENSION - 1 sits exactly on the bound.
+        def spec(d):
+            return EnsembleSpec(Statistics.BOSON, m=d - 1, n_sites=2, k=1)
+
+        check_dense_size(spec(MAX_DENSE_DIMENSION))
         with pytest.raises(DenseMemoryError):
-            check_dense_size(EnsembleSpec(F, m=1, n_sites=MAX_DENSE_DIMENSION + 1, k=1))
+            check_dense_size(spec(MAX_DENSE_DIMENSION + 1))
         # Two members in flight hold at most MAX_DENSE_DIMENSION² entries between them.
         largest = 11_585
         assert 2 * largest**2 <= MAX_DENSE_DIMENSION**2 < 2 * (largest + 1) ** 2
-        check_dense_size(EnsembleSpec(F, m=1, n_sites=largest, k=1), workers=2)
-        over = EnsembleSpec(F, m=1, n_sites=largest + 1, k=1)
+        check_dense_size(spec(largest), workers=2)
+        over = spec(largest + 1)
         with pytest.raises(DenseMemoryError, match="2 dense Hamiltonians"):
             check_dense_size(over, workers=2)
         check_dense_size(over, workers=1)
+
+    @pytest.mark.parametrize("command", ["generate", "table1"])
+    @pytest.mark.parametrize("system", sorted(PAST_DENSE_MEMORY))
+    def test_kbody_and_plan_refused_without_allocation(self, command, system, tmp_path, capsys):
+        argv = INVALID_COMMAND_LINES[f"{command}_{system}"](tmp_path)
+        capsys.readouterr()
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv) == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 1 << 20
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert ("embedding plan" if system.startswith("plan") else "k-body draw") in err[0]
+        assert not (tmp_path / "out").exists() and not (tmp_path / "tab").exists()
+
+    def test_kbody_draws_counted_per_worker(self):
+        # d_k = C(N, 1) = N: one 7,327-row draw fits in 2 GiB at 40 B per entry, two do not.
+        largest = math.isqrt(MAX_DENSE_DIMENSION**2 * 8 // 40)
+        assert largest == 7_327
+        check_dense_size(EnsembleSpec(F, m=1, n_sites=largest, k=1))
+        with pytest.raises(DenseMemoryError, match="its k-body draw"):
+            check_dense_size(EnsembleSpec(F, m=1, n_sites=largest + 1, k=1))
+        with pytest.raises(DenseMemoryError, match="2 k-body draws at once"):
+            check_dense_size(EnsembleSpec(F, m=1, n_sites=largest, k=1), workers=2)
+
+    @pytest.mark.parametrize("entry", DEFAULT_TABLE_GRID,
+                             ids=lambda e: f"{e['statistics']}-k{e['k']}")
+    def test_reference_systems_accepted(self, entry):
+        spec = ensemble_from_dict(entry, "system", ("statistics", "m", "N", "k"), members=50)
+        check_dense_size(spec, workers=2)

@@ -22,7 +22,7 @@ from egoek.ensemble import (
     spectral_variance,
     splitmix64,
 )
-from egoek.fock import BasisSizeError, Statistics, binomial
+from egoek.fock import BasisSizeError, Statistics, binomial, dimension
 from egoek.spectra import eigenvalues, moments
 
 from oracles import (
@@ -258,6 +258,41 @@ def test_embed_transient_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak - ham.nbytes < 8 * 2**20
+
+
+def traced_peak(function, *args):
+    """Peak bytes ``tracemalloc`` sees while ``function(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("stat, m, n_sites, k", [(F, 13, 16, 3), (B, 6, 12, 3)])
+def test_kbody_bytes_per_entry(stat, m, n_sites, k):
+    # Per d_k² entry: 4 for the draws, 8 for the triangle's indices, and 8 each
+    # for the matrix, its upper triangle and their sum; the diagonal adds ~1/d_k.
+    spec = EnsembleSpec(stat, m=m, n_sites=n_sites, k=k, members=1)
+    per_entry = traced_peak(sample_kbody, spec, 0) / spec.k_dimension**2
+    assert 0.85 * ensemble._KBODY_BYTES < per_entry <= ensemble._KBODY_BYTES
+
+
+@pytest.mark.parametrize("stat, m, n_sites, k", [(F, 13, 16, 3), (B, 6, 12, 3)])
+def test_plan_bytes(stat, m, n_sites, k):
+    # Per ((m-k)-state, k-config) entry: the bool attachment mask and two float64
+    # temporaries of the weights.  Per attached pair: ``nonzero``'s two index
+    # arrays (16), ``basis_rank``'s ranks and one count (16) and a mask (1), and
+    # three one-byte occupation tables per site (the summed states, and
+    # ``basis_rank``'s transposed copy and per-site sums).
+    d_k, n_inter = dimension(n_sites, k, stat), dimension(n_sites, m - k, stat)
+    attached = dimension(n_sites - m + k, k, stat) if stat is F else d_k
+    model = n_inter * (ensemble._PLAN_BYTES * d_k
+                       + (ensemble._PAIR_BYTES + 3 * n_sites) * attached)
+    build_embedding_plan.cache_clear()
+    peak = traced_peak(build_embedding_plan, stat, m, n_sites, k)
+    assert 0.75 * model < peak <= model
 
 
 def test_plan_refuses_basis_above_cap_before_building_tables():

@@ -1,49 +1,134 @@
 """The member pool of ``generate_archive``: how many ``eigvalsh`` calls run at once."""
 
 import os
+import subprocess
 import sys
 import threading
 import time
+from collections import Counter
+from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from egoek import pipeline
+from egoek import ensemble, pipeline
 from egoek.archive import write_archive
 from egoek.ensemble import EnsembleSpec
 from egoek.fock import Statistics
 
 SPEC = EnsembleSpec(Statistics.FERMION, m=3, n_sites=6, k=2, members=6, master_seed=5)
+SRC = Path(__file__).resolve().parent.parent / "src"
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-@pytest.mark.parametrize(
-    "environ, cores, slots",
-    [
-        ({}, 2, 1),  # OpenBLAS takes one thread per core
-        ({}, 16, 1),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
-        ({"OMP_NUM_THREADS": "2"}, 8, 4),
-        ({"GOTO_NUM_THREADS": "3"}, 7, 2),
-        ({"OPENBLAS_NUM_THREADS": "two"}, 2, 1),  # not a number: the next one, then cores
-        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 4, 4),
-        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "-2"}, 4, 1),
-        ({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, 4, 2),
-        ({"OPENBLAS_NUM_THREADS": "8"}, 2, 1),  # more BLAS threads than cores
-    ],
-)
-def test_slots_from_environment(environ, cores, slots, monkeypatch):
-    for name in pipeline.BLAS_THREAD_VARIABLES:
-        monkeypatch.delenv(name, raising=False)
-    for name, value in environ.items():
-        monkeypatch.setenv(name, value)
-    assert pipeline.eigvalsh_slots(cores) == slots
+def slots_in_child(code="", **environ):
+    """``eigvalsh_slots()`` in a fresh interpreter that runs ``code`` first.
+
+    The pool is sized when OpenBLAS loads, so each environment needs its own process.
+    """
+    env = {name: value for name, value in os.environ.items() if name not in BLAS_VARIABLES}
+    script = f"{code}\nfrom egoek.pipeline import eigvalsh_slots\nprint(eigvalsh_slots())"
+    done = subprocess.run([sys.executable, "-c", script], cwd=SRC, env={**env, **environ},
+                          capture_output=True, text=True, check=True)
+    return int(done.stdout)
 
 
-def test_usable_cores_falls_back_to_cpu_count(monkeypatch):
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert pipeline.usable_cores() == 3
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert pipeline.usable_cores() == 1
+def test_default_pool_leaves_one_slot():
+    # OpenBLAS starts one thread per processor, up to its build's cap.
+    assert slots_in_child() == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity set")
+def test_one_thread_pool_gives_a_slot_per_processor():
+    assert slots_in_child(OPENBLAS_NUM_THREADS="1") == len(os.sched_getaffinity(0))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity set")
+def test_affinity_set_before_load_is_seen():
+    pin = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})"
+    assert slots_in_child(pin, OPENBLAS_NUM_THREADS="1") == 1
+
+
+class FakeLibrary:
+    """A loaded library that answers the named queries with fixed counts."""
+
+    def __init__(self, **answers):
+        for name, value in answers.items():
+            setattr(self, name, lambda value=value: value)
+
+
+def use_libraries(monkeypatch, handle, bundled):
+    """Make ``handle`` numpy's linalg extension and ``bundled`` the one OpenBLAS in its wheel.
+
+    Returns the list of paths loaded, and of glob patterns searched, as they happen.
+    """
+    calls = []
+    extension = np.linalg._umath_linalg.__file__
+
+    def load(path):
+        calls.append(path)
+        return handle if path == extension else bundled
+
+    def search(pattern):
+        calls.append(pattern)
+        return [os.path.join(os.path.dirname(pattern), "libopenblas.so")]
+
+    monkeypatch.setattr(pipeline, "ctypes", SimpleNamespace(CDLL=load))
+    monkeypatch.setattr(pipeline, "glob", SimpleNamespace(glob=search))
+    return calls
+
+
+def test_library_without_queries_gives_one_slot(monkeypatch):
+    calls = use_libraries(monkeypatch, FakeLibrary(), FakeLibrary())
+    assert pipeline.eigvalsh_slots() == 1
+    assert len(calls) == 3  # the glob, the handle, the bundled library
+
+
+@pytest.mark.parametrize("name", ["scipy_openblas_get_num_{}64_", "openblas_get_num_{}64_",
+                                  "openblas_get_num_{}"])
+def test_slots_are_processors_over_threads(name, monkeypatch):
+    answers = {name.format("procs"): 8, name.format("threads"): 2}
+    use_libraries(monkeypatch, FakeLibrary(**answers), FakeLibrary())
+    assert pipeline.eigvalsh_slots() == 4
+
+
+def test_more_threads_than_processors_gives_one_slot(monkeypatch):
+    answers = {"openblas_get_num_procs": 2, "openblas_get_num_threads": 8}
+    use_libraries(monkeypatch, FakeLibrary(**answers), FakeLibrary())
+    assert pipeline.eigvalsh_slots() == 1
+
+
+def test_one_query_name_pair_is_never_mixed(monkeypatch):
+    answers = {"scipy_openblas_get_num_procs64_": 8, "openblas_get_num_threads": 2}
+    use_libraries(monkeypatch, FakeLibrary(**answers), FakeLibrary())
+    assert pipeline.eigvalsh_slots() == 1
+
+
+def test_wheel_library_asked_when_handle_finds_nothing(monkeypatch):
+    answers = {"scipy_openblas_get_num_procs64_": 6, "scipy_openblas_get_num_threads64_": 3}
+    calls = use_libraries(monkeypatch, FakeLibrary(), FakeLibrary(**answers))
+    assert pipeline.eigvalsh_slots() == 2
+    pattern, handle, bundled = calls
+    assert handle == np.linalg._umath_linalg.__file__
+    assert os.path.dirname(pattern) == os.path.dirname(np.__file__) + ".libs"
+    assert bundled == os.path.join(os.path.dirname(np.__file__) + ".libs", "libopenblas.so")
+
+
+def test_cold_threaded_run_builds_plan_once(monkeypatch):
+    spec = EnsembleSpec(Statistics.FERMION, m=6, n_sites=12, k=2, members=4)
+    built = Counter()
+    original = ensemble.enumerate_basis
+
+    def counted(n_sites, particles, statistics):
+        built[particles] += 1
+        time.sleep(0.05)  # long enough for the other pool thread to miss the cache too
+        return original(n_sites, particles, statistics)
+
+    monkeypatch.setattr(ensemble, "enumerate_basis", counted)
+    ensemble.build_embedding_plan.cache_clear()
+    pipeline.generate_archive(spec, threads=2)
+    assert built == {spec.m - spec.k: 1, spec.k: 1}
 
 
 def count_concurrent_eigenvalues(monkeypatch, slots: int, threads: int):
