@@ -16,7 +16,6 @@ import numpy as np
 from . import qhermite
 from .fock import Statistics, binomial, dimension, lambda_nu
 
-TRUNCATION_RTOL = 1e-16
 # Entries (rows x grid points) of one curve's q-Hermite table: 128 MiB of float64.
 MAX_TABLE_ENTRIES = 2**24
 
@@ -32,20 +31,19 @@ def _check_system(statistics: Statistics, m: int, n_sites: int, k: int, n: int =
         raise ValueError("require 1 <= k <= min(m, N)")
 
 
-def _amplitude(statistics: Statistics, n: int, m: int, n_sites: int, k: int) -> float:
-    """Curve weight a_n of mode n, after checking the mode index and the system.
+def _amplitude(statistics: Statistics, n: int, m: int, n_sites: int, k: int,
+               over_states: bool = False) -> float:
+    """Curve weight a_n of mode n, exact and rounded once, after checking the mode and system.
 
-    Fermions: 2n C(m,k)^(2-n), which is S_n^2 C(N,k)^2.  Bosons: 2n / C(N,k)^n,
-    which is S_n^2 itself.
+    Fermions: 2n C(m,k)^(2-n), which is S_n^2 C(N,k)^2; ``over_states`` divides it by
+    C(N,k)^2.  Bosons: 2n / C(N,k)^n, which is S_n^2 itself.
     """
     _check_system(statistics, m, n_sites, k, n)
-    if statistics is Statistics.FERMION:
-        return 2.0 * n * math.comb(m, k) ** (2 - n)
-    c = math.comb(n_sites, k)
-    # Only a power within float64 range is built and converted for the float expression.
-    if n * (c.bit_length() - 1) < 1024 and c**n <= sys.float_info.max:
-        return 2.0 * n / c**n
-    return _exact_quotient(2 * n, c, n)
+    if statistics is Statistics.BOSON:
+        return _exact_quotient(2 * n, math.comb(n_sites, k), n)
+    cmk = math.comb(m, k)
+    divisor = math.comb(n_sites, k) ** 2 if over_states else 1
+    return _exact_quotient(2 * n * cmk ** max(2 - n, 0), cmk, max(n - 2, 0), divisor)
 
 
 def _exact_quotient(numerator: int, base: int, exponent: int, divisor: int = 1) -> float:
@@ -62,13 +60,7 @@ def sn2(statistics: Statistics, n: int, m: int, n_sites: int, k: int) -> float:
     less than m.  Dense bosons: 2n / C(N,k)^n.  A value below float64 range
     reads 0.0, and one above it raises ValueError.
     """
-    if statistics is Statistics.BOSON:
-        return _amplitude(statistics, n, m, n_sites, k)
-    _check_system(statistics, m, n_sites, k, n)
-    cmk, cnk2 = math.comb(m, k), math.comb(n_sites, k) ** 2
-    if cnk2 <= sys.float_info.max:
-        return _amplitude(statistics, n, m, n_sites, k) / cnk2
-    return _exact_quotient(2 * n * cmk ** max(2 - n, 0), cmk, max(n - 2, 0), cnk2)
+    return _amplitude(statistics, n, m, n_sites, k, over_states=True)
 
 
 def prefactor(statistics: Statistics, m: int, n_sites: int, k: int) -> float:
@@ -107,72 +99,37 @@ def ensemble_q(statistics: Statistics, m: int, n_sites: int, k: int) -> float:
     return total / (dimension(n_sites, m, statistics) * lam(0, k) ** 2)
 
 
-def _mode_sum(
-    statistics: Statistics, e_hat: np.ndarray, m: int, n_sites: int, k: int, q: float,
-    modes: range,
-) -> np.ndarray:
-    """scale rho^2 sum_n a_n H_(n-1)^2 / ([n]_q!)^2 over ``modes``, at each point of ``e_hat``.
-
-    rho is the unit-variance density; only the points where it is positive
-    enter the sum, and the curve is 0 elsewhere.  All modes read one q-Hermite
-    table, and the sum stops once a term falls below TRUNCATION_RTOL of the
-    running sum.  Raises ValueError for a system or mode outside the domain, a
-    table above MAX_TABLE_ENTRIES entries, or a term past float64 range.
-    """
-    scale = prefactor(statistics, m, n_sites, k)  # checks the system at bounded cost
-    top = modes.stop - 1
-    _amplitude(statistics, top, m, n_sites, k)  # checks the highest mode up front
-    rho = qhermite.fqn_density(e_hat, q)
-    inside = rho > 0.0
-    rho2 = rho[inside] ** 2
-    if top * rho2.size > MAX_TABLE_ENTRIES:
-        raise ValueError(f"mode index times grid points must not pass {MAX_TABLE_ENTRIES}")
-    with np.errstate(over="ignore", invalid="ignore"):  # a row past float64 is refused below
-        table = qhermite.hermite_table(top - 1, e_hat[inside], q)
-    total = np.zeros_like(rho2)
-    for n in modes:
-        amplitude = _amplitude(statistics, n, m, n_sites, k)
-        try:
-            weight = amplitude / qhermite.qfactorial(n, q) ** 2
-        except OverflowError:
-            weight = math.nan
-        with np.errstate(over="ignore", invalid="ignore"):
-            term = weight * table[n - 1] ** 2
-        if not np.all(np.isfinite(term)):
-            raise ValueError(f"mode {n} at q={q:.12g} does not fit a float64")
-        total += term
-        sup = float(np.max(term * rho2, initial=0.0))
-        running = float(np.max(total * rho2, initial=0.0))
-        if running > 0.0 and sup < TRUNCATION_RTOL * running:
-            break
-    out = np.zeros_like(e_hat)
-    out[inside] = scale * rho2 * total
-    return out
-
-
-def motion_variance(
-    statistics: Statistics, e_hat, m: int, n_sites: int, k: int, q: float, n_max: int = 50
-) -> np.ndarray | float:
-    """Scaled level-motion variance profile: ``_mode_sum`` over modes 1..n_max.
-
-    Sum over excitation modes of the squared (n-1)-th polynomial weighted by
-    the mode amplitudes, times the squared unit-variance density; 0 where
-    the density is 0.  A scalar ``e_hat`` gives a float.
-    """
-    arr = np.asarray(e_hat, dtype=float)
-    out = _mode_sum(statistics, np.atleast_1d(arr), m, n_sites, k, q, range(1, n_max + 1))
-    return float(out[0]) if arr.ndim == 0 else out
-
-
 def mode_width_curve(
     statistics: Statistics, m: int, n_sites: int, k: int, q: float, n: int, grid: np.ndarray
 ) -> np.ndarray:
     """Contribution of the single excitation mode n at each point of an energy grid.
 
-    Zero where the density is zero; raises ValueError when the mode's term
-    does not fit a float64 at a point where the density is positive.
+    The value is scale rho^2 a_n H_(n-1)^2 / ([n]_q!)^2, with rho the
+    unit-variance density; it is 0 where rho is, and no term is evaluated
+    there.  Raises ValueError for an empty grid, a system or mode outside the
+    domain, a q-Hermite table above MAX_TABLE_ENTRIES entries (rows x points
+    where rho > 0), or a term past float64 range where rho > 0.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be non-empty")
-    return _mode_sum(statistics, grid, m, n_sites, k, q, range(n, n + 1))
+    scale = prefactor(statistics, m, n_sites, k)  # checks the system at bounded cost
+    amplitude = _amplitude(statistics, n, m, n_sites, k)
+    rho = qhermite.fqn_density(grid, q)
+    inside = rho > 0.0
+    rho2 = rho[inside] ** 2
+    if n * rho2.size > MAX_TABLE_ENTRIES:
+        raise ValueError(f"mode index times grid points must not pass {MAX_TABLE_ENTRIES}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a row past float64 is refused below
+        row = qhermite.hermite_table(n - 1, grid[inside], q)[n - 1]
+    try:
+        weight = amplitude / qhermite.qfactorial(n, q) ** 2
+    except OverflowError:
+        weight = math.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        term = weight * row**2
+    if not np.all(np.isfinite(term)):
+        raise ValueError(f"mode {n} at q={q:.12g} does not fit a float64")
+    out = np.zeros_like(grid)
+    out[inside] = scale * rho2 * term
+    return out

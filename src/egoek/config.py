@@ -15,7 +15,6 @@ VALID_ORDERS = (2, 3, 4, 5, 6)
 ENSEMBLE_KEYS = ("statistics", "m", "N", "k", "members", "master_seed", "nu2")
 _ENSEMBLE_DEFAULTS = {f.name: f.default for f in fields(EnsembleSpec) if f.default is not MISSING}
 _TOP_KEYS = ("format_version", "ensemble", "analysis", "out_dir")
-MAX_SPACING_BINS = 1_000_000  # NNSD histogram bins, spacing_max / bin_width
 
 
 class ConfigError(ValueError):
@@ -40,14 +39,9 @@ class RunConfig:
             raise ConfigError(f"orders must not repeat, got {list(self.orders)}")
         if self.l_max < 2:
             raise ConfigError("l_max must be at least 2")
-        if not self.bin_width > 0:
-            raise ConfigError("bin_width must be positive")
-        if not self.spacing_max > 0:
-            raise ConfigError("spacing_max must be positive")
-        if self.spacing_max / self.bin_width > MAX_SPACING_BINS:
-            raise ConfigError(f"spacing_max / bin_width exceeds {MAX_SPACING_BINS} histogram bins")
         try:
             fl.central_window(MIN_SAMPLES, self.trim)
+            fl.spacing_edges(self.bin_width, self.spacing_max)
             grid_size(MIN_SAMPLES, self.oversample)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

@@ -24,6 +24,7 @@ DEFAULT_TRIM = 0.10
 DEFAULT_BIN_WIDTH = 0.1
 DEFAULT_SPACING_MAX = 4.0
 DEFAULT_L_MAX = 60
+MAX_SPACING_BINS = 1_000_000  # NNSD histogram bins
 # Delta3 window lengths run L_STEP, 2 L_STEP, ... up to l_max; window starts
 # advance by WINDOW_STEP unfolded spacings.
 L_STEP = 2
@@ -109,6 +110,23 @@ def poisson_pdf(s) -> np.ndarray:
     return np.exp(-np.asarray(s, dtype=float))
 
 
+def spacing_edges(bin_width: float, s_max: float) -> np.ndarray:
+    """NNSD bin edges 0, bin_width, ... up to s_max (the last bin may pass it).
+
+    Raises ValueError for a bin_width that is not positive, and for a grid with
+    no bin or more than MAX_SPACING_BINS bins, before any edge is allocated.
+    """
+    if not bin_width > 0:
+        raise ValueError("bin_width must be positive")
+    stop = s_max + 0.5 * bin_width
+    count = stop / bin_width  # numpy's arange makes ceil(stop / step) edges
+    if not count > 1:
+        raise ValueError(f"spacing_max={s_max:g} and bin_width={bin_width:g} leave no histogram bin")
+    if not count <= MAX_SPACING_BINS + 1:
+        raise ValueError(f"spacing_max / bin_width exceeds {MAX_SPACING_BINS} histogram bins")
+    return np.arange(0.0, stop, bin_width)
+
+
 def nnsd(
     ensemble: Sequence[np.ndarray],
     bin_width: float = DEFAULT_BIN_WIDTH,
@@ -123,7 +141,7 @@ def nnsd(
     if not ensemble:
         raise ValueError("need at least one unfolded spectrum")
     pooled = np.concatenate([np.diff(levels) for levels in ensemble])
-    edges = np.arange(0.0, s_max + 0.5 * bin_width, bin_width)
+    edges = spacing_edges(bin_width, s_max)
     counts, _ = np.histogram(pooled, bins=edges)
     density = counts / (pooled.size * bin_width)
     centers = 0.5 * (edges[:-1] + edges[1:])

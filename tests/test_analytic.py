@@ -13,7 +13,6 @@ from egoek.analytic import (
     MAX_TABLE_ENTRIES,
     ensemble_q,
     mode_width_curve,
-    motion_variance,
     prefactor,
     sn2,
 )
@@ -56,6 +55,25 @@ class TestModeAmplitudes:
         with pytest.raises(ValueError):
             sn2(B, 2, 1, 5, 7)
 
+    def test_fermion_subnormal_rounded_once(self):
+        # 400 / 40^200 is subnormal, where a quotient of rounded floats loses
+        # digits; the exact quotient rounds once.
+        assert sn2(F, 200, 40, 40, 1) == float(Fraction(400, 40**200))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), statistics=st.sampled_from([F, B]), n_sites=st.integers(1, 40),
+           n=st.integers(1, 200))
+    def test_correctly_rounded(self, data, statistics, n_sites, n):
+        # Normal and subnormal results alike equal the exact formula rounded once.
+        m = data.draw(st.integers(1, n_sites if statistics is F else 40))
+        k = data.draw(st.integers(1, m if statistics is F else min(m, n_sites)))
+        cnk = math.comb(n_sites, k)
+        if statistics is F:
+            exact = Fraction(2 * n * math.comb(m, k) ** 2, math.comb(m, k) ** n * cnk**2)
+        else:
+            exact = Fraction(2 * n, cnk**n)
+        assert sn2(statistics, n, m, n_sites, k) == float(exact)
+
     def test_k2_reduction_is_same_expression(self):
         # At k = 2 the general forms coincide with the pair-interaction case.
         assert sn2(F, 4, 12, 24, 2) == pytest.approx(
@@ -95,25 +113,18 @@ class TestPresets:
 
 class TestMotionVariance:
     def test_even_in_energy(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            e = float(rng.uniform(0, 2.0))
-            a = motion_variance(F, e, 10, 20, 3, 0.176)
-            b = motion_variance(F, -e, 10, 20, 3, 0.176)
-            assert a == pytest.approx(b, rel=1e-12)
-            a = motion_variance(B, e, 20, 10, 3, 0.84)
-            b = motion_variance(B, -e, 20, 10, 3, 0.84)
-            assert a == pytest.approx(b, rel=1e-12)
+        e = np.random.default_rng(2).uniform(0, 2.0, 10)
+        grid = np.concatenate([e, -e])
+        for n in range(1, 11):
+            for values in (mode_width_curve(F, 10, 20, 3, 0.176, n, grid),
+                           mode_width_curve(B, 20, 10, 3, 0.84, n, grid)):
+                assert np.allclose(values[:10], values[10:], rtol=1e-12, atol=0.0)
 
     def test_zero_outside_support(self):
-        assert motion_variance(F, 10.0, 10, 20, 2, 0.465) == 0.0
-        assert motion_variance(B, 10.0, 20, 10, 2, 0.932) == 0.0
-
-    def test_truncation_stability(self):
-        grid = np.linspace(-2.0, 2.0, 41)
-        a = motion_variance(F, grid, 10, 20, 3, 0.176, n_max=30)
-        b = motion_variance(F, grid, 10, 20, 3, 0.176, n_max=60)
-        assert np.allclose(a, b, rtol=1e-12)
+        far = np.array([-10.0, 10.0])
+        for n in (1, 2, 50):
+            assert not mode_width_curve(F, 10, 20, 2, 0.465, n, far).any()
+            assert not mode_width_curve(B, 20, 10, 2, 0.932, n, far).any()
 
     def test_single_mode_compositional_oracle(self):
         # n = 2 term assembled from independent pieces: the per-mode amplitude
@@ -136,15 +147,6 @@ class TestMotionVariance:
         )
         assert np.allclose(values, expected, rtol=1e-10)
 
-    def test_sum_of_modes_matches_total(self):
-        q, m, n_sites, k = 0.176, 10, 20, 3
-        grid = np.linspace(-2.0, 2.0, 21)
-        total = motion_variance(F, grid, m, n_sites, k, q, n_max=40)
-        stacked = sum(
-            mode_width_curve(F, m, n_sites, k, q, n, grid) for n in range(1, 41)
-        )
-        assert np.allclose(total, stacked, rtol=1e-10)
-
     def test_one_table_per_curve(self, monkeypatch):
         heights = []
         original = qhermite.hermite_table
@@ -155,17 +157,17 @@ class TestMotionVariance:
 
         monkeypatch.setattr(qhermite, "hermite_table", counted)
         grid = np.linspace(-2.0, 2.0, 21)
-        motion_variance(F, grid, 10, 20, 3, 0.176, n_max=40)
-        assert heights == [39]
-        motion_variance(B, 0.3, 20, 10, 2, 0.932)
-        assert heights == [39, 49]
         mode_width_curve(F, 10, 20, 3, 0.176, 6, grid)
-        assert heights == [39, 49, 5]
+        assert heights == [5]
+        mode_width_curve(B, 20, 10, 2, 0.932, 50, np.array([0.3]))
+        assert heights == [5, 49]
 
     def test_table_size_bound(self):
         grid = np.zeros(MAX_TABLE_ENTRIES // 50 + 1)
         with pytest.raises(ValueError, match="grid points"):
-            motion_variance(F, grid, 10, 20, 2, 0.465)
+            mode_width_curve(F, 10, 20, 2, 0.465, 50, grid)
+        with pytest.raises(ValueError, match="grid points"):
+            mode_width_curve(B, 20, 10, 2, 0.932, 50, grid)
 
 
 class TestModeWidthCurves:
@@ -248,8 +250,6 @@ class TestModeWidthCurves:
         # evaluated where the density vanishes, so nothing overflows.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert motion_variance(F, 10.0, 10, 20, 2, 0.465, n_max=100) == 0.0
-            assert motion_variance(F, 10.0, 10, 20, 2, 0.465, n_max=200) == 0.0
             values = mode_width_curve(F, 10, 20, 2, 0.465, 200, np.array([0.0, 10.0]))
         assert values[1] == 0.0
         assert np.array_equal(
@@ -257,15 +257,10 @@ class TestModeWidthCurves:
         )
 
     def test_overflow_refused_only_where_read(self):
-        # Modes below the overflow keep their finite values, and the rows of
-        # the table past the truncated sum may overflow unread.
+        # Modes below the overflow keep their finite values.
         grid = np.linspace(-1.0, 1.0, 801)
         values = mode_width_curve(F, 10, 20, 2, 0.465, 500, grid)
         assert np.all(np.isfinite(values))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            far = motion_variance(F, grid, 10, 20, 2, 0.465, n_max=5000)
-        assert np.array_equal(far, motion_variance(F, grid, 10, 20, 2, 0.465))
 
 
 class TestPrefactor:
@@ -294,8 +289,6 @@ class TestPrefactor:
             prefactor(stat, m, n_sites, k)
         with pytest.raises(ValueError, match="does not fit a float64"):
             mode_width_curve(stat, m, n_sites, k, 0.5, 2, np.zeros(1))
-        with pytest.raises(ValueError, match="does not fit a float64"):
-            motion_variance(stat, 0.0, m, n_sites, k, 0.5)
         assert time.perf_counter() - start < 1.0
 
     def test_boson_amplitude_past_float_range_underflows(self):

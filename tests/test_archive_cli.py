@@ -21,7 +21,6 @@ from egoek.archive import (
 )
 from egoek.cli import DEFAULT_TABLE_GRID, build_parser, main
 from egoek.config import (
-    MAX_SPACING_BINS,
     VALID_ORDERS,
     ConfigError,
     RunConfig,
@@ -36,6 +35,7 @@ from egoek.ensemble import (
     check_dense_size,
     member_seed,
 )
+from egoek.fluctuations import MAX_SPACING_BINS
 from egoek.fock import Statistics
 from egoek.periodogram import MAX_OVERSAMPLE
 from egoek.pipeline import generate_archive
@@ -252,8 +252,8 @@ def run_configs(draw):
     """
     stat = draw(st.sampled_from([F, Statistics.BOSON]))
     m = draw(st.integers(1, 6))
-    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-    bin_width = draw(positive)
+    # Below 1e300, so that spacing_max + bin_width / 2 stays finite.
+    bin_width = draw(st.floats(min_value=0.0, max_value=1e300, exclude_min=True))
     spec = EnsembleSpec(
         stat,
         m=m,
@@ -270,9 +270,9 @@ def run_configs(draw):
         trim=draw(st.floats(0.0, 1.0, exclude_max=True)),
         l_max=draw(st.integers(2, 10**6)),
         bin_width=bin_width,
-        # Half the bin bound, so rounding cannot carry the ratio past it.
-        spacing_max=draw(st.floats(min_value=0.0, max_value=bin_width * MAX_SPACING_BINS / 2,
-                                   exclude_min=True, allow_infinity=False)),
+        # From two bins to half the bin bound, so rounding cannot carry the count past either.
+        spacing_max=draw(st.floats(min_value=2 * bin_width,
+                                   max_value=bin_width * MAX_SPACING_BINS / 2)),
         oversample=draw(st.integers(1, MAX_OVERSAMPLE)),
         out_dir=draw(st.text(max_size=20)),
     )
@@ -617,6 +617,8 @@ INVALID_COMMAND_LINES = {
     "config_fractional_l_max": lambda p: _generate_analysis(p, {"l_max": 8.7}),
     "config_bin_width_too_many_bins": lambda p: _generate_analysis(p, {"bin_width": 1e-12}),
     "config_spacing_max_too_many_bins": lambda p: _generate_analysis(p, {"spacing_max": 1e13}),
+    "config_spacing_max_below_one_bin": lambda p: _generate_analysis(
+        p, {"spacing_max": 0.01, "bin_width": 0.1}),
     "config_fractional_oversample": lambda p: _generate_analysis(p, {"oversample": 4.5}),
     "config_bool_oversample": lambda p: _generate_analysis(p, {"oversample": True}),
     "config_format_version": lambda p: _generate_config(p, {"ensemble": SYSTEM,

@@ -1,9 +1,10 @@
-"""egoek loads only numpy and the standard library.
+"""egoek loads only numpy and the standard library, and src/ holds no code that only tests use.
 
 scipy is a test oracle, not a dependency: importing it costs more than
 numpy itself does, on every command line call.
 """
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -38,3 +39,31 @@ def test_package_imports_no_module():
         [sys.executable, "-c", code], cwd=SRC, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "['egoek', 'egoek.fock']"
+
+
+# Public names that nothing in src/ loads, each kept on purpose.
+KEPT_WITHOUT_SRC_CALLER = {
+    "decomposition.fit_smooth_model": "perfbench/tracer.py wraps it (ROADMAP item 5)",
+    "decomposition.smooth_distribution_values": "perfbench/tracer.py wraps it (ROADMAP item 5)",
+    "analytic.sn2": "acceptance criterion 8 reads it",
+    "ensemble.spectral_variance": "criterion 2's anchor (ROADMAP item 2)",
+}
+
+
+def test_every_public_definition_has_a_src_reader():
+    """Code that only tests use belongs in tests/: each public module-level function or
+    class is loaded (as a name or an attribute) somewhere in src/, or is listed above."""
+    paths = sorted((SRC / "egoek").glob("*.py"))
+    trees = {path.stem: ast.parse(path.read_text()) for path in paths}
+    loaded = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    unread = {
+        f"{module}.{node.name}"
+        for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in loaded
+    }
+    assert unread == set(KEPT_WITHOUT_SRC_CALLER)
