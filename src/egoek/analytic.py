@@ -115,7 +115,7 @@ def mode_width_curve(
         raise ValueError("grid must be non-empty")
     scale = prefactor(statistics, m, n_sites, k)  # checks the system at bounded cost
     amplitude = _amplitude(statistics, n, m, n_sites, k)
-    rho = qhermite.fqn_density(grid, q)
+    rho = np.asarray(qhermite.fqn_density(grid, q))  # a 0-d grid gives a float
     inside = rho > 0.0
     rho2 = rho[inside] ** 2
     if n * rho2.size > MAX_TABLE_ENTRIES:

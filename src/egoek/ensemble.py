@@ -17,6 +17,7 @@ import numpy as np
 
 from .fock import (
     DEFAULT_BASIS_CAP,
+    MAX_SITES,
     BasisSizeError,
     Statistics,
     basis_rank,
@@ -32,10 +33,9 @@ DEFAULT_NU2 = 1.0
 
 #: Largest basis whose dense float64 Hamiltonian is built (d x d: 2 GiB here).
 MAX_DENSE_DIMENSION = 16_384
-#: Peak bytes of ``sample_kbody`` per d_k² entry; of ``build_embedding_plan`` per
-#: ((m-k)-state, k-config) entry, and per attached pair plus 3 per site.
-_KBODY_BYTES, _PLAN_BYTES, _PAIR_BYTES = 40, 17, 33
-#: Terms per chunk of ``embed``'s scatter; bounds its temporaries to a few MiB.
+#: Peak bytes of ``sample_kbody`` per d_k² entry.
+_KBODY_BYTES = 40
+#: Terms per chunk of ``embed``'s scatter and pairs per plan block: a few MiB of temporaries.
 _CHUNK_TERMS = 1 << 17
 
 _FLOAT_LIMIT = 2**1024  # every int above it overflows a float64
@@ -48,7 +48,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 
 class DenseMemoryError(ValueError):
-    """The m-particle basis is too large for a dense Hamiltonian."""
+    """The system is too large for its dense arrays or for a fermion basis."""
 
 
 def whole_number(value, name: str) -> int:
@@ -233,43 +233,46 @@ def _boson_norm_sq(inter: np.ndarray, kocc: np.ndarray, m: int, k: int) -> np.nd
 
 
 @lru_cache(maxsize=32)
-def build_embedding_plan(
-    statistics: Statistics, m: int, n_sites: int, k: int
-) -> EmbeddingPlan:
+def build_embedding_plan(statistics: Statistics, m: int, n_sites: int, k: int) -> EmbeddingPlan:
     """Attachment plan of all k-configs to all (m-k)-particle intermediates.
 
-    Built at once over the integer occupation tables of the intermediates
-    and of the k-configs (the k-particle basis, in k-config order); each
-    attached pair's target is ``basis_rank`` of its summed occupations.  A fermion
-    k-config attaches where it shares no site with the intermediate; creating
-    its labels in increasing order gives the sign
-    (-1)^(sum_v occupied-below(v) + k(k-1)/2).  Every boson k-config attaches.
-    Each intermediate attaches the same number s of k-configs, C(N-m+k, k) for
-    fermions and d(N, k) for bosons, so the plan is three (n_inter, s) arrays.
-    Raises :class:`BasisSizeError` when the m-particle basis exceeds the basis
-    cap, before any table is built.
+    An intermediate's attached k-configs are the k-particle basis of its free
+    sites (its empty sites for fermions, all N sites for bosons) placed onto
+    them, in k-config order: each row has s = C(N-m+k, k) or d(N, k) of them,
+    and the plan is three (n_inter, s) arrays.  ``basis_rank`` of the placed
+    and of the summed occupations gives each pair's k-config and target.
+    Creating a fermion k-config's labels in increasing order gives the sign
+    (-1)^(sum over its sites of the occupied sites below + k(k-1)/2).  Rows
+    are built in blocks of at most _CHUNK_TERMS pairs.  Raises
+    :class:`BasisSizeError` when the m-particle basis exceeds the basis cap,
+    before any table is built.
     """
     dim = dimension(n_sites, m, statistics)
     if dim > DEFAULT_BASIS_CAP:
         raise BasisSizeError(f"basis dimension {dim} exceeds cap {DEFAULT_BASIS_CAP}")
     dtype = np.min_scalar_type(-m - 1)  # smallest signed type holding 0..m
-    inter, kocc = (enumerate_basis(n_sites, p, statistics).astype(dtype) for p in (m - k, k))
-    if statistics is Statistics.FERMION:
-        attaches = inter.astype(np.int32) @ kocc.T == 0
-        below = np.cumsum(inter, axis=1, dtype=np.int32) - inter
-        weights = 1.0 - 2.0 * ((below @ kocc.T + k * (k - 1) // 2) & 1)
-    else:
-        attaches = np.ones((len(inter), len(kocc)), dtype=bool)
-        weights = np.sqrt(_boson_norm_sq(inter, kocc, m, k).astype(float))
-    rows, cols = np.nonzero(attaches)
-    shape = (len(inter), -1)
-    targets = basis_rank(inter[rows] + kocc[cols], statistics).astype(np.intp)
-    return EmbeddingPlan(
-        dimension=dim,
-        targets=targets.reshape(shape),
-        kconfigs=cols.astype(np.intp).reshape(shape),
-        weights=weights[rows, cols].reshape(shape),
-    )
+    fermion = statistics is Statistics.FERMION
+    n_free = n_sites - m + k if fermion else n_sites
+    inter = enumerate_basis(n_sites, m - k, statistics)
+    onto = enumerate_basis(n_free, k, statistics)  # (s, n_free): the k-configs on the free sites
+    s = len(onto)
+    targets, kconfigs, weights = (np.empty(len(inter) * s, t) for t in (np.intp, np.intp, float))
+    step = max(1, _CHUNK_TERMS // s)
+    for i in range(0, len(inter), step):
+        block = inter[i:i + step]
+        pairs = slice(i * s, (i + len(block)) * s)
+        free = np.nonzero(block == 0)[1].reshape(-1, n_free) if fermion else np.arange(n_sites)
+        placed = np.zeros((len(block), s, n_sites), dtype=dtype)
+        placed[np.arange(len(block))[:, None], :, free] = onto.T
+        kconfigs[pairs] = basis_rank(placed.reshape(-1, n_sites), statistics)
+        placed += block[:, None]
+        targets[pairs] = basis_rank(placed.reshape(-1, n_sites), statistics)
+        if fermion:  # free site j has free[j] - j occupied sites below it
+            below = (free - np.arange(n_free)) @ onto.T
+            weights[pairs] = (1.0 - 2.0 * ((below + k * (k - 1) // 2) & 1)).ravel()
+        else:
+            weights[pairs] = np.sqrt(_boson_norm_sq(block, onto, m, k).astype(float)).ravel()
+    return EmbeddingPlan(dim, *(x.reshape(len(inter), s) for x in (targets, kconfigs, weights)))
 
 
 def embed(kmat: MemberMatrix, spec: EnsembleSpec) -> MemberMatrix:
@@ -311,11 +314,14 @@ def check_dense_size(spec: EnsembleSpec, workers: int = 1) -> None:
 
     Those are workers·8·d² for the ``workers`` Hamiltonians built at once
     (each held until its ``eigvalsh`` returns; the calls in ``pipeline``'s
-    slots also hold a working copy), workers·_KBODY_BYTES·d_k² for their
-    k-body draws, and the one plan build.  Dimensions stop early past their
-    bounds, so any size is checked at once.
+    slots also hold a working copy) and workers·_KBODY_BYTES·d_k² for their
+    k-body draws; every embedding plan they let through (24 B per pair) fits
+    too.  Fermions on more than MAX_SITES sites are refused first.  Dimensions
+    stop early past their bounds, so any size is checked at once.
     """
     n, m, k, statistics = spec.n_sites, spec.m, spec.k, spec.statistics
+    if statistics is Statistics.FERMION and n > MAX_SITES:
+        raise DenseMemoryError(f"fermion N={n}: fermion bases support at most {MAX_SITES} sites")
     budget = MAX_DENSE_DIMENSION**2 * 8
     for particles, size, states, held in ((m, 8, "basis states", "dense Hamiltonian"),
                                           (k, _KBODY_BYTES, f"{k}-particle states", "k-body draw")):
@@ -326,12 +332,6 @@ def check_dense_size(spec: EnsembleSpec, workers: int = 1) -> None:
                 f"{statistics.value} m={m} N={n} has more than {limit} {states}; {held} would need "
                 f"over {budget / 2**30:g} GiB, the size of one {MAX_DENSE_DIMENSION}-row matrix"
             )
-    d_k = dimension(n, k, statistics)  # each (m-k)-state attaches s of the d_k k-configs
-    s = dimension(n - m + k, k, statistics) if statistics is Statistics.FERMION else d_k
-    limit = budget // (_PLAN_BYTES * d_k + (_PAIR_BYTES + 3 * n) * s)
-    if dimension(n, m - k, statistics, limit=limit) > limit:
-        raise DenseMemoryError(f"{statistics.value} m={m} N={n} k={k}: its embedding plan would "
-                               f"need over {budget / 2**30:g} GiB")
 
 
 def build_member(spec: EnsembleSpec, member: int) -> MemberMatrix:

@@ -190,6 +190,13 @@ class TestModeWidthCurves:
         outside = np.abs(grid) > support_halfwidth(q)
         assert not values[outside].any()
 
+    def test_zero_d_grid(self):
+        # fqn_density returns a float for a 0-d grid; the curve still returns a 0-d array.
+        inside = mode_width_curve(F, 10, 20, 2, 0.465, 2, 0.3)
+        assert inside.shape == () and inside == mode_width_curve(F, 10, 20, 2, 0.465, 2, [0.3])[0]
+        assert inside > 0.0
+        assert mode_width_curve(F, 10, 20, 2, 0.465, 2, 100.0) == 0.0
+
     def test_touch_count_matches_mode_index(self):
         # Curve ~ H_{n-1}^2 touches zero exactly n-1 times inside the support.
         q = 0.176

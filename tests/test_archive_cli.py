@@ -36,14 +36,14 @@ from egoek.ensemble import (
     member_seed,
 )
 from egoek.fluctuations import MAX_SPACING_BINS
-from egoek.fock import Statistics
+from egoek.fock import DEFAULT_BASIS_CAP, MAX_SITES, Statistics, dimension
 from egoek.periodogram import MAX_OVERSAMPLE
 from egoek.pipeline import generate_archive
 from egoek.spectra import Spectrum, eigenvalues, moments
 
 from oracles import QUOTED_Q
 
-F = Statistics.FERMION
+F, B = Statistics.FERMION, Statistics.BOSON
 
 SMALL = EnsembleSpec(F, m=3, n_sites=6, k=2, members=3, master_seed=77)
 
@@ -679,12 +679,18 @@ INVALID_COMMAND_LINES = {
         "--members", "1", "--out", str(p / "out")],
     "table1_boson_amplitude_overflow": lambda p: _table1(
         p, [{"statistics": "boson", "m": 1100, "N": 2, "k": 550}], members="1"),
+    # Fermion bases hold at most 64 sites; table1 refuses before generating its first system.
+    "generate_fermion_past_64_sites": lambda p: [
+        "generate", "--statistics", "fermion", "-m", "64", "-N", "65", "-k", "1",
+        "--members", "1", "--out", str(p / "out")],
+    "table1_fermion_past_64_sites": lambda p: _table1(
+        p, [{"statistics": "fermion", "m": 6, "N": 12, "k": 2},
+            {"statistics": "fermion", "m": 1, "N": 65, "k": 1}], members="1"),
 }
-# Fermion systems whose d x d Hamiltonian fits but whose k-body draw or embedding plan does not.
+# Fermion systems whose d x d Hamiltonian fits but whose k-body draw does not.
 PAST_DENSE_MEMORY = {
     "kbody_c30_15": (29, 30, 15),  # d = 30, d_k = 155,117,520
-    "kbody_c40_3": (39, 40, 3),  # d = 40, d_k = 9,880: 3.9 GB of draw, 15 GB of plan
-    "plan_c50_2": (48, 50, 2),  # d = d_k = 1,225 and 230,300 (m-k)-states: 4.8 GB of plan
+    "kbody_c40_3": (39, 40, 3),  # d = 40, d_k = 9,880: 3.9 GB of draw
 }
 
 
@@ -738,6 +744,15 @@ def test_analytic_closed_form_q_refuses_oversized_system_fast(tmp_path):
     start = time.perf_counter()
     assert run_cli(*argv) == 2
     assert time.perf_counter() - start < 1.0
+
+
+def test_plan_of_230_300_intermediates_generated(tmp_path):
+    # Fermions m=48 N=50 k=2 (d = d_k = 1,225): C(50, 46) intermediates of C(4, 2)
+    # pairs each, a 33 MB plan.
+    argv = ["generate", "--statistics", "fermion", "-m", "48", "-N", "50", "-k", "2",
+            "--members", "1", "--out", str(tmp_path / "out")]
+    assert run_cli(*argv) == 0
+    assert len(read_archive(tmp_path / "out" / "spectra.egoearc").records) == 1
 
 
 class TestMomentsPastFloat64:
@@ -1071,21 +1086,64 @@ class TestDenseMemoryGuard:
         assert peak < 1 << 20
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
-        assert ("embedding plan" if system.startswith("plan") else "k-body draw") in err[0]
+        assert "k-body draw" in err[0]
         assert not (tmp_path / "out").exists() and not (tmp_path / "tab").exists()
 
     def test_kbody_draws_counted_per_worker(self):
-        # d_k = C(N, 1) = N: one 7,327-row draw fits in 2 GiB at 40 B per entry, two do not.
+        # One boson in N sites: d = d_k = N.  One 7,327-row draw fits in 2 GiB at
+        # 40 B per entry, two do not (fermions stop at 64 sites).
         largest = math.isqrt(MAX_DENSE_DIMENSION**2 * 8 // 40)
         assert largest == 7_327
-        check_dense_size(EnsembleSpec(F, m=1, n_sites=largest, k=1))
+        check_dense_size(EnsembleSpec(B, m=1, n_sites=largest, k=1))
         with pytest.raises(DenseMemoryError, match="its k-body draw"):
-            check_dense_size(EnsembleSpec(F, m=1, n_sites=largest + 1, k=1))
+            check_dense_size(EnsembleSpec(B, m=1, n_sites=largest + 1, k=1))
         with pytest.raises(DenseMemoryError, match="2 k-body draws at once"):
-            check_dense_size(EnsembleSpec(F, m=1, n_sites=largest, k=1), workers=2)
+            check_dense_size(EnsembleSpec(B, m=1, n_sites=largest, k=1), workers=2)
 
     @pytest.mark.parametrize("entry", DEFAULT_TABLE_GRID,
                              ids=lambda e: f"{e['statistics']}-k{e['k']}")
     def test_reference_systems_accepted(self, entry):
         spec = ensemble_from_dict(entry, "system", ("statistics", "m", "N", "k"), members=50)
         check_dense_size(spec, workers=2)
+
+    def test_every_accepted_plan_fits_the_budget(self):
+        """No plan rule is needed: each plan that the other rules let through fits their bytes.
+
+        A plan keeps 24 B per (intermediate, k-config) pair and 2N B of occupations per
+        intermediate.  Every fermion system on N <= MAX_SITES sites is checked, and boson
+        systems on N >= 3 sites until the rules refuse every m; bosons on 2 sites are
+        bounded in closed form.  The largest plan, fermions m=33 N=36 k=3, is 1.0 GiB.
+        """
+        budget = MAX_DENSE_DIMENSION**2 * 8
+
+        def accepted(statistics, m, n_sites, k):
+            try:
+                check_dense_size(EnsembleSpec(statistics, m=m, n_sites=n_sites, k=k))
+            except ValueError:  # refused by the size rules or by the level-scale rule
+                return False
+            n_inter = dimension(n_sites, m - k, statistics)
+            s = dimension(n_sites - m + k if statistics is F else n_sites, k, statistics)
+            assert n_inter <= DEFAULT_BASIS_CAP
+            assert n_inter * (24 * s + 2 * n_sites) <= budget, (statistics, m, n_sites, k)
+            return True
+
+        for n_sites in range(1, MAX_SITES + 1):
+            for m in range(1, n_sites + 1):
+                for k in range(1, m + 1):
+                    accepted(F, m, n_sites, k)
+        n_sites = 3
+        while True:
+            m = 1
+            while any([accepted(B, m, n_sites, k) for k in range(1, m + 1)]):
+                m += 1
+            if m == 1:
+                break
+            n_sites += 1
+        assert n_sites == 7_328  # m = k = 1 and d_k = N: the k-body draw rule ends the loop
+        # N = 2: d = m + 1, d_k = k + 1, m - k + 1 intermediates of k + 1 pairs each.
+        largest_m, largest_k = MAX_DENSE_DIMENSION - 1, 7_326
+        assert accepted(B, largest_m, 2, 1) and not accepted(B, largest_m + 1, 2, 1)
+        assert accepted(B, largest_k, 2, largest_k)
+        assert not accepted(B, largest_k + 1, 2, largest_k + 1)
+        pairs = max((largest_m - k + 1) * (k + 1) for k in range(1, largest_k + 1))
+        assert pairs * 24 + (largest_m + 1) * 4 <= budget

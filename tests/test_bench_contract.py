@@ -61,10 +61,15 @@ def test_harness_reads_exist(module, attr):
 
 
 def test_plan_groups_unpack_into_equal_length_triples():
-    plan = build_embedding_plan(Statistics.FERMION, 4, 8, 2)
-    assert plan.groups
-    for a_idx, g_idx, w in plan.groups:
-        assert len(a_idx) == len(g_idx) == len(w) > 0
+    # The tracer's ensemble.plan_updates is the sum of len(row)² over the groups:
+    # n_inter·s² with n_inter = C(8, 2), s = C(6, 2) and n_inter = C(12, 8), s = C(6, 2).
+    for statistics, m, n_sites, k, updates in ((Statistics.FERMION, 4, 8, 2, 28 * 15**2),
+                                               (Statistics.BOSON, 10, 5, 2, 495 * 15**2)):
+        plan = build_embedding_plan(statistics, m, n_sites, k)
+        assert plan.groups
+        for a_idx, g_idx, w in plan.groups:
+            assert len(a_idx) == len(g_idx) == len(w) > 0
+        assert sum(len(a_idx) ** 2 for a_idx, _g, _w in plan.groups) == updates
 
 
 def test_harness_keyword_calls(tmp_path):

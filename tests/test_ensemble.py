@@ -22,7 +22,7 @@ from egoek.ensemble import (
     spectral_variance,
     splitmix64,
 )
-from egoek.fock import BasisSizeError, Statistics, binomial, dimension
+from egoek.fock import BasisSizeError, Statistics, binomial
 from egoek.spectra import eigenvalues, moments
 
 from oracles import (
@@ -279,20 +279,18 @@ def test_kbody_bytes_per_entry(stat, m, n_sites, k):
     assert 0.85 * ensemble._KBODY_BYTES < per_entry <= ensemble._KBODY_BYTES
 
 
-@pytest.mark.parametrize("stat, m, n_sites, k", [(F, 13, 16, 3), (B, 6, 12, 3)])
+@pytest.mark.parametrize("stat, m, n_sites, k", [(F, 13, 16, 3), (B, 6, 12, 3), (F, 20, 24, 2)])
 def test_plan_bytes(stat, m, n_sites, k):
-    # Per ((m-k)-state, k-config) entry: the bool attachment mask and two float64
-    # temporaries of the weights.  Per attached pair: ``nonzero``'s two index
-    # arrays (16), ``basis_rank``'s ranks and one count (16) and a mask (1), and
-    # three one-byte occupation tables per site (the summed states, and
-    # ``basis_rank``'s transposed copy and per-site sums).
-    d_k, n_inter = dimension(n_sites, k, stat), dimension(n_sites, m - k, stat)
-    attached = dimension(n_sites - m + k, k, stat) if stat is F else d_k
-    model = n_inter * (ensemble._PLAN_BYTES * d_k
-                       + (ensemble._PAIR_BYTES + 3 * n_sites) * attached)
+    # Above the kept 24 B per pair, the build holds the intermediates' occupation
+    # table (N B each) and one block of at most _CHUNK_TERMS pairs: a few MiB at
+    # these N, however many (intermediate, k-config) pairs the system has.
     build_embedding_plan.cache_clear()
     peak = traced_peak(build_embedding_plan, stat, m, n_sites, k)
-    assert 0.75 * model < peak <= model
+    plan = build_embedding_plan(stat, m, n_sites, k)
+    kept = sum(x.nbytes for x in (plan.targets, plan.kconfigs, plan.weights))
+    assert kept == 24 * plan.targets.size
+    assert peak - kept < 16 * 2**20
+    assert peak < 100 * 2**20
 
 
 def test_plan_refuses_basis_above_cap_before_building_tables():
@@ -345,9 +343,16 @@ def random_symmetric(dk, seed):
 
 class TestEmbeddingProperties:
     @settings(max_examples=60, deadline=None)
-    @given(spec=small_systems())
-    def test_plan_matches_double_loop_and_is_rectangular(self, spec):
-        plan = build_embedding_plan(spec.statistics, spec.m, spec.n_sites, spec.k)
+    @given(spec=small_systems(), chunk=st.sampled_from([1, 7, ensemble._CHUNK_TERMS]))
+    def test_plan_matches_double_loop_and_is_rectangular(self, spec, chunk):
+        # Chunk 1 builds one row per block; chunk 7 builds a few rows per block,
+        # or one where a row has more than 7 pairs.
+        build_embedding_plan.cache_clear()
+        try:
+            with mock.patch.object(ensemble, "_CHUNK_TERMS", chunk):
+                plan = build_embedding_plan(spec.statistics, spec.m, spec.n_sites, spec.k)
+        finally:
+            build_embedding_plan.cache_clear()
         assert_same_plan(plan, embedding_plan_oracle(spec.statistics, spec.m, spec.n_sites, spec.k))
         assert plan.targets.ndim == 2 and plan.targets.shape[1] > 0
 
