@@ -215,23 +215,6 @@ class EmbeddingPlan:
         return tuple(zip(self.targets, self.kconfigs, self.weights))
 
 
-def _boson_norm_sq(inter: np.ndarray, kocc: np.ndarray, m: int, k: int) -> np.ndarray:
-    """Squared amplitudes prod_v C(s_v + nu_v, nu_v) of the normalized k-fold creators.
-
-    (1/sqrt(nu!)) sqrt((s+nu)!/s!) == sqrt(C(s+nu, nu)) per site.  By
-    Vandermonde's identity each product is at most C(m, k), which decides
-    whether int64 holds it exactly; beyond that the integers stay Python ints.
-    """
-    dtype = np.int64 if math.comb(m, k) < 2**63 else object
-    norm_sq = np.ones((len(inter), len(kocc)), dtype=dtype)
-    for s, nu in zip(inter.T, kocc.T):
-        s_values, s_at = np.unique(s, return_inverse=True)
-        nu_values, nu_at = np.unique(nu, return_inverse=True)
-        factors = [[math.comb(a + b, b) for b in nu_values.tolist()] for a in s_values.tolist()]
-        norm_sq *= np.array(factors, dtype=dtype)[np.ix_(s_at, nu_at)]
-    return norm_sq
-
-
 @lru_cache(maxsize=32)
 def build_embedding_plan(statistics: Statistics, m: int, n_sites: int, k: int) -> EmbeddingPlan:
     """Attachment plan of all k-configs to all (m-k)-particle intermediates.
@@ -242,10 +225,12 @@ def build_embedding_plan(statistics: Statistics, m: int, n_sites: int, k: int) -
     and the plan is three (n_inter, s) arrays.  ``basis_rank`` of the placed
     and of the summed occupations gives each pair's k-config and target.
     Creating a fermion k-config's labels in increasing order gives the sign
-    (-1)^(sum over its sites of the occupied sites below + k(k-1)/2).  Rows
-    are built in blocks of at most _CHUNK_TERMS pairs.  Raises
-    :class:`BasisSizeError` when the m-particle basis exceeds the basis cap,
-    before any table is built.
+    (-1)^(sum over its sites of the occupied sites below + k(k-1)/2).  The
+    normalized boson k-fold creator puts nu onto s particles of a site with
+    amplitude (1/sqrt(nu!)) sqrt((s+nu)!/s!) = sqrt(C(s+nu, nu)); by
+    Vandermonde's identity their product is at most C(m, k), exact in int64
+    below 2^63.  Rows are built in blocks of at most _CHUNK_TERMS pairs.
+    Raises :class:`BasisSizeError` past the basis cap, before any table is built.
     """
     dim = dimension(n_sites, m, statistics)
     if dim > DEFAULT_BASIS_CAP:
@@ -256,6 +241,11 @@ def build_embedding_plan(statistics: Statistics, m: int, n_sites: int, k: int) -
     inter = enumerate_basis(n_sites, m - k, statistics)
     onto = enumerate_basis(n_free, k, statistics)  # (s, n_free): the k-configs on the free sites
     s = len(onto)
+    if not fermion:  # C(a + b, b) at [a - s0, b - nu0] for a held, b placed; s0 = nu0 = 0 if N > 1
+        s0, nu0 = int(inter.min()), int(onto.min())
+        binom = np.array([[math.comb(a + b, b) for b in range(nu0, k + 1)]
+                          for a in range(s0, m - k + 1)],
+                         dtype=np.int64 if math.comb(m, k) < 2**63 else object)
     targets, kconfigs, weights = (np.empty(len(inter) * s, t) for t in (np.intp, np.intp, float))
     step = max(1, _CHUNK_TERMS // s)
     for i in range(0, len(inter), step):
@@ -265,13 +255,16 @@ def build_embedding_plan(statistics: Statistics, m: int, n_sites: int, k: int) -
         placed = np.zeros((len(block), s, n_sites), dtype=dtype)
         placed[np.arange(len(block))[:, None], :, free] = onto.T
         kconfigs[pairs] = basis_rank(placed.reshape(-1, n_sites), statistics)
-        placed += block[:, None]
-        targets[pairs] = basis_rank(placed.reshape(-1, n_sites), statistics)
         if fermion:  # free site j has free[j] - j occupied sites below it
             below = (free - np.arange(n_free)) @ onto.T
             weights[pairs] = (1.0 - 2.0 * ((below + k * (k - 1) // 2) & 1)).ravel()
         else:
-            weights[pairs] = np.sqrt(_boson_norm_sq(block, onto, m, k).astype(float)).ravel()
+            norm_sq = np.ones((len(block), s), dtype=binom.dtype)
+            for v in range(n_sites):
+                norm_sq *= binom[block[:, v, None] - s0, placed[:, :, v] - nu0]
+            weights[pairs] = np.sqrt(norm_sq.astype(float)).ravel()
+        placed += block[:, None]
+        targets[pairs] = basis_rank(placed.reshape(-1, n_sites), statistics)
     return EmbeddingPlan(dim, *(x.reshape(len(inter), s) for x in (targets, kconfigs, weights)))
 
 

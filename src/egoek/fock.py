@@ -2,15 +2,14 @@
 
 Fermions live in N single-particle states with 0/1 occupations (N <= 64);
 bosons carry unrestricted integer occupations.  A basis is a (dimension, N)
-integer table with one occupation vector per row; ``enumerate_basis`` fixes
-the order of its rows and ``basis_rank`` inverts it.
+integer table with one occupation vector per row; the counts of ``basis_rank``
+fix the order of its rows and ``enumerate_basis`` walks them back.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from itertools import chain, combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -81,54 +80,62 @@ def lambda_nu(
     return binomial(particles - nu, r, limit) * binomial(other, r, limit)
 
 
-def enumerate_basis(n_sites: int, particles: int, statistics: Statistics) -> np.ndarray:
-    """(dimension, N) occupation table of all m-particle states, in a fixed order.
+def _counts(statistics: Statistics, rest: int, m: int) -> np.ndarray:
+    """counts[S], S = 0..m: the states ranked before a state at site v by site v.
 
-    States are generated from occupied-site tuples in lexicographic order, so
-    the first row fills the lowest-labelled sites and the occupation vectors
-    come in decreasing lexicographic order; e.g. for (N=2, m=1) fermions the
-    rows are [1, 0], [0, 1].  Entries have the smallest signed integer type
-    that holds 0..m.  Raises :class:`BasisSizeError` when the dimension
-    exceeds DEFAULT_BASIS_CAP, before anything is built.
+    These agree with it below v and hold more particles at v: with S particles
+    on the ``rest`` = N-1-v sites above v, C(rest, S-1) for an empty fermion
+    site (0 for an occupied one) and C(S-1+rest, rest) for a boson site (the
+    placements of at most S-1 there); at most the basis size or C(63, 31).
+    """
+    fermion = statistics is Statistics.FERMION
+    return np.array([0] + [math.comb(rest, s - 1) if fermion else math.comb(s - 1 + rest, rest)
+                           for s in range(1, m + 1)], dtype=np.int64)
+
+
+def enumerate_basis(n_sites: int, particles: int, statistics: Statistics) -> np.ndarray:
+    """(dimension, N) occupation table of all m-particle states, in ``basis_rank`` order.
+
+    Occupation vectors come in decreasing lexicographic order ([1, 0], [0, 1]
+    for N=2, m=1 fermions).  Row r is read site by site, subtracting each
+    site's ``_counts`` entry from r, in int64 arrays of one entry per state.
+    Entries have the smallest signed type that holds 0..m.  Raises
+    :class:`BasisSizeError` past DEFAULT_BASIS_CAP, before anything is built.
     """
     if statistics is Statistics.FERMION and n_sites > MAX_SITES:
         raise FockDomainError(f"fermion bases support at most {MAX_SITES} sites")
     dim = dimension(n_sites, particles, statistics)
     if dim > DEFAULT_BASIS_CAP:
         raise BasisSizeError(f"basis dimension {dim} exceeds cap {DEFAULT_BASIS_CAP}")
-    chooser = combinations if statistics is Statistics.FERMION else combinations_with_replacement
-    sites = np.fromiter(chain.from_iterable(chooser(range(n_sites), particles)), dtype=np.intp,
-                        count=dim * particles).reshape(dim, particles)
     table = np.zeros((dim, n_sites), dtype=np.min_scalar_type(-particles - 1))
-    rows = np.arange(dim)
-    for column in sites.T:
-        table[rows, column] += 1
+    rank, left = np.arange(dim, dtype=np.int64), np.full(dim, particles, dtype=np.int64)
+    for v in range(n_sites - 1):  # left: the particles on sites v..N-1; the last takes them all
+        counts = _counts(statistics, n_sites - 1 - v, particles)
+        if statistics is Statistics.FERMION:  # occupied iff the rank falls below the count
+            held = rank < counts[left]
+            rank -= np.where(held, 0, counts[left])
+        else:  # the most particles above v whose count the rank reaches
+            above = np.searchsorted(counts, rank, "right") - 1
+            rank -= counts[above]
+            held = left - above
+        table[:, v] = held
+        left -= held
+    table[:, n_sites - 1:] = left[:, None]  # no column at all when N = 0
     return table
 
 
 def basis_rank(table: np.ndarray, statistics: Statistics) -> np.ndarray:
     """Row index in ``enumerate_basis`` order of each state (row) of ``table``.
 
-    The rows must be m-particle states in an integer type that holds m.  In
-    decreasing lexicographic order the index of a state counts the states
-    that agree with it below site v and hold more particles at v.  With S
-    particles on the r = N-1-v sites above v that count is C(r, S-1) for an
-    empty fermion site, and C(S-1+r, r) (all placements of at most S-1
-    particles there) for a boson site.  Every count is at most the basis
-    size or C(63, 31) (fermion bases have N <= 64), so int64 holds them.
+    The rows must be m-particle states in an integer type that holds m.  The
+    index sums each site's ``_counts`` entry at the particles above it.
     """
     n_sites, m = table.shape[1], int(table[:1].sum())
     # Row v: the particles on sites v..N-1 of every state, one contiguous row per site.
     held = np.cumsum(np.ascontiguousarray(table.T)[::-1], axis=0, dtype=table.dtype)[::-1]
     ranks = np.zeros(len(table), dtype=np.int64)
     for v in range(n_sites - 1):  # no site lies above the last one, so it counts 0
-        rest = n_sites - 1 - v
-        counts = np.array(
-            [0] + [math.comb(rest, s - 1) if statistics is Statistics.FERMION
-                   else math.comb(s - 1 + rest, rest) for s in range(1, m + 1)],
-            dtype=np.int64,
-        )
-        count = counts[held[v + 1]]
+        count = _counts(statistics, n_sites - 1 - v, m)[held[v + 1]]
         if statistics is Statistics.FERMION:
             count[held[v] != held[v + 1]] = 0  # an occupied site counts 0
         ranks += count

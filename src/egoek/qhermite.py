@@ -27,6 +27,7 @@ _Q_MAX = PRODUCT_FLOOR ** (1.0 / 400_000)
 # series has at most 10 terms and an edge value prod (1 - q^n)^3 >= 0.02.
 _TRANSFORM_Q = 0.5
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_MESH_POINTS = 2049  # uniform angular base mesh; over 8 x0 + 1 for any x0 <= 2 / sqrt(1 - _Q_MAX)
 
 
 def qnumber(n: int, q: float) -> float:
@@ -160,12 +161,11 @@ def cumulative_weighted_integrals(
     _check_q(q)
     if q == 1.0:
         return _gaussian_cumulative(np.asarray(points, dtype=float), orders)
+    _check_bounded(q)  # before the mesh is built
     x0 = support_halfwidth(q)
-    pts = np.asarray(points, dtype=float)
-    theta_pts = np.arcsin(np.clip(pts / x0, -1.0, 1.0))
+    theta_pts = np.arcsin(np.clip(np.asarray(points, dtype=float) / x0, -1.0, 1.0))
 
-    n_base = min(32769, max(2049, int(8.0 * x0) + 1))
-    base = np.linspace(-math.pi / 2.0, math.pi / 2.0, n_base)
+    base = np.linspace(-math.pi / 2.0, math.pi / 2.0, _MESH_POINTS)
     mesh = np.union1d(base, theta_pts)
     positions = np.searchsorted(mesh, theta_pts)
 

@@ -22,7 +22,7 @@ from egoek.ensemble import (
     spectral_variance,
     splitmix64,
 )
-from egoek.fock import BasisSizeError, Statistics, binomial
+from egoek.fock import BasisSizeError, Statistics, binomial, enumerate_basis
 from egoek.spectra import eigenvalues, moments
 
 from oracles import (
@@ -293,6 +293,21 @@ def test_plan_bytes(stat, m, n_sites, k):
     assert peak < 100 * 2**20
 
 
+@pytest.mark.parametrize("build, args", [(enumerate_basis, (2, 4000, B)),
+                                         (build_embedding_plan, (B, 4000, 2, 1)),
+                                         (build_embedding_plan, (B, 10**5, 1, 1))],
+                         ids=["basis", "plan", "one_site_plan"])
+def test_many_bosons_on_few_sites_build_in_linear_memory(build, args):
+    # 4,001 states of up to 4,000 particles each: a (states x particles) table of
+    # site labels would take 122 MiB, where the kept arrays take well under 1 MiB.
+    # On one site the plan is one pair, and the norm table holds only C(m, k).
+    build_embedding_plan.cache_clear()
+    peak = traced_peak(build, *args)
+    kept = build(*args)
+    arrays = (kept,) if build is enumerate_basis else (kept.targets, kept.kconfigs, kept.weights)
+    assert peak - sum(x.nbytes for x in arrays) < 2 * 2**20
+
+
 def test_plan_refuses_basis_above_cap_before_building_tables():
     # d = C(64, 6) = 74,974,368; the (C(64,3) x C(64,3)) tables would need ~14 GB.
     with pytest.raises(BasisSizeError):
@@ -332,8 +347,7 @@ def test_accepted_boson_amplitudes_fit_float64(system):
         return
     assert binomial(m, k, 2**1024) < 2**1024  # stops early, so a huge C(m, k) fails fast
     # C(m, k), the largest squared amplitude, is that of one site holding all m bosons.
-    norm_sq = ensemble._boson_norm_sq(np.array([[m - k]]), np.array([[k]]), m, k)
-    assert math.isfinite(np.sqrt(norm_sq.astype(float))[0, 0])
+    assert math.isfinite(math.sqrt(math.comb(m, k)))
 
 
 def random_symmetric(dk, seed):

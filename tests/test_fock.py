@@ -95,11 +95,13 @@ class TestEnumerateBasis:
         assert len({tuple(row) for row in basis.tolist()}) == len(basis)
         assert np.all(basis.sum(axis=1) == m)
 
-    @pytest.mark.parametrize("stat,n,m", [(F, 12, 6), (F, 7, 0), (F, 64, 2), (B, 5, 10),
-                                          (B, 3, 0), (B, 2, 130)])
+    @pytest.mark.parametrize("stat,n,m", [(F, 12, 6), (F, 7, 0), (F, 64, 2), (F, 64, 62),
+                                          (B, 5, 10), (B, 3, 0), (B, 2, 130), (B, 1, 7),
+                                          (B, 2, 4000)])
     def test_table_matches_object_basis(self, stat, n, m):
         # Same rows in the same order as one OccupationConfig per state, in
-        # the smallest signed type that holds 0..m.
+        # the smallest signed type that holds 0..m.  (F, 64, 62) reads counts
+        # near C(63, 31); (B, 1, 7) has one site; (B, 2, 4000) two full ones.
         basis = enumerate_basis(n, m, stat)
         assert basis.shape == (dimension(n, m, stat), n)
         assert basis.dtype == (np.int8 if m <= 127 else np.int16)

@@ -172,6 +172,10 @@ class TestDensity:
             evaluate(0.99995)
         evaluate(0.9999)
 
+    def test_base_mesh_covers_the_widest_support(self):
+        # The base mesh has at least 8 x0 + 1 points for every q the weight accepts.
+        assert qhermite._MESH_POINTS >= int(8.0 * support_halfwidth(qhermite._Q_MAX)) + 1
+
     @pytest.mark.parametrize("q", [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
     def test_moments_by_independent_quadrature(self, q):
         # Independent oracle: adaptive quadrature of the public density after
