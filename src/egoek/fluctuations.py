@@ -17,7 +17,7 @@ import numpy as np
 from .decomposition import staircase
 from .decomposition import smooth_distribution_values  # noqa: F401  patched by perfbench/tracer.py
 from .fock import Statistics
-from .qhermite import _GL_NODES, _GL_WEIGHTS
+from .qhermite import cumulative_quadrature
 from .spectra import Spectrum
 
 DEFAULT_TRIM = 0.10
@@ -88,7 +88,7 @@ def unfold(spectrum: Spectrum, delta: np.ndarray, trim: float = DEFAULT_TRIM) ->
     if len(mapped) < 2:
         raise ValueError("trim leaves fewer than two levels")
     steps = np.diff(mapped)
-    if np.any(steps <= 0.0):
+    if not np.all(steps > 0.0):  # a NaN step is refused too
         where = window.start + int(np.argmin(steps))
         raise UnfoldingError(
             f"smooth distribution not increasing between retained levels "
@@ -154,69 +154,38 @@ def nnsd(
     )
 
 
-def _sinc_integral(start: np.ndarray, width: np.ndarray) -> np.ndarray:
-    """Integral of sinc(t) = sin(pi t)/(pi t) over [start, start + width], start whole.
-
-    16-node Gauss-Legendre, with sinc(start + u) = (-1)^start sin(pi u) / (pi (start + u)),
-    so the sines depend on the width alone: starts broadcast against one width
-    array share them.
-    """
-    u = width[..., None] * (0.5 * (_GL_NODES + 1.0))
-    ratio = np.sin(math.pi * u) / (math.pi * (start[..., None] + u))
-    return (1 - 2 * (start & 1)) * (0.5 * width) * (ratio @ _GL_WEIGHTS)
+def _si_over_pi(r: np.ndarray) -> np.ndarray:
+    """Si(pi r) / pi, the integral of sinc over [0, r], at r >= 0, on unit panels."""
+    edges = np.arange(np.floor(r.max(initial=0.0)) + 1.0)
+    return cumulative_quadrature(lambda t: np.sinc(t)[None], edges, r)[0]
 
 
-def _si_over_pi(whole: np.ndarray, frac: np.ndarray) -> np.ndarray:
-    """Si(pi r) / pi, the integral of sinc over [0, r], at r = whole + frac > 0.
-
-    The unit panels [j, j + 1) below ``whole`` are summed cumulatively, and
-    each point adds its partial panel [whole, whole + frac], 0 <= frac < 1.
-    """
-    unit = _sinc_integral(np.arange(whole.max(initial=0)), np.ones(1))
-    return np.concatenate(([0.0], np.cumsum(unit)))[whole] + _sinc_integral(whole, frac)
-
-
-def _goe_cluster_y2(whole: np.ndarray, frac: np.ndarray) -> np.ndarray:
-    """GOE two-level cluster function Y2(r) = s^2 + s'(1/2 - Si(pi r)/pi), s = sinc.
-
-    Evaluated at r = whole + frac, the split that ``_si_over_pi`` takes.
-    """
-    r = whole + frac
+def _goe_cluster_y2(r: np.ndarray) -> np.ndarray:
+    """GOE two-level cluster function Y2(r) = s^2 + s'(1/2 - Si(pi r)/pi), s = sinc, at r > 0."""
     s = np.sinc(r)
     ds = (np.cos(math.pi * r) - s) / r
-    return s * s + ds * (0.5 - _si_over_pi(whole, frac))
-
-
-def _panel_moments(start: np.ndarray, width) -> np.ndarray:
-    """Gauss-Legendre integrals of r^j Y2(r) over panels [start, start + width], per power j."""
-    offsets = 0.5 * width * (_GL_NODES + 1.0)
-    weighted = (0.5 * width * _GL_WEIGHTS) * _goe_cluster_y2(start[:, None], offsets)
-    return np.einsum("pn,pnj->pj", weighted, (start[:, None] + offsets)[..., None] ** _KERNEL_POWERS)
+    return s * s + ds * (0.5 - _si_over_pi(r))
 
 
 def goe_delta3_exact(lengths) -> np.ndarray:
     """GOE spectral rigidity at finite window length L > 0.
 
     Delta3(L) = L/15 - (15 L^4)^-1 int_0^L (L - r)^3 (2L^2 - 9Lr - 3r^2) Y2(r) dr
-    (Mehta, Random Matrices, 3rd ed.), evaluated with one 16-point
-    Gauss-Legendre panel per unit of L.  The kernel expands to
+    (Mehta, Random Matrices, 3rd ed.), evaluated by ``cumulative_quadrature``
+    on unit panels.  The kernel expands to
     2L^5 - 15L^4 r + 30L^3 r^2 - 20L^2 r^3 + 3r^5, so all lengths share the
     cumulative moments int r^j Y2 over unit panels and add one partial panel
-    each (none at whole L): cost and memory grow with max(L), not with the
-    sum of the lengths.
+    each: cost and memory grow with max(L), not with the sum of the lengths.
     """
     L = np.asarray(lengths, dtype=float)
     flat = L.ravel()
     if np.any(~(flat > 0.0)):
         raise ValueError("window lengths must be positive")
-    whole = np.floor(flat).astype(np.intp)
-    frac = flat - whole
-    unit = _panel_moments(np.arange(whole.max(initial=0)), 1.0)
-    cumulative = np.vstack((np.zeros(len(_KERNEL_POWERS)), np.cumsum(unit, axis=0)))
-    moments = cumulative[whole]
-    partial = frac > 0.0  # a zero-width panel adds exactly 0
-    moments[partial] += _panel_moments(whole[partial], frac[partial, None])
-    integral = (_KERNEL_COEFFS * flat[:, None] ** (5 - _KERNEL_POWERS) * moments).sum(axis=1)
+    edges = np.arange(np.floor(flat.max(initial=0.0)) + 1.0)
+    moments = cumulative_quadrature(
+        lambda r: r ** _KERNEL_POWERS[:, None] * _goe_cluster_y2(r), edges, flat
+    )
+    integral = (_KERNEL_COEFFS * flat[:, None] ** (5 - _KERNEL_POWERS) * moments.T).sum(axis=1)
     return (flat / 15.0 - integral / (15.0 * flat**4)).reshape(L.shape)
 
 

@@ -66,6 +66,8 @@ def lomb_scargle(
     y = np.asarray(values, dtype=float)
     if t.ndim != 1 or y.ndim not in (1, 2) or y.shape[-1] != len(t):
         raise ValueError("abscissa must be 1-d and values (n,) or (s, n) on its n samples")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+        raise ValueError("abscissa and values must be finite")
     n = len(t)
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")

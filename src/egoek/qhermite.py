@@ -7,7 +7,9 @@ every integrand into a smooth function on [-pi/2, pi/2].  In theta the weight
 is a Jacobi theta series with Gaussian-decaying coefficients (the triple
 product of its infinite-product form).  ``hermite_table`` is the one evaluator
 of the polynomials, and ``cumulative_weighted_integrals`` the one route to the
-distribution function (its order-0 channel) and its weighted analogues.
+distribution function (its order-0 channel) and its weighted analogues.  Both
+it and the GOE rigidity in ``fluctuations`` integrate with one cumulative
+Gauss-Legendre rule, ``cumulative_quadrature``.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ import numpy as np
 
 # Truncation floor of the weight's theta series.
 PRODUCT_FLOOR = 1e-16
-# Largest q of the bounded-support weight, about 1 - 9.2e-5 (where its
-# infinite-product form needs 400,000 factors down to the floor); the q = 1
-# closed form applies above.
+# Largest q of the bounded-support weight, about 1 - 9.2e-5; the q = 1 closed
+# form applies above.  It caps the support half-width x0 near 208, the widest
+# support the _MESH_POINTS base mesh must resolve (with over 8 x0 + 1 angles).
 _Q_MAX = PRODUCT_FLOOR ** (1.0 / 400_000)
 # Above this q the weight is summed in its transformed (Gaussian) form, whose
 # terms keep its relative accuracy in the tails; at or below it the direct
@@ -146,6 +148,31 @@ def fqn_density(x, q: float):
     return float(out[0]) if scalar else out
 
 
+def cumulative_quadrature(integrand, edges, points) -> np.ndarray:
+    """Integrals of each row of ``integrand`` from edges[0] to each of ``points``.
+
+    ``integrand`` maps a 1-d node array to a (rows, nodes) array.  The whole
+    panels between the sorted ``edges`` get 16-node Gauss-Legendre and are
+    summed cumulatively; each point adds one partial panel, from the last edge
+    at or below it (edges[0] for a point below edges[0]) up to the point.  The
+    result has shape (rows, *points.shape).
+    """
+    edges = np.asarray(edges, dtype=float)
+    points = np.asarray(points, dtype=float)
+    flat = points.ravel()
+    below = np.maximum(np.searchsorted(edges, flat, side="right") - 1, 0)
+    lower = np.concatenate((edges[:-1], edges[below]))
+    upper = np.concatenate((edges[1:], flat))
+    half = 0.5 * (upper - lower)
+    nodes = (0.5 * (lower + upper))[:, None] + half[:, None] * _GL_NODES
+    values = integrand(nodes.ravel())
+    sums = half * (values.reshape(len(values), len(half), len(_GL_NODES)) @ _GL_WEIGHTS)
+    whole = len(edges) - 1
+    cumulative = np.zeros((len(sums), whole + 1))
+    np.cumsum(sums[:, :whole], axis=1, out=cumulative[:, 1:])
+    return (cumulative[:, below] + sums[:, whole:]).reshape((len(sums),) + points.shape)
+
+
 def cumulative_weighted_integrals(
     points: np.ndarray, q: float, orders: tuple[int, ...]
 ) -> dict[int, np.ndarray]:
@@ -153,10 +180,10 @@ def cumulative_weighted_integrals(
 
     Returns, for n = 0 and each requested order, the array of
     integral(f * H_n) from the lower support edge to each of ``points``.
-    Points outside the support clamp to the edge values.  Panel-wise 16-node
-    Gauss-Legendre on a mesh refined well below the density's structure scale
-    keeps every value accurate to ~1e-12 absolute.  At q = 1 the closed form
-    integral(phi He_n) = -phi He_{n-1} applies instead.
+    Points outside the support clamp to the edge values.  ``cumulative_quadrature``
+    in theta on a uniform base mesh refined well below the density's structure
+    scale keeps every value accurate to ~1e-12 absolute.  At q = 1 the closed
+    form integral(phi He_n) = -phi He_{n-1} applies instead.
     """
     _check_q(q)
     if q == 1.0:
@@ -164,28 +191,15 @@ def cumulative_weighted_integrals(
     _check_bounded(q)  # before the mesh is built
     x0 = support_halfwidth(q)
     theta_pts = np.arcsin(np.clip(np.asarray(points, dtype=float) / x0, -1.0, 1.0))
+    rows = sorted({0, *orders})
+
+    def integrand(theta: np.ndarray) -> np.ndarray:
+        table = hermite_table(rows[-1], x0 * np.sin(theta), q)[rows]
+        table *= _theta_weight(theta, q)
+        return table
 
     base = np.linspace(-math.pi / 2.0, math.pi / 2.0, _MESH_POINTS)
-    mesh = np.union1d(base, theta_pts)
-    positions = np.searchsorted(mesh, theta_pts)
-
-    half = 0.5 * np.diff(mesh)
-    mid = 0.5 * (mesh[:-1] + mesh[1:])
-    theta_nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    node_weights = half[:, None] * _GL_WEIGHTS[None, :]
-
-    flat = theta_nodes.ravel()
-    weight = _theta_weight(flat, q)
-    nmax = max(orders, default=0)
-    table = hermite_table(nmax, x0 * np.sin(flat), q)
-
-    results: dict[int, np.ndarray] = {}
-    for order in sorted({0, *orders}):
-        integrand = (weight * table[order]).reshape(theta_nodes.shape)
-        panel = np.sum(integrand * node_weights, axis=1)
-        cumulative = np.concatenate(([0.0], np.cumsum(panel)))
-        results[order] = cumulative[positions]
-    return results
+    return dict(zip(rows, cumulative_quadrature(integrand, base, theta_pts)))
 
 
 def _gaussian_cumulative(

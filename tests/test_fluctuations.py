@@ -101,6 +101,14 @@ class TestUnfold:
         with pytest.raises(UnfoldingError):
             unfold(spectrum, level_motion(spectrum, bad), trim=0.10)
 
+    def test_nan_level_motion_raises(self):
+        # A NaN step compares False with 0 either way; it must not unfold silently.
+        model, spectrum = model_and_levels(0.5, 100)
+        delta = level_motion(spectrum, model)
+        delta[50] = np.nan
+        with pytest.raises(UnfoldingError, match="levels 49 and 50"):
+            unfold(spectrum, delta, trim=0.10)
+
     def test_trim_validation(self):
         model, spectrum = model_and_levels(0.5, 50)
         with pytest.raises(ValueError):
@@ -293,16 +301,13 @@ class TestGoeDelta3Exact:
 
     def test_sine_integral_matches_scipy(self):
         r = np.linspace(0.0, 61.0, 200_001)[1:]
-        whole = np.floor(r).astype(np.intp)
-        got = egoek.fluctuations._si_over_pi(whole, r - whole)
+        got = egoek.fluctuations._si_over_pi(r)
         assert np.max(np.abs(got - sine_integral_over_pi(r))) <= 2e-15
 
     def test_matches_same_formula_with_scipy_sine_integral(self, monkeypatch):
         lengths = np.arange(2, 61, 2.0)
         got = goe_delta3_exact(lengths)
-        monkeypatch.setattr(
-            egoek.fluctuations, "_si_over_pi", lambda whole, frac: sine_integral_over_pi(whole + frac)
-        )
+        monkeypatch.setattr(egoek.fluctuations, "_si_over_pi", sine_integral_over_pi)
         want = goe_delta3_exact(lengths)
         assert np.max(np.abs(got - want) / want) <= 1e-13
 
@@ -315,6 +320,11 @@ class TestGoeDelta3Exact:
     def test_reaches_asymptote(self):
         gap = goe_delta3_exact([60.0])[0] - goe_delta3([60.0])[0]
         assert abs(gap) < 2e-3
+
+    def test_keeps_the_shape_of_lengths(self):
+        assert goe_delta3_exact(np.array([])).shape == (0,)
+        value = goe_delta3_exact(2.0)
+        assert value.shape == () and value == goe_delta3_exact([2.0])[0]
 
     def test_rejects_non_positive_length(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""egoek loads only numpy and the standard library, and src/ holds no code that only tests use.
+"""egoek loads only numpy and the standard library, src/ holds no code that only tests use,
+and no module reads another module's private names.
 
 scipy is a test oracle, not a dependency: importing it costs more than
 numpy itself does, on every command line call.
@@ -65,3 +66,27 @@ def test_every_public_definition_has_a_src_reader():
         and not node.name.startswith("_") and node.name not in loaded
     }
     assert unread == set(KEPT_WITHOUT_SRC_CALLER)
+
+
+def test_no_private_name_crosses_modules():
+    """A src module reads no underscore name of another egoek module, by import or attribute."""
+    crossing = set()
+    for path in sorted((SRC / "egoek").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()  # local names bound to egoek modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "egoek"
+            ):
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        crossing.add(f"{path.stem}: {node.module or ''}.{alias.name}")
+                    if not node.module:
+                        modules.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id in modules
+            ):
+                crossing.add(f"{path.stem}: {node.value.id}.{node.attr}")
+    assert crossing == set()

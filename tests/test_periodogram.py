@@ -233,6 +233,19 @@ class TestLombScargle:
         with pytest.raises(DegenerateSeriesError):
             lomb_scargle(t, np.zeros(64))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["values", "stacked", "abscissa"])
+    def test_non_finite_input_rejected(self, where, bad):
+        rng = np.random.default_rng(8)
+        t = sample_abscissa(64, rng)
+        y = rng.standard_normal((2, 64))
+        if where == "abscissa":
+            t[20] = bad
+        else:
+            y[0, 20] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            lomb_scargle(t, y[0] if where == "values" else y)
+
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             lomb_scargle(np.linspace(0, 1, 8), np.ones(8))

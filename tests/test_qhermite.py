@@ -6,6 +6,7 @@ from scipy import integrate, special
 
 from egoek import qhermite
 from egoek.qhermite import (
+    cumulative_quadrature,
     cumulative_weighted_integrals,
     fqn_density,
     hermite_table,
@@ -312,6 +313,36 @@ class TestOrthogonality:
     def test_domain_guard(self):
         with pytest.raises(ValueError):
             orthogonality_integral(2, 2, 0.9999)
+
+
+class TestCumulativeQuadrature:
+    EDGES = np.array([-1.0, -0.7, 0.2, 0.25, 1.3, 2.0])  # uneven panels
+    POWERS = np.arange(6)
+
+    def integrate(self, points):
+        return cumulative_quadrature(lambda x: x ** self.POWERS[:, None], self.EDGES, points)
+
+    def exact(self, points):
+        k = self.POWERS.reshape((-1,) + (1,) * np.ndim(points)) + 1
+        return (np.asarray(points) ** k - self.EDGES[0] ** k) / k
+
+    def test_exact_for_powers_to_five(self):
+        # Inside panels, on inner edges, at both ends, repeated and unsorted.
+        points = np.array([1.7, -1.0, 0.2, 0.22, 2.0, -0.7, 0.22, 1.3, -0.95, 0.25])
+        got = self.integrate(points)
+        assert got.shape == (6, 10)
+        assert np.max(np.abs(got - self.exact(points))) <= 1e-14
+        assert np.all(got[:, 1] == 0.0)  # edges[0] adds a zero-width panel
+        assert np.array_equal(got[:, 3], got[:, 6])
+
+    def test_point_shapes(self):
+        points = np.array([[0.5, -0.7, 2.0], [1.1, 0.2, -1.0]])
+        got = self.integrate(points)
+        assert got.shape == (6, 2, 3)
+        assert np.array_equal(got, self.integrate(points.ravel()).reshape(6, 2, 3))
+        scalar = self.integrate(np.float64(0.3))
+        assert scalar.shape == (6,)
+        assert np.max(np.abs(scalar - self.exact(0.3))) <= 1e-14
 
 
 class TestCumulativeIntegrals:
