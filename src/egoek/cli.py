@@ -223,8 +223,8 @@ def cmd_analytic(args) -> None:
 
 def cmd_table1(args) -> None:
     grid = read_json(args.grid, "grid file") if args.grid else DEFAULT_TABLE_GRID
-    if not isinstance(grid, list):
-        raise ConfigError("grid file must hold a JSON list of systems")
+    if not isinstance(grid, list) or not grid:
+        raise ConfigError("grid file must hold a non-empty JSON list of systems")
     specs = [
         ensemble_from_dict(entry, "table1 system", ("statistics", "m", "N", "k"),
                            members=args.members, master_seed=args.master_seed)

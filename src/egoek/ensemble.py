@@ -215,7 +215,7 @@ class EmbeddingPlan:
         return tuple(zip(self.targets, self.kconfigs, self.weights))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def build_embedding_plan(statistics: Statistics, m: int, n_sites: int, k: int) -> EmbeddingPlan:
     """Attachment plan of all k-configs to all (m-k)-particle intermediates.
 
@@ -308,9 +308,10 @@ def check_dense_size(spec: EnsembleSpec, workers: int = 1) -> None:
     Those are workers·8·d² for the ``workers`` Hamiltonians built at once
     (each held until its ``eigvalsh`` returns; the calls in ``pipeline``'s
     slots also hold a working copy) and workers·_KBODY_BYTES·d_k² for their
-    k-body draws; every embedding plan they let through (24 B per pair) fits
-    too.  Fermions on more than MAX_SITES sites are refused first.  Dimensions
-    stop early past their bounds, so any size is checked at once.
+    k-body draws; the embedding plan of every system they let through (24 B
+    per pair) fits too, and only the last system's plan is cached.  Fermions
+    on more than MAX_SITES sites are refused first.  Dimensions stop early
+    past their bounds, so any size is checked at once.
     """
     n, m, k, statistics = spec.n_sites, spec.m, spec.k, spec.statistics
     if statistics is Statistics.FERMION and n > MAX_SITES:

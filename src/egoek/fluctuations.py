@@ -34,6 +34,10 @@ _KERNEL_POWERS = np.array([0, 1, 2, 3, 5])
 _KERNEL_COEFFS = np.array([2.0, -15.0, 30.0, -20.0, 3.0])
 # Largest block (window starts x widest window) of Delta3's local prefix table.
 _WINDOW_TABLE_ENTRIES = 1 << 18
+# Longest length goe_delta3_exact takes.  Its panels peak at about 10.4 kB per
+# unit of length (tracemalloc), 171 MB here; delta3's lengths stay within the
+# retained span, under 16,384 levels for any dense spectrum.
+_GOE_MAX_LENGTH = 16_384
 
 
 class UnfoldingError(RuntimeError):
@@ -175,12 +179,15 @@ def goe_delta3_exact(lengths) -> np.ndarray:
     on unit panels.  The kernel expands to
     2L^5 - 15L^4 r + 30L^3 r^2 - 20L^2 r^3 + 3r^5, so all lengths share the
     cumulative moments int r^j Y2 over unit panels and add one partial panel
-    each: cost and memory grow with max(L), not with the sum of the lengths.
+    each: cost and memory grow with max(L), not with the sum of the lengths,
+    so max(L) is capped at _GOE_MAX_LENGTH.
     """
     L = np.asarray(lengths, dtype=float)
     flat = L.ravel()
     if np.any(~(flat > 0.0)):
         raise ValueError("window lengths must be positive")
+    if np.any(flat > _GOE_MAX_LENGTH):  # an infinite length too, before any panel
+        raise ValueError(f"window lengths must be finite and at most {_GOE_MAX_LENGTH}")
     edges = np.arange(np.floor(flat.max(initial=0.0)) + 1.0)
     moments = cumulative_quadrature(
         lambda r: r ** _KERNEL_POWERS[:, None] * _goe_cluster_y2(r), edges, flat

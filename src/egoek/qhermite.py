@@ -24,10 +24,6 @@ PRODUCT_FLOOR = 1e-16
 # form applies above.  It caps the support half-width x0 near 208, the widest
 # support the _MESH_POINTS base mesh must resolve (with over 8 x0 + 1 angles).
 _Q_MAX = PRODUCT_FLOOR ** (1.0 / 400_000)
-# Above this q the weight is summed in its transformed (Gaussian) form, whose
-# terms keep its relative accuracy in the tails; at or below it the direct
-# series has at most 10 terms and an edge value prod (1 - q^n)^3 >= 0.02.
-_TRANSFORM_Q = 0.5
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _MESH_POINTS = 2049  # uniform angular base mesh; over 8 x0 + 1 for any x0 <= 2 / sqrt(1 - _Q_MAX)
 
@@ -86,40 +82,20 @@ def _check_bounded(q: float) -> None:
         )
 
 
-def _theta_coefficients(q: float) -> np.ndarray:
-    """Theta-series coefficients t_j = q^(j(j+1)/2), j >= 0, down to PRODUCT_FLOOR."""
-    count = 1
-    while q ** (count * (count + 1) // 2) >= PRODUCT_FLOOR:
-        count += 1
-    j = np.arange(count)
-    return q ** (j * (j + 1) // 2)
-
-
 def _theta_weight(theta: np.ndarray, q: float) -> np.ndarray:
     """Density transported to theta = arcsin(x / x0); smooth on [-pi/2, pi/2].
 
     By the Jacobi triple product the weight's infinite product is the theta
-    series (2/pi) cos(theta) sum_j t_j cos((2j+1) theta), j >= 0.  Up to
-    _TRANSFORM_Q it is summed as (2/pi) cos^2(theta) sum_j t_j P_j with
-    P_j = cos((2j+1) theta) / cos(theta), from the Chebyshev recurrence in
-    cos(2 theta) carried in Reinsch's difference form
-    D_(j+1) = D_j - 4 sin^2(theta) P_j, whose rounding stays small near
-    theta = 0.  Above it, Poisson summation (tau = -ln q) gives
+    series (2/pi) cos(theta) sum_j q^(j(j+1)/2) cos((2j+1) theta), j >= 0.
+    Below PRODUCT_FLOOR only its j = 0 term counts: the semicircle
+    (2/pi) cos^2(theta).  Otherwise Poisson summation (tau = -ln q) gives
     e^(tau/8) sqrt(2/(pi tau)) cos(theta) sum_k (-1)^k exp(-2 (theta - k pi)^2 / tau),
     summed in pairs k = -m, m + 1 through expm1 so that each pair keeps its
-    relative accuracy up to the support edge; one or two pairs suffice.
+    relative accuracy up to the support edge; at most nine pairs are needed.
     """
     theta = np.abs(np.asarray(theta, dtype=float))
-    if q <= _TRANSFORM_Q:
-        t = _theta_coefficients(q)
-        step = -4.0 * np.sin(theta) ** 2
-        diff, current = step, 1.0 + step
-        total = np.ones_like(theta)
-        for tj in t[1:]:
-            total += tj * current
-            diff = diff + step * current
-            current = current + diff
-        return 2.0 / math.pi * np.cos(theta) ** 2 * total
+    if q < PRODUCT_FLOOR:
+        return 2.0 / math.pi * np.cos(theta) ** 2
     _check_bounded(q)
     tau = -math.log(q)
     pairs = 1 + int(math.sqrt(-math.log(PRODUCT_FLOOR) * tau / 2.0) / math.pi)

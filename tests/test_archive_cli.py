@@ -661,6 +661,7 @@ INVALID_COMMAND_LINES = {
     "analytic_zero_mode": lambda p: ANALYTIC + ["--modes", "0", "--out", str(p)],
     "decompose_without_archive": lambda p: ["decompose", "--out", str(p)],
     "table1_grid_not_list": lambda p: _table1(p, SYSTEM),
+    "table1_grid_empty": lambda p: _table1(p, []),
     "config_trim_one": lambda p: _generate_analysis(p, {"trim": 1.0}),
     "config_l_max_one": lambda p: _generate_analysis(p, {"l_max": 1}),
     "config_zero_bin_width": lambda p: _generate_analysis(p, {"bin_width": 0}),

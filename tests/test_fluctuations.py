@@ -330,6 +330,12 @@ class TestGoeDelta3Exact:
         with pytest.raises(ValueError):
             goe_delta3_exact([2.0, 0.0])
 
+    @pytest.mark.parametrize("length", [np.inf, 1e30, egoek.fluctuations._GOE_MAX_LENGTH + 1])
+    def test_rejects_unbounded_length_before_any_panel(self, length, monkeypatch):
+        monkeypatch.setattr(egoek.fluctuations, "cumulative_quadrature", None)  # a call fails
+        with pytest.raises(ValueError, match="finite and at most"):
+            goe_delta3_exact([2.0, length])
+
     def test_delta3_curve_uses_exact_reference(self):
         rng = np.random.default_rng(24)
         levels = np.cumsum(rng.exponential(1.0, 500))

@@ -1,5 +1,5 @@
-"""egoek loads only numpy and the standard library, src/ holds no code that only tests use,
-and no module reads another module's private names.
+"""egoek loads only numpy and the standard library, src/ holds no code or constant that only
+tests use, and no module reads another module's private names.
 
 scipy is a test oracle, not a dependency: importing it costs more than
 numpy itself does, on every command line call.
@@ -66,6 +66,28 @@ def test_every_public_definition_has_a_src_reader():
         and not node.name.startswith("_") and node.name not in loaded
     }
     assert unread == set(KEPT_WITHOUT_SRC_CALLER)
+
+
+def test_every_module_constant_has_a_src_reader():
+    """A module-level name assigned in src/ (dunders aside) is loaded somewhere in src/,
+    so deleting its last reader cannot leave the constant behind."""
+    paths = sorted((SRC / "egoek").glob("*.py"))
+    trees = {path.stem: ast.parse(path.read_text()) for path in paths}
+    loaded = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    assigned = {
+        (module, name.id)
+        for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for name in ast.walk(target) if isinstance(name, ast.Name)
+    }
+    unread = {f"{module}.{name}" for module, name in assigned
+              if not (name.startswith("__") and name.endswith("__")) and name not in loaded}
+    assert unread == set()
 
 
 def test_no_private_name_crosses_modules():

@@ -131,6 +131,21 @@ def test_cold_threaded_run_builds_plan_once(monkeypatch):
     assert built == {spec.m - spec.k: 1, spec.k: 1}
 
 
+def test_plan_cache_holds_one_system(tmp_path):
+    """Only the last system's plan is kept; a plan rebuilt after eviction writes the same
+    archive."""
+    other = EnsembleSpec(Statistics.BOSON, m=3, n_sites=4, k=3, members=2, master_seed=11)
+    ensemble.build_embedding_plan.cache_clear()
+    files = []
+    for spec in (SPEC, other, SPEC):
+        path = tmp_path / "run.egoearc"
+        write_archive(path, pipeline.generate_archive(spec, threads=2))
+        files.append(path.read_bytes())
+        assert ensemble.build_embedding_plan.cache_info().currsize == 1
+    assert ensemble.build_embedding_plan.cache_info().misses == 3
+    assert files[0] == files[2]
+
+
 def count_concurrent_eigenvalues(monkeypatch, slots: int, threads: int):
     """Peak number of ``eigenvalues`` calls in flight in one ``generate_archive``."""
     lock = threading.Lock()

@@ -24,8 +24,9 @@ from oracles import (
     theta_weight_product,
 )
 
-# Both sides of the weight's switch to its transformed form at q = 0.5.
-SERIES_QS = [0.0, 0.3, 0.5, 0.7, 0.93, 0.98, 0.995]
+# The semicircle, the series floor's neighbourhood, the q ~ 0.04-0.07 of boson k=6 and
+# fermion k=3 members, and on up to a near-Gaussian weight.
+SERIES_QS = [0.0, 1e-12, 0.01, 0.05, 0.3, 0.5, 0.7, 0.93, 0.98, 0.995]
 
 
 def cdf(x, q):
@@ -212,6 +213,11 @@ def _peak_weight(q):
 
 
 class TestThetaSeries:
+    @pytest.mark.parametrize("q", [0.0, 1e-17])
+    def test_semicircle_below_the_floor(self, q):
+        theta = np.linspace(-math.pi / 2, math.pi / 2, 4001)
+        assert np.array_equal(qhermite._theta_weight(theta, q), 2.0 / math.pi * np.cos(theta) ** 2)
+
     @pytest.mark.parametrize("q", SERIES_QS)
     def test_matches_mpmath_product(self, q):
         nodes, weights, _coefficients = theta_weight_mp_fourier(q)
